@@ -14,15 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ns import SolverFailure, plan_steps
+from .ns import SolverFailure, default_dt, plan_steps
 from .spectral import (
     Grid,
     SpectralField,
     _convection_coeffs,
     divergence_l2,
-    linf_norm,
+    half_spectrum,
     sobolev_norm,
-    zero_field,
+    to_full,
 )
 
 # below this size of (disc * (dt / 2 eps)^2) the propagator entries are
@@ -128,15 +128,16 @@ def _propagator_entries(eps: float, k2: np.ndarray, dt: float):
 
 
 class _WaveTables:
-    """Cached propagator and Duhamel weights for fixed (grid, eps, dt)."""
+    """Cached propagator and Duhamel weights for fixed (eps, dt) on the
+    wavenumbers ``k2`` (a full or half-spectrum table of the grid)."""
 
-    def __init__(self, grid: Grid, eps: float, dt: float):
-        self.p11, self.p12, self.p21, self.p22 = _propagator_entries(eps, grid.k2, dt)
-        k2safe = np.where(grid.k2 > 0, grid.k2, 1.0)
+    def __init__(self, k2: np.ndarray, eps: float, dt: float):
+        self.p11, self.p12, self.p21, self.p22 = _propagator_entries(eps, k2, dt)
+        k2safe = np.where(k2 > 0, k2, 1.0)
         # integral of exp(A s) ds applied to the forcing slot (0, N/eps):
         # u gets (1 - P11)/k2 * N, u_t gets P12/eps * N
         self.cu = (1.0 - self.p11) / k2safe
-        self.cu[grid.k2 == 0] = 0.0
+        self.cu[k2 == 0] = 0.0
         self.cw = self.p12 / eps
 
     def apply(self, u: np.ndarray, w: np.ndarray):
@@ -161,28 +162,30 @@ def linear_propagate(state: WaveState, dt: float) -> WaveState:
         raise ValueError("dt must be >= 0")
     if dt == 0.0:
         return state
-    tables = _WaveTables(state.u.grid, state.eps, dt)
+    tables = _WaveTables(state.u.grid.k2, state.eps, dt)
     uc, wc = tables.apply(state.u.coeffs, state.ut.coeffs)
     g = state.u.grid
     return WaveState(SpectralField(g, uc), SpectralField(g, wc), state.eps, state.t + dt)
 
 
 class _NlwStepper:
-    """Exponential midpoint rule with cached full/half tables."""
+    """Exponential midpoint rule with cached tables for dt and dt/2, acting
+    on the rfftn half spectrum."""
 
     def __init__(self, grid: Grid, eps: float, dt: float):
         self.grid = grid
-        self.full = _WaveTables(grid, eps, dt)
-        self.half = _WaveTables(grid, eps, dt / 2.0)
+        self.to_end = _WaveTables(grid.half.k2, eps, dt)
+        self.to_mid = _WaveTables(grid.half.k2, eps, dt / 2.0)
 
     def nonlinearity(self, u: np.ndarray) -> np.ndarray:
         return -_convection_coeffs(self.grid, u)
 
     def step(self, u: np.ndarray, w: np.ndarray):
+        m = self.to_mid
         n0 = self.nonlinearity(u)
-        u_mid, _ = self.half.apply_forced(u, w, n0)
+        u_mid = m.p11 * u + m.p12 * w + m.cu * n0
         n_mid = self.nonlinearity(u_mid)
-        return self.full.apply_forced(u, w, n_mid)
+        return self.to_end.apply_forced(u, w, n_mid)
 
 
 def nlw_step(state: WaveState, dt: float) -> WaveState:
@@ -190,10 +193,10 @@ def nlw_step(state: WaveState, dt: float) -> WaveState:
         raise ValueError("dt must be > 0")
     g = state.u.grid
     stepper = _NlwStepper(g, state.eps, dt)
-    uc, wc = stepper.step(state.u.coeffs, state.ut.coeffs)
+    uc, wc = stepper.step(half_spectrum(g, state.u.coeffs), half_spectrum(g, state.ut.coeffs))
     if not np.isfinite(np.vdot(uc, uc).real):
         raise SolverFailure("non-finite wave coefficients", state.t + dt)
-    return WaveState(SpectralField(g, uc), SpectralField(g, wc), state.eps, state.t + dt)
+    return WaveState(SpectralField(g, to_full(uc)), SpectralField(g, to_full(wc)), state.eps, state.t + dt)
 
 
 @dataclass
@@ -204,13 +207,6 @@ class WaveSolveResult:
     state: WaveState
     blew_up: bool = False
     blowup_t: float | None = None
-
-
-def default_wave_dt(grid: Grid, u0: SpectralField) -> float:
-    umax = linf_norm(u0)
-    if umax == 0.0:
-        return 1e-3
-    return min(1e-3, 0.5 / (grid.n * umax))
 
 
 def _base_energy(eps: float, u: SpectralField, ut: SpectralField) -> float:
@@ -242,7 +238,7 @@ def nlw_solve(
     if divergence_l2(grid, u0.coeffs) + divergence_l2(grid, u1.coeffs) > 1e-8 * scale:
         raise ValueError("nlw_solve requires divergence-free initial data")
     if dt is None:
-        dt = default_wave_dt(grid, u0)
+        dt = default_dt(grid, u0)
     if blowup_monitor is None:
         blowup_monitor = lambda st: _base_energy(st.eps, st.u, st.ut)
 
@@ -255,14 +251,14 @@ def nlw_solve(
         return WaveSolveResult(state)
 
     stepper = _NlwStepper(grid, eps, dt_eff)
-    uc, wc = u0.coeffs, u1.coeffs
+    uc, wc = half_spectrum(grid, u0.coeffs), half_spectrum(grid, u1.coeffs)
     for i in range(1, n_steps + 1):
         uc, wc = stepper.step(uc, wc)
         t = T if i == n_steps else i * dt_eff
         if i % max(stride, 1) == 0 or i == n_steps:
             if not np.isfinite(np.vdot(uc, uc).real):
                 raise SolverFailure("non-finite wave coefficients", t)
-            state = WaveState(SpectralField(grid, uc), SpectralField(grid, wc), eps, t)
+            state = WaveState(SpectralField(grid, to_full(uc)), SpectralField(grid, to_full(wc)), eps, t)
             if blowup_monitor(state) > ceiling:
                 return WaveSolveResult(state, blew_up=True, blowup_t=t)
             if observer is not None:

@@ -16,6 +16,21 @@ TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True, eq=False)
+class HalfSpectrum:
+    """The spectral tables of a Grid restricted to the rfftn half spectrum.
+
+    Every array is a ``[..., :n//2+1]`` view of the full-grid table of the
+    same name, so building one costs no memory.
+    """
+
+    k2: np.ndarray
+    keff: tuple
+    k2eff_safe: np.ndarray
+    ik: tuple
+    dealias_mask: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Uniform collocation grid with its precomputed spectral quantities.
 
@@ -63,10 +78,26 @@ class Grid:
         for kd in keff:
             k2eff += kd * kd
         ik = [1j * kd for kd in keff]
+        # Leray divisor: k2eff vanishes where every component is 0 or n/2,
+        # and so does keff, so replacing those zeros by 1 changes nothing
+        k2eff_safe = np.where(k2eff > 0, k2eff, 1.0)
 
+        # views of the tables on the rfftn half spectrum (last axis k >= 0)
+        nh = self.n // 2 + 1
+        object.__setattr__(
+            self,
+            "half",
+            HalfSpectrum(
+                k2=k2[..., :nh],
+                keff=tuple(kd[..., :nh] for kd in keff),
+                k2eff_safe=k2eff_safe[..., :nh],
+                ik=tuple(a[..., :nh] for a in ik),
+                dealias_mask=dealias[..., :nh],
+            ),
+        )
+        object.__setattr__(self, "k2eff_safe", k2eff_safe)
         object.__setattr__(self, "k", tuple(kvec))
         object.__setattr__(self, "keff", tuple(keff))
-        object.__setattr__(self, "k2eff", k2eff)
         object.__setattr__(self, "k2", k2)
         object.__setattr__(self, "kmag", kmag)
         object.__setattr__(self, "dealias_mask", dealias)
@@ -165,10 +196,31 @@ def transform(grid: Grid, values: np.ndarray):
     return SpectralField(grid, c), mean
 
 
+def half_spectrum(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """View of full coefficients on the rfftn half spectrum (last axis k >= 0)."""
+    return c[..., : grid.n // 2 + 1]
+
+
+def to_full(h: np.ndarray) -> np.ndarray:
+    """Full coefficient array from its rfftn half, by c(-k) = conj c(k).
+
+    ``h`` has shape (ncomp, n, ..., n//2+1); the planes k_last = 0 and
+    k_last = n/2 are copied as stored, the rest is filled from them.
+    """
+    n = h.shape[1]
+    full = np.empty(h.shape[:-1] + (n,), dtype=np.complex128)
+    full[..., : n // 2 + 1] = h
+    mirror = h[..., n // 2 - 1 : 0 : -1]
+    for ax in range(1, h.ndim - 1):
+        mirror = np.roll(np.flip(mirror, axis=ax), 1, axis=ax)
+    np.conjugate(mirror, out=full[..., n // 2 + 1 :])
+    return full
+
+
 def inverse_transform(f: SpectralField) -> np.ndarray:
-    axes = tuple(range(1, f.grid.dim + 1))
-    v = np.fft.ifftn(f.coeffs / f.grid.fwd_scale, axes=axes)
-    return v.real
+    g = f.grid
+    axes = tuple(range(1, g.dim + 1))
+    return np.fft.irfftn(half_spectrum(g, f.coeffs) / g.fwd_scale, s=g.shape, axes=axes)
 
 
 def hermitian_defect(f: SpectralField) -> float:
@@ -230,14 +282,16 @@ def linf_norm(f: SpectralField) -> float:
 
 
 def _leray_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
-    k2safe = np.where(grid.k2eff > 0, grid.k2eff, 1.0)
-    kdotc = np.zeros(grid.shape, dtype=np.complex128)
-    for i in range(grid.dim):
-        kdotc += grid.keff[i] * c[i]
-    kdotc /= k2safe
+    """Leray projection of full or half-spectrum coefficients; the tables
+    are chosen by the shape of ``c``."""
+    t = grid if c.shape[-1] == grid.n else grid.half
+    kdotc = t.keff[0] * c[0]
+    for i in range(1, grid.dim):
+        kdotc += t.keff[i] * c[i]
+    kdotc /= t.k2eff_safe
     out = c.copy()
     for i in range(grid.dim):
-        out[i] -= grid.keff[i] * kdotc
+        out[i] -= t.keff[i] * kdotc
     return out
 
 
@@ -275,23 +329,31 @@ def _tensor_divergence_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
 
     Inputs are masked with the 2/3 rule, products formed pointwise on the
     collocation grid, and the output masked again, so no aliased content
-    survives below the cutoff.
+    survives below the cutoff.  The kernel works on the rfftn half
+    spectrum: one batched inverse transform of the components and one
+    forward transform per product u_i u_j.  Full-spectrum input gets a
+    full-spectrum result.
     """
+    if c.shape[-1] == grid.n:
+        return to_full(_tensor_divergence_coeffs(grid, half_spectrum(grid, c)))
+    h = grid.half
     axes = tuple(range(1, grid.dim + 1))
-    cm = c * grid.dealias_mask
-    vals = np.fft.ifftn(cm / grid.fwd_scale, axes=axes).real
+    vals = np.fft.irfftn(c * h.dealias_mask / grid.fwd_scale, s=grid.shape, axes=axes)
     out = np.zeros_like(c)
     for i in range(grid.dim):
         for j in range(i, grid.dim):
-            tij = np.fft.fftn(vals[i] * vals[j], axes=(tuple(range(grid.dim)))) * grid.fwd_scale
-            out[i] += grid.ik[j] * tij
+            tij = np.fft.rfftn(vals[i] * vals[j]) * grid.fwd_scale
+            out[i] += h.ik[j] * tij
             if j != i:
-                out[j] += grid.ik[i] * tij
-    out *= grid.dealias_mask
+                out[j] += h.ik[i] * tij
+    out *= h.dealias_mask
     return out
 
 
 def _convection_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """P nabla : (u (x) u) on full or half-spectrum coefficients."""
+    if c.shape[-1] == grid.n:
+        return to_full(_convection_coeffs(grid, half_spectrum(grid, c)))
     return _leray_coeffs(grid, _tensor_divergence_coeffs(grid, c))
 
 

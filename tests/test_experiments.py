@@ -218,6 +218,28 @@ class TestEmitReport:
         golden = (DATA / "golden_sweep.csv").read_bytes()
         assert (tmp_path / "sweep.csv").read_bytes() == golden
 
+    def test_golden_sweep_near_c2c_pin(self, tmp_path):
+        # sweep.csv as pinned when the solvers stepped the full c2c spectrum;
+        # the byte-exact pin above may only move by rounding away from it
+        header = "epsilon,sup_err_sq,sup_dafermos,sup_eps_delta_E,cross_term,blowup,first_threshold_violation_t"
+        c2c_rows = [
+            [0.1, 0.05037653040179185, 0.09004085186106911, 0.10259410405308562,
+             0.006431217954562998, 0, math.nan],
+            [0.01, 0.0010767902208327364, 0.019642285143614647, 0.04148702349779585,
+             0.0065434091753529405, 0, math.nan],
+        ]
+        emit_report(run_convergence(golden_config()), tmp_path)
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[0] == header
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        assert len(rows) == len(c2c_rows)
+        for row, pinned in zip(rows, c2c_rows):
+            for got, want in zip(row, pinned):
+                if math.isnan(want):
+                    assert math.isnan(got)
+                else:
+                    assert abs(got - want) <= 1e-12 * abs(want)
+
 
 class TestCli:
     def _write_cfg(self, tmp_path, **overrides):

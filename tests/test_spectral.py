@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypns.spectral import (
     SpectralField,
+    _convection_coeffs,
+    _leray_coeffs,
+    _tensor_divergence_coeffs,
     convection_term,
     divergence,
+    half_spectrum,
     hermitian_defect,
     inverse_transform,
     l2_inner,
@@ -14,6 +20,7 @@ from hypns.spectral import (
     linf_norm,
     make_grid,
     sobolev_norm,
+    to_full,
     transform,
     zero_field,
 )
@@ -226,3 +233,95 @@ def test_gagliardo_nirenberg_lattice():
         lhs = sobolev_norm(f, 1.0) ** 2
         rhs = sobolev_norm(f, 0.5) * sobolev_norm(f, 1.5)
         assert lhs <= rhs * (1.0 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Real-FFT half spectrum: properties over grid sizes and random real data
+# ---------------------------------------------------------------------------
+
+# 2D with every even n in [8, 64], 3D with n in {8, 16}
+grid_shapes = st.one_of(
+    st.tuples(st.just(2), st.integers(4, 32).map(lambda m: 2 * m)),
+    st.tuples(st.just(3), st.sampled_from([8, 16])),
+)
+property_settings = settings(max_examples=30, deadline=None, database=None)
+
+
+def random_real_field(dim, n, seed):
+    """Transform of seeded real values with content on every mode,
+    the Nyquist planes included."""
+    g = make_grid(dim, n)
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((dim,) + g.shape) * rng.uniform(0.1, 10.0)
+    f, _ = transform(g, vals)
+    return g, f
+
+
+def c2c_tensor_divergence(grid, c):
+    """Dealiased nabla : (u (x) u) with complex-to-complex transforms over
+    the full spectrum, the formula the r2c kernel replaces."""
+    axes = tuple(range(1, grid.dim + 1))
+    vals = np.fft.ifftn(c * grid.dealias_mask / grid.fwd_scale, axes=axes).real
+    out = np.zeros_like(c)
+    for i in range(grid.dim):
+        for j in range(i, grid.dim):
+            tij = np.fft.fftn(vals[i] * vals[j]) * grid.fwd_scale
+            out[i] += grid.ik[j] * tij
+            if j != i:
+                out[j] += grid.ik[i] * tij
+    return out * grid.dealias_mask
+
+
+def rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestHalfSpectrum:
+    @property_settings
+    @given(shape=grid_shapes, seed=st.integers(0, 2**32 - 1))
+    def test_to_full_reproduces_full_coefficients(self, shape, seed):
+        g, f = random_real_field(*shape, seed)
+        h = half_spectrum(g, f.coeffs)
+        assert h.shape == (g.dim,) + g.shape[:-1] + (g.n // 2 + 1,)
+        assert np.shares_memory(h, f.coeffs)
+        full = to_full(h)
+        assert rel_err(full, f.coeffs) <= 1e-15
+        for ax in range(1, g.dim + 1):
+            nyq = (slice(None),) * ax + (g.n // 2,)
+            assert np.max(np.abs(f.coeffs[nyq])) > 0.0
+            assert rel_err(full[nyq], f.coeffs[nyq]) <= 1e-15
+
+    @property_settings
+    @given(shape=grid_shapes, seed=st.integers(0, 2**32 - 1))
+    def test_r2c_convection_matches_c2c(self, shape, seed):
+        g, f = random_real_field(*shape, seed)
+        oracle = c2c_tensor_divergence(g, f.coeffs)
+        assert rel_err(_tensor_divergence_coeffs(g, f.coeffs), oracle) <= 1e-13
+        half = _tensor_divergence_coeffs(g, half_spectrum(g, f.coeffs))
+        assert rel_err(half, half_spectrum(g, oracle)) <= 1e-13
+        projected = _leray_coeffs(g, oracle)
+        assert rel_err(_convection_coeffs(g, f.coeffs), projected) <= 1e-13
+        half = _convection_coeffs(g, half_spectrum(g, f.coeffs))
+        assert rel_err(half, half_spectrum(g, projected)) <= 1e-13
+
+    @property_settings
+    @given(shape=grid_shapes, seed=st.integers(0, 2**32 - 1))
+    def test_parseval_and_round_trip(self, shape, seed):
+        g, f = random_real_field(*shape, seed)
+        vals = inverse_transform(f)
+        assert vals.shape == (g.dim,) + g.shape and vals.dtype == np.float64
+        quad = np.sum(vals**2) * g.cell_volume
+        assert abs(quad - l2_norm(f) ** 2) <= 1e-12 * quad
+        back, mean = transform(g, vals)
+        assert np.max(np.abs(mean)) <= 1e-12 * np.max(np.abs(vals))
+        assert rel_err(back.coeffs, f.coeffs) <= 1e-13
+
+    def test_half_tables_are_views(self):
+        for g in (make_grid(2, 16), make_grid(3, 8)):
+            h = g.half
+            assert h.k2.shape == g.shape[:-1] + (g.n // 2 + 1,)
+            pairs = [(h.k2, g.k2), (h.k2eff_safe, g.k2eff_safe), (h.dealias_mask, g.dealias_mask)]
+            pairs += list(zip(h.keff, g.keff)) + list(zip(h.ik, g.ik))
+            for view, table in pairs:
+                assert np.shares_memory(view, table)
+                assert np.array_equal(view, half_spectrum(g, table))
