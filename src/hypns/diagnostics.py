@@ -4,12 +4,12 @@ evaluated numerically on solver states."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ns import NsState, dt_v
-from .nlw import WaveState
+from .nlw import WaveState, energy
 from .spectral import (
     SpectralField,
     _leray_coeffs,
@@ -18,7 +18,9 @@ from .spectral import (
     l2_inner,
     l2_norm,
     linf_norm,
+    mode_mag2,
     sobolev_norm,
+    weighted_sum,
 )
 
 
@@ -51,13 +53,6 @@ class DiagnosticsConfig:
 
 
 @dataclass
-class NormSet:
-    l2: float
-    hs: dict
-    linf: float
-
-
-@dataclass
 class EnergyReport:
     """Scalar diagnostics of one wave state at one time."""
 
@@ -69,23 +64,15 @@ class EnergyReport:
     composite: float = math.nan
     dafermos: float = math.nan
     err_sq: float = math.nan
-    norms: dict = field(default_factory=dict)
-
-
-def energy(state: WaveState, sigma: float) -> float:
-    """Wave energy at regularity sigma:
-    int 1/2 |L^s (u + eps u_t)|^2 + eps^2/2 |L^s u_t|^2 + eps |L^(s+1) u|^2."""
-    eps = state.eps
-    a = sobolev_norm(state.u + eps * state.ut, sigma)
-    b = eps * sobolev_norm(state.ut, sigma)
-    c = sobolev_norm(state.u, sigma + 1.0)
-    return 0.5 * a * a + 0.5 * b * b + eps * c * c
 
 
 def composite_scalar(e_delta: float, e_base: float, n_exponent: int) -> float:
-    """E_delta (1 + E_base)^N evaluated in log space to dodge overflow."""
+    """E_delta (1 + E_base)^N evaluated in log space to dodge overflow;
+    exactly E_delta for N = 0."""
     if e_delta <= 0.0:
         return 0.0
+    if n_exponent == 0:
+        return float(e_delta)
     with np.errstate(over="ignore"):
         return float(np.exp(np.log(e_delta) + n_exponent * np.log1p(e_base)))
 
@@ -95,13 +82,16 @@ def composite_energy(state: WaveState, config: DiagnosticsConfig) -> float:
     return composite_scalar(energy(state, s0 + config.delta), energy(state, s0), config.n_exponent)
 
 
+def _modulated_energy(state: WaveState, diff: np.ndarray, sigma0: float) -> float:
+    """``dafermos_energy`` from the coefficients ``diff`` of u - v."""
+    density = 0.5 * mode_mag2(diff + state.eps * state.ut.coeffs) + state.shared_density
+    return weighted_sum(state.u.grid, sigma0, density)
+
+
 def dafermos_energy(state: WaveState, v: SpectralField, sigma0: float) -> float:
-    """Modulated wave energy measuring distance to a reference field v."""
-    eps = state.eps
-    a = sobolev_norm(state.u - v + eps * state.ut, sigma0)
-    b = eps * sobolev_norm(state.ut, sigma0)
-    c = sobolev_norm(state.u, sigma0 + 1.0)
-    return 0.5 * a * a + 0.5 * b * b + eps * c * c
+    """Modulated wave energy measuring distance to a reference field v:
+    int 1/2 |L^s (u - v + eps u_t)|^2 + eps^2/2 |L^s u_t|^2 + eps |L^(s+1) u|^2."""
+    return _modulated_energy(state, state.u.coeffs - v.coeffs, sigma0)
 
 
 @dataclass
@@ -124,8 +114,10 @@ def make_energy_report(
     state: WaveState,
     config: DiagnosticsConfig,
     v: SpectralField | None = None,
-    with_norms: bool = False,
 ) -> EnergyReport:
+    """Energies, sup norm and, given the reference field v, the modulated
+    energy and the squared error ||u - v||^2 at sigma0, all from one set of
+    per-mode densities of the state's coefficients."""
     s0 = config.sigma0
     check = linf_threshold(state, config.threshold_c)
     rep = EnergyReport(
@@ -136,30 +128,15 @@ def make_energy_report(
         threshold_ok=check.ok,
     )
     if v is not None:
-        rep.dafermos = dafermos_energy(state, v, s0)
-        diff = state.u - v
-        err = sobolev_norm(diff, s0)
-        rep.err_sq = err * err
-    if with_norms:
-        sigmas = (s0, s0 + config.delta, s0 + 1.0)
-        rep.norms["u"] = norm_set(state.u, sigmas)
-        rep.norms["ut"] = norm_set(state.ut, sigmas)
-        if v is not None:
-            rep.norms["err"] = norm_set(state.u - v, sigmas)
+        diff = state.u.coeffs - v.coeffs
+        rep.dafermos = _modulated_energy(state, diff, s0)
+        rep.err_sq = weighted_sum(state.u.grid, s0, mode_mag2(diff))
     return rep
 
 
 def fill_composite(reports, n_exponent: int):
     for r in reports:
         r.composite = composite_scalar(r.e_delta, r.e_base, n_exponent)
-
-
-def norm_set(f: SpectralField, sigmas) -> NormSet:
-    return NormSet(
-        l2=l2_norm(f),
-        hs={float(s): sobolev_norm(f, s) for s in sigmas},
-        linf=linf_norm(f),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -240,12 +240,18 @@ def save_field(path, f: SpectralField):
 
 
 def load_field(path, grid) -> SpectralField:
+    """Read a field written by ``save_field``.  Files that hold the full
+    spectrum (last axis n long, the layout before half-spectrum storage)
+    are cut to their half spectrum."""
     data = np.load(path)
     if int(data["dim"]) != grid.dim or int(data["n"]) != grid.n:
         raise ValueError(
             f"field file is {int(data['dim'])}D n={int(data['n'])}, expected {grid.dim}D n={grid.n}"
         )
-    return SpectralField(grid, data["coeffs"])
+    c = data["coeffs"]
+    if c.shape[-1] == grid.n:
+        c = c[..., : grid.spec_shape[-1]]
+    return SpectralField(grid, c)
 
 
 def build_reference_field(cfg: ExperimentConfig, grid) -> SpectralField:

@@ -93,7 +93,7 @@ def synth_hs_field(recipe: DataRecipe, grid: Grid) -> SpectralField:
     rng = np.random.Generator(np.random.Philox(recipe.seed))
     noise = rng.standard_normal((grid.dim,) + grid.shape)
     axes = tuple(range(1, grid.dim + 1))
-    ph = np.fft.fftn(noise, axes=axes)
+    ph = np.fft.rfftn(noise, axes=axes)
     mag = np.abs(ph)
     unit = ph / np.where(mag > 0, mag, 1.0)
 
@@ -126,13 +126,13 @@ def random_divergence_free_field(
     rng = np.random.Generator(np.random.Philox(seed))
     noise = rng.standard_normal((grid.dim,) + grid.shape)
     axes = tuple(range(1, grid.dim + 1))
-    c = np.fft.fftn(noise, axes=axes)
+    c = np.fft.rfftn(noise, axes=axes)
     if slope != 0.0:
         prof = np.where(grid.k2 > 0, grid.k2, 1.0) ** (-slope / 2.0)
         prof[grid.k2 == 0] = 0.0
         c = c * prof
     if band is not None:
-        keep = np.ones(grid.shape, dtype=bool)
+        keep = np.ones(grid.spec_shape, dtype=bool)
         for k in grid.k:
             keep &= np.abs(k) <= band
         c = c * keep

@@ -10,7 +10,8 @@ two-stage exponential midpoint rule (second order in dt).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -20,9 +21,9 @@ from .spectral import (
     SpectralField,
     _convection_coeffs,
     divergence_l2,
-    half_spectrum,
+    mode_mag2,
     sobolev_norm,
-    to_full,
+    weighted_sum,
 )
 
 # below this size of (disc * (dt / 2 eps)^2) the propagator entries are
@@ -37,10 +38,36 @@ class WaveState:
     ut: SpectralField
     eps: float
     t: float = 0.0
+    # energy(state, sigma) by sigma; the blow-up monitor and the energy
+    # report of one sample share it
+    _energies: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("eps must be > 0")
+
+    @cached_property
+    def shared_density(self) -> np.ndarray:
+        """Per-mode eps^2/2 |u_t|^2 + eps |k|^2 |u|^2: the part of the energy
+        density that the modulated energy has too."""
+        eps = self.eps
+        return 0.5 * eps * eps * mode_mag2(self.ut.coeffs) + eps * self.u.grid.k2 * mode_mag2(self.u.coeffs)
+
+    @cached_property
+    def energy_density(self) -> np.ndarray:
+        """Per-mode 1/2 |u + eps u_t|^2 plus ``shared_density``."""
+        return 0.5 * mode_mag2(self.u.coeffs + self.eps * self.ut.coeffs) + self.shared_density
+
+
+def energy(state: WaveState, sigma: float) -> float:
+    """Wave energy at regularity sigma:
+    int 1/2 |L^s (u + eps u_t)|^2 + eps^2/2 |L^s u_t|^2 + eps |L^(s+1) u|^2.
+
+    Computed once per state and sigma."""
+    cache = state._energies
+    if sigma not in cache:
+        cache[sigma] = weighted_sum(state.u.grid, sigma, state.energy_density)
+    return cache[sigma]
 
 
 @dataclass(frozen=True)
@@ -129,7 +156,7 @@ def _propagator_entries(eps: float, k2: np.ndarray, dt: float):
 
 class _WaveTables:
     """Cached propagator and Duhamel weights for fixed (eps, dt) on the
-    wavenumbers ``k2`` (a full or half-spectrum table of the grid)."""
+    wavenumbers ``k2``."""
 
     def __init__(self, k2: np.ndarray, eps: float, dt: float):
         self.p11, self.p12, self.p21, self.p22 = _propagator_entries(eps, k2, dt)
@@ -169,13 +196,12 @@ def linear_propagate(state: WaveState, dt: float) -> WaveState:
 
 
 class _NlwStepper:
-    """Exponential midpoint rule with cached tables for dt and dt/2, acting
-    on the rfftn half spectrum."""
+    """Exponential midpoint rule with cached tables for dt and dt/2."""
 
     def __init__(self, grid: Grid, eps: float, dt: float):
         self.grid = grid
-        self.to_end = _WaveTables(grid.half.k2, eps, dt)
-        self.to_mid = _WaveTables(grid.half.k2, eps, dt / 2.0)
+        self.to_end = _WaveTables(grid.k2, eps, dt)
+        self.to_mid = _WaveTables(grid.k2, eps, dt / 2.0)
 
     def nonlinearity(self, u: np.ndarray) -> np.ndarray:
         return -_convection_coeffs(self.grid, u)
@@ -193,10 +219,10 @@ def nlw_step(state: WaveState, dt: float) -> WaveState:
         raise ValueError("dt must be > 0")
     g = state.u.grid
     stepper = _NlwStepper(g, state.eps, dt)
-    uc, wc = stepper.step(half_spectrum(g, state.u.coeffs), half_spectrum(g, state.ut.coeffs))
+    uc, wc = stepper.step(state.u.coeffs, state.ut.coeffs)
     if not np.isfinite(np.vdot(uc, uc).real):
         raise SolverFailure("non-finite wave coefficients", state.t + dt)
-    return WaveState(SpectralField(g, to_full(uc)), SpectralField(g, to_full(wc)), state.eps, state.t + dt)
+    return WaveState(SpectralField(g, uc), SpectralField(g, wc), state.eps, state.t + dt)
 
 
 @dataclass
@@ -207,13 +233,6 @@ class WaveSolveResult:
     state: WaveState
     blew_up: bool = False
     blowup_t: float | None = None
-
-
-def _base_energy(eps: float, u: SpectralField, ut: SpectralField) -> float:
-    a = sobolev_norm(u + eps * ut, 0.0)
-    b = eps * sobolev_norm(ut, 0.0)
-    c = sobolev_norm(u, 1.0)
-    return 0.5 * a * a + 0.5 * b * b + eps * c * c
 
 
 def nlw_solve(
@@ -230,7 +249,7 @@ def nlw_solve(
     """Integrate the damped wave system to time T.
 
     ``observer(state)`` fires at exact sample times.  When the monitored
-    energy (L^2-type by default) exceeds ``blowup_factor`` times its
+    energy (``energy(state, 0)`` by default) exceeds ``blowup_factor`` times its
     initial value the run stops and the result carries the blow-up flag.
     """
     grid = u0.grid
@@ -240,7 +259,7 @@ def nlw_solve(
     if dt is None:
         dt = default_dt(grid, u0)
     if blowup_monitor is None:
-        blowup_monitor = lambda st: _base_energy(st.eps, st.u, st.ut)
+        blowup_monitor = lambda st: energy(st, 0.0)
 
     n_steps, dt_eff = plan_steps(T, dt)
     state = WaveState(u0, u1, eps, 0.0)
@@ -251,14 +270,14 @@ def nlw_solve(
         return WaveSolveResult(state)
 
     stepper = _NlwStepper(grid, eps, dt_eff)
-    uc, wc = half_spectrum(grid, u0.coeffs), half_spectrum(grid, u1.coeffs)
+    uc, wc = u0.coeffs, u1.coeffs
     for i in range(1, n_steps + 1):
         uc, wc = stepper.step(uc, wc)
         t = T if i == n_steps else i * dt_eff
         if i % max(stride, 1) == 0 or i == n_steps:
             if not np.isfinite(np.vdot(uc, uc).real):
                 raise SolverFailure("non-finite wave coefficients", t)
-            state = WaveState(SpectralField(grid, to_full(uc)), SpectralField(grid, to_full(wc)), eps, t)
+            state = WaveState(SpectralField(grid, uc), SpectralField(grid, wc), eps, t)
             if blowup_monitor(state) > ceiling:
                 return WaveSolveResult(state, blew_up=True, blowup_t=t)
             if observer is not None:
@@ -321,20 +340,25 @@ def _lattice_factor(eps: float) -> int:
 
 
 def _mode_index_arrays(grid: Grid):
-    k1 = np.fft.fftfreq(grid.n, 1.0 / grid.n).astype(np.int64)
-    return np.meshgrid(*([k1] * grid.dim), indexing="ij")
+    """Integer wavenumbers of the stored modes.  Taken modulo n they index
+    the coefficient array, the last axis (0..n/2) included."""
+    return [k.astype(np.int64) for k in grid.k]
 
 
 def _contract_modes(grid: Grid, c: np.ndarray, m: int) -> np.ndarray:
     """Map coefficient at mode m*q to mode q; requires support on the
-    m-divisible sublattice."""
+    m-divisible sublattice.  Nyquist content is rejected: the sign of
+    k = n/2 is undefined, so it has no well-defined image."""
     kidx = _mode_index_arrays(grid)
-    on_sub = np.ones(grid.shape, dtype=bool)
+    on_sub = np.ones(grid.spec_shape, dtype=bool)
     for k in kidx:
-        on_sub &= k % m == 0
+        on_sub &= (k % m == 0) & (np.abs(k) < grid.n // 2)
     off = ~on_sub
     if np.max(np.abs(c[:, off])) > 1e-13 * max(np.max(np.abs(c)), 1e-300):
-        raise ValueError("state has mode content off the m-divisible sublattice; cannot rescale to_unit")
+        raise ValueError(
+            "state has mode content off the m-divisible sublattice or at the Nyquist wavenumber; "
+            "cannot rescale to_unit"
+        )
     out = np.zeros_like(c)
     src = tuple((k[on_sub]) % grid.n for k in kidx)
     dst = tuple((k[on_sub] // m) % grid.n for k in kidx)
@@ -345,7 +369,7 @@ def _contract_modes(grid: Grid, c: np.ndarray, m: int) -> np.ndarray:
 def _dilate_modes(grid: Grid, c: np.ndarray, m: int) -> np.ndarray:
     """Map coefficient at mode q to mode m*q; rejects out-of-range content."""
     kidx = _mode_index_arrays(grid)
-    in_range = np.ones(grid.shape, dtype=bool)
+    in_range = np.ones(grid.spec_shape, dtype=bool)
     for k in kidx:
         in_range &= np.abs(k * m) <= grid.n // 2 - 1
     out_of_range = ~in_range

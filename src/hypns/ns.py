@@ -17,10 +17,8 @@ from .spectral import (
     SpectralField,
     _convection_coeffs,
     divergence_l2,
-    half_spectrum,
     linf_norm,
     sobolev_norm,
-    to_full,
 )
 
 
@@ -61,14 +59,13 @@ def _check_finite(c: np.ndarray, t: float):
 
 
 class _NsStepper:
-    """Integrating-factor RK4 with cached per-mode exponentials, acting on
-    the rfftn half spectrum."""
+    """Integrating-factor RK4 with cached per-mode exponentials."""
 
     def __init__(self, grid: Grid, dt: float):
         self.grid = grid
         self.dt = dt
-        self.e_full = np.exp(-grid.half.k2 * dt)
-        self.e_half = np.exp(-grid.half.k2 * (dt / 2.0))
+        self.e_full = np.exp(-grid.k2 * dt)
+        self.e_half = np.exp(-grid.k2 * (dt / 2.0))
 
     def rhs(self, c: np.ndarray) -> np.ndarray:
         return -_convection_coeffs(self.grid, c)
@@ -87,9 +84,9 @@ def ns_step(state: NsState, dt: float) -> NsState:
     if dt <= 0:
         raise ValueError("dt must be > 0")
     grid = state.v.grid
-    c = _NsStepper(grid, dt).step(half_spectrum(grid, state.v.coeffs))
+    c = _NsStepper(grid, dt).step(state.v.coeffs)
     _check_finite(c, state.t + dt)
-    return NsState(SpectralField(grid, to_full(c)), state.t + dt)
+    return NsState(SpectralField(grid, c), state.t + dt)
 
 
 def plan_steps(T: float, dt: float):
@@ -126,13 +123,13 @@ def ns_solve(
         return state
 
     stepper = _NsStepper(grid, dt_eff)
-    c = half_spectrum(grid, v0.coeffs)
+    c = v0.coeffs
     for i in range(1, n_steps + 1):
         c = stepper.step(c)
         t = T if i == n_steps else i * dt_eff
         if i % max(stride, 1) == 0 or i == n_steps:
             _check_finite(c, t)
-            state = NsState(SpectralField(grid, to_full(c)), t)
+            state = NsState(SpectralField(grid, c), t)
             if observer is not None:
                 observer(state)
     return state
@@ -141,5 +138,5 @@ def ns_solve(
 def dt_v(state: NsState) -> SpectralField:
     """Time derivative Lap v - P nabla:(v (x) v), evaluated spectrally."""
     g = state.v.grid
-    c = half_spectrum(g, state.v.coeffs)
-    return SpectralField(g, to_full(-g.half.k2 * c - _convection_coeffs(g, c)))
+    c = state.v.coeffs
+    return SpectralField(g, -g.k2 * c - _convection_coeffs(g, c))

@@ -1,9 +1,21 @@
 """Fourier representation of mean-free vector fields on the 2*pi-periodic torus.
 
-All fields are stored by their Fourier coefficients under the unitary
-convention: the sum of squared coefficient moduli equals the continuum
-L^2 norm squared over [0, 2*pi)^dim, so Parseval holds with constant 1
-and homogeneous Sobolev norms are plain |k|^sigma multiplier sums.
+Fields are real, so their coefficients satisfy c(-k) = conj c(k) and only
+half of them are stored: the ``rfftn`` half spectrum, whose last axis keeps
+the wavenumbers 0 <= k_last <= n/2.  A coefficient array has shape
+(ncomp, n, ..., n, n//2+1), and every spectral table of a Grid has that
+half shape (``Grid.spec_shape``).
+
+Coefficients follow the unitary convention: over the full spectrum the sum
+of squared moduli equals the continuum L^2 norm squared over
+[0, 2*pi)^dim, so Parseval holds with constant 1 and homogeneous Sobolev
+norms are plain |k|^sigma multiplier sums.  On the half spectrum a stored
+mode also stands for its unstored conjugate partner, so sums over the full
+spectrum become sums over the stored modes with the weight
+``Grid.weight(sigma)``: |k|^(2 sigma) times a multiplicity that is 1 on the
+planes k_last = 0 and k_last = n/2 (the partners of their modes lie in the
+same plane and are stored there), 2 on every other plane, and 0 on the
+zero mode (fields are mean-free).
 """
 
 from __future__ import annotations
@@ -13,21 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True, eq=False)
-class HalfSpectrum:
-    """The spectral tables of a Grid restricted to the rfftn half spectrum.
-
-    Every array is a ``[..., :n//2+1]`` view of the full-grid table of the
-    same name, so building one costs no memory.
-    """
-
-    k2: np.ndarray
-    keff: tuple
-    k2eff_safe: np.ndarray
-    ik: tuple
-    dealias_mask: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,6 +38,11 @@ class Grid:
     n : int
         Collocation points per axis; must be even and >= 8.  The domain
         period is fixed at 2*pi per axis, so wavenumbers are integers.
+
+    ``shape`` is the collocation shape (n, ..., n); ``spec_shape`` the
+    half-spectrum shape (n, ..., n, n//2+1) of the tables ``k``, ``k2``,
+    ``kmag``, ``keff``, ``ik``, ``k2eff_safe``, ``dealias_mask`` and
+    ``mult``.  Along the last axis ``k`` runs over 0..n/2.
     """
 
     dim: int
@@ -53,7 +55,8 @@ class Grid:
             raise ValueError(f"n must be even and >= 8, got {self.n}")
 
         k1 = np.fft.fftfreq(self.n, 1.0 / self.n)  # integer lattice as floats
-        kvec = np.meshgrid(*([k1] * self.dim), indexing="ij")
+        k_last = np.fft.rfftfreq(self.n, 1.0 / self.n)
+        kvec = np.meshgrid(*([k1] * (self.dim - 1) + [k_last]), indexing="ij")
         k2 = np.zeros_like(kvec[0])
         for k in kvec:
             k2 += k * k
@@ -82,31 +85,28 @@ class Grid:
         # and so does keff, so replacing those zeros by 1 changes nothing
         k2eff_safe = np.where(k2eff > 0, k2eff, 1.0)
 
-        # views of the tables on the rfftn half spectrum (last axis k >= 0)
-        nh = self.n // 2 + 1
-        object.__setattr__(
-            self,
-            "half",
-            HalfSpectrum(
-                k2=k2[..., :nh],
-                keff=tuple(kd[..., :nh] for kd in keff),
-                k2eff_safe=k2eff_safe[..., :nh],
-                ik=tuple(a[..., :nh] for a in ik),
-                dealias_mask=dealias[..., :nh],
-            ),
-        )
+        # modes on the planes k_last = 0 and n/2 have their conjugate
+        # partners stored in the same plane; every other stored mode also
+        # stands for its unstored partner
+        mult = np.full(kvec[0].shape, 2.0)
+        mult[..., 0] = 1.0
+        mult[..., -1] = 1.0
+
         object.__setattr__(self, "k2eff_safe", k2eff_safe)
         object.__setattr__(self, "k", tuple(kvec))
         object.__setattr__(self, "keff", tuple(keff))
         object.__setattr__(self, "k2", k2)
         object.__setattr__(self, "kmag", kmag)
+        object.__setattr__(self, "mult", mult)
         object.__setattr__(self, "dealias_mask", dealias)
         object.__setattr__(self, "dealias_cutoff", cutoff)
         object.__setattr__(self, "ik", tuple(ik))
-        object.__setattr__(self, "shape", kvec[0].shape)
+        object.__setattr__(self, "shape", (self.n,) * self.dim)
+        object.__setattr__(self, "spec_shape", kvec[0].shape)
         object.__setattr__(self, "cell_volume", (TWO_PI / self.n) ** self.dim)
-        # unitary convention: coeffs = fftn(values) * fwd_scale
+        # unitary convention: coeffs = rfftn(values) * fwd_scale
         object.__setattr__(self, "fwd_scale", TWO_PI ** (self.dim / 2) / self.n**self.dim)
+        object.__setattr__(self, "_weights", {})
 
     @property
     def npoints(self) -> int:
@@ -120,6 +120,18 @@ class Grid:
         x = self.axes()
         return np.meshgrid(*([x] * self.dim), indexing="ij")
 
+    def weight(self, sigma: float) -> np.ndarray:
+        """Read-only table mult * |k|^(2 sigma), 0 on the zero mode: summed
+        against a per-mode density it gives the full-spectrum sum.  Built
+        once per sigma and kept on the grid."""
+        w = self._weights.get(sigma)
+        if w is None:
+            w = np.where(self.k2 > 0, self.k2, 1.0) ** sigma * self.mult
+            w[self.k2 == 0] = 0.0
+            w.flags.writeable = False
+            self._weights[sigma] = w
+        return w
+
 
 def make_grid(dim: int, n: int) -> Grid:
     """Build a grid; rejects odd or too-small n."""
@@ -132,11 +144,11 @@ def _zero_mode_index(dim: int):
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """A real vector (or scalar) field stored by Fourier coefficients.
+    """A real vector (or scalar) field stored by its half-spectrum Fourier
+    coefficients.
 
-    Coefficient array has shape (ncomp, n, ..., n).  The zero mode is
-    forced to 0 on construction (fields are mean-free) and coefficients
-    of fields built from real data satisfy Hermitian symmetry.
+    Coefficient array has shape (ncomp, n, ..., n, n//2+1).  The zero mode
+    is forced to 0 on construction (fields are mean-free).
     """
 
     grid: Grid
@@ -144,8 +156,10 @@ class SpectralField:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.ndim != self.grid.dim + 1 or c.shape[1:] != self.grid.shape:
-            raise ValueError(f"coefficient shape {c.shape} does not match grid {self.grid.shape}")
+        if c.ndim != self.grid.dim + 1 or c.shape[1:] != self.grid.spec_shape:
+            raise ValueError(
+                f"coefficient shape {c.shape} does not match the half spectrum {self.grid.spec_shape}"
+            )
         c = c.copy()
         c[_zero_mode_index(self.grid.dim)] = 0.0
         c.flags.writeable = False
@@ -176,7 +190,7 @@ class SpectralField:
 
 def zero_field(grid: Grid, ncomp: int | None = None) -> SpectralField:
     ncomp = grid.dim if ncomp is None else ncomp
-    return SpectralField(grid, np.zeros((ncomp,) + grid.shape, dtype=np.complex128))
+    return SpectralField(grid, np.zeros((ncomp,) + grid.spec_shape, dtype=np.complex128))
 
 
 def transform(grid: Grid, values: np.ndarray):
@@ -191,45 +205,26 @@ def transform(grid: Grid, values: np.ndarray):
     if v.ndim != grid.dim + 1 or v.shape[1:] != grid.shape:
         raise ValueError(f"value shape {np.shape(values)} does not match grid {grid.shape}")
     axes = tuple(range(1, grid.dim + 1))
-    c = np.fft.fftn(v, axes=axes) * grid.fwd_scale
+    c = np.fft.rfftn(v, axes=axes) * grid.fwd_scale
     mean = c[_zero_mode_index(grid.dim)].real / grid.fwd_scale / grid.npoints
     return SpectralField(grid, c), mean
-
-
-def half_spectrum(grid: Grid, c: np.ndarray) -> np.ndarray:
-    """View of full coefficients on the rfftn half spectrum (last axis k >= 0)."""
-    return c[..., : grid.n // 2 + 1]
-
-
-def to_full(h: np.ndarray) -> np.ndarray:
-    """Full coefficient array from its rfftn half, by c(-k) = conj c(k).
-
-    ``h`` has shape (ncomp, n, ..., n//2+1); the planes k_last = 0 and
-    k_last = n/2 are copied as stored, the rest is filled from them.
-    """
-    n = h.shape[1]
-    full = np.empty(h.shape[:-1] + (n,), dtype=np.complex128)
-    full[..., : n // 2 + 1] = h
-    mirror = h[..., n // 2 - 1 : 0 : -1]
-    for ax in range(1, h.ndim - 1):
-        mirror = np.roll(np.flip(mirror, axis=ax), 1, axis=ax)
-    np.conjugate(mirror, out=full[..., n // 2 + 1 :])
-    return full
 
 
 def inverse_transform(f: SpectralField) -> np.ndarray:
     g = f.grid
     axes = tuple(range(1, g.dim + 1))
-    return np.fft.irfftn(half_spectrum(g, f.coeffs) / g.fwd_scale, s=g.shape, axes=axes)
+    return np.fft.irfftn(f.coeffs / g.fwd_scale, s=g.shape, axes=axes)
 
 
-def hermitian_defect(f: SpectralField) -> float:
-    """Max deviation from conj(c(k)) == c(-k); 0 for real-valued fields."""
-    c = f.coeffs
-    flipped = c
-    for ax in range(1, f.grid.dim + 1):
-        flipped = np.roll(np.flip(flipped, axis=ax), 1, axis=ax)
-    return float(np.max(np.abs(c - np.conj(flipped))))
+def mode_mag2(c: np.ndarray) -> np.ndarray:
+    """Per-mode squared modulus |c(k)|^2 summed over components."""
+    return np.sum(np.abs(c) ** 2, axis=0)
+
+
+def weighted_sum(grid: Grid, sigma: float, density: np.ndarray) -> float:
+    """Full-spectrum sum of |k|^(2 sigma) density(k), from a per-mode
+    density on the half spectrum."""
+    return float(np.vdot(grid.weight(sigma), density))
 
 
 def lambda_power(f: SpectralField, sigma: float) -> SpectralField:
@@ -247,32 +242,21 @@ def lambda_power(f: SpectralField, sigma: float) -> SpectralField:
 
 def sobolev_norm(f: SpectralField, sigma: float) -> float:
     """Homogeneous Sobolev norm: (sum_k |k|^(2 sigma) |f_hat(k)|^2)^(1/2)."""
-    g = f.grid
-    mag2 = np.sum(np.abs(f.coeffs) ** 2, axis=0)
-    if sigma == 0.0:
-        return float(np.sqrt(np.sum(mag2)))
-    w = np.where(g.k2 > 0, g.k2, 1.0) ** sigma
-    w[g.k2 == 0] = 0.0
-    return float(np.sqrt(np.sum(w * mag2)))
+    return float(np.sqrt(weighted_sum(f.grid, sigma, mode_mag2(f.coeffs))))
 
 
 def l2_norm(f: SpectralField) -> float:
     return sobolev_norm(f, 0.0)
 
 
-def l2_inner(f: SpectralField, g: SpectralField) -> float:
-    """L^2 inner product of two real fields, computed spectrally."""
-    return float(np.real(np.sum(np.conj(f.coeffs) * g.coeffs)))
-
-
 def hs_inner(f: SpectralField, g: SpectralField, sigma: float) -> float:
     """Homogeneous pairing sum_k |k|^(2 sigma) Re conj(f_hat) g_hat."""
-    if sigma == 0.0:
-        return l2_inner(f, g)
-    gr = f.grid
-    w = np.where(gr.k2 > 0, gr.k2, 1.0) ** sigma
-    w[gr.k2 == 0] = 0.0
-    return float(np.real(np.sum(w * np.conj(f.coeffs) * g.coeffs)))
+    return float(np.vdot(f.coeffs, g.coeffs * f.grid.weight(sigma)).real)
+
+
+def l2_inner(f: SpectralField, g: SpectralField) -> float:
+    """L^2 inner product of two real fields, computed spectrally."""
+    return hs_inner(f, g, 0.0)
 
 
 def linf_norm(f: SpectralField) -> float:
@@ -282,16 +266,13 @@ def linf_norm(f: SpectralField) -> float:
 
 
 def _leray_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
-    """Leray projection of full or half-spectrum coefficients; the tables
-    are chosen by the shape of ``c``."""
-    t = grid if c.shape[-1] == grid.n else grid.half
-    kdotc = t.keff[0] * c[0]
+    kdotc = grid.keff[0] * c[0]
     for i in range(1, grid.dim):
-        kdotc += t.keff[i] * c[i]
-    kdotc /= t.k2eff_safe
+        kdotc += grid.keff[i] * c[i]
+    kdotc /= grid.k2eff_safe
     out = c.copy()
     for i in range(grid.dim):
-        out[i] -= t.keff[i] * kdotc
+        out[i] -= grid.keff[i] * kdotc
     return out
 
 
@@ -303,7 +284,7 @@ def leray_project(f: SpectralField) -> SpectralField:
 
 
 def _divergence_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
-    d = np.zeros(grid.shape, dtype=np.complex128)
+    d = np.zeros(grid.spec_shape, dtype=np.complex128)
     for i in range(grid.dim):
         d += grid.ik[i] * c[i]
     return d
@@ -317,7 +298,8 @@ def divergence(f: SpectralField) -> SpectralField:
 
 
 def divergence_l2(grid: Grid, c: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.abs(_divergence_coeffs(grid, c)) ** 2)))
+    d = _divergence_coeffs(grid, c)
+    return float(np.sqrt(weighted_sum(grid, 0.0, np.abs(d) ** 2)))
 
 
 def dealias(f: SpectralField) -> SpectralField:
@@ -329,31 +311,24 @@ def _tensor_divergence_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
 
     Inputs are masked with the 2/3 rule, products formed pointwise on the
     collocation grid, and the output masked again, so no aliased content
-    survives below the cutoff.  The kernel works on the rfftn half
-    spectrum: one batched inverse transform of the components and one
-    forward transform per product u_i u_j.  Full-spectrum input gets a
-    full-spectrum result.
+    survives below the cutoff.  One batched inverse transform of the
+    components and one forward transform per product u_i u_j.
     """
-    if c.shape[-1] == grid.n:
-        return to_full(_tensor_divergence_coeffs(grid, half_spectrum(grid, c)))
-    h = grid.half
     axes = tuple(range(1, grid.dim + 1))
-    vals = np.fft.irfftn(c * h.dealias_mask / grid.fwd_scale, s=grid.shape, axes=axes)
+    vals = np.fft.irfftn(c * grid.dealias_mask / grid.fwd_scale, s=grid.shape, axes=axes)
     out = np.zeros_like(c)
     for i in range(grid.dim):
         for j in range(i, grid.dim):
             tij = np.fft.rfftn(vals[i] * vals[j]) * grid.fwd_scale
-            out[i] += h.ik[j] * tij
+            out[i] += grid.ik[j] * tij
             if j != i:
-                out[j] += h.ik[i] * tij
-    out *= h.dealias_mask
+                out[j] += grid.ik[i] * tij
+    out *= grid.dealias_mask
     return out
 
 
 def _convection_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
-    """P nabla : (u (x) u) on full or half-spectrum coefficients."""
-    if c.shape[-1] == grid.n:
-        return to_full(_convection_coeffs(grid, half_spectrum(grid, c)))
+    """P nabla : (u (x) u) on raw coefficients."""
     return _leray_coeffs(grid, _tensor_divergence_coeffs(grid, c))
 
 

@@ -46,13 +46,16 @@ def single_mode_field(grid, k, component_dir, amp=1.0):
     """Divergence-free real field supported on modes +-k.
 
     ``component_dir`` must be orthogonal to k for exact divergence-freeness.
+    Of the pair +-k only the modes on the stored half spectrum (last
+    wavenumber in 0..n/2) are written; the other is implied by conjugate
+    symmetry.
     """
-    c = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
-    k = tuple(k)
-    neg = tuple((-ki) % grid.n for ki in k)
-    for comp, d in enumerate(component_dir):
-        c[comp][k] = 0.5 * amp * d
-        c[comp][neg] = 0.5 * amp * d
     from hypns.spectral import SpectralField
 
+    c = np.zeros((grid.dim,) + grid.spec_shape, dtype=np.complex128)
+    for sign in (1, -1):
+        idx = tuple((sign * ki) % grid.n for ki in k)
+        if idx[-1] <= grid.n // 2:
+            for comp, d in enumerate(component_dir):
+                c[comp][idx] = 0.5 * amp * d
     return SpectralField(grid, c)

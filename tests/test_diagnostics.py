@@ -359,12 +359,49 @@ class TestEnergyReport:
         fill_composite([rep], 3)
         assert rep.composite == composite_scalar(rep.e_delta, rep.e_base, 3)
 
-    def test_norm_snapshots(self):
-        g = make_grid(2, 16)
-        cfg = DiagnosticsConfig(2, 0.5)
+    @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+    def test_one_pass_report_matches_functionals(self, dim, n):
+        g = make_grid(dim, n)
+        cfg = DiagnosticsConfig(dim, 0.5)
         st = wave_state(g, 2, 0.1)
         v = random_divergence_free_field(g, 99)
-        rep = make_energy_report(st, cfg, v=v, with_norms=True)
-        assert set(rep.norms) == {"u", "ut", "err"}
-        assert rep.norms["u"].hs[0.0] == rep.norms["u"].l2
-        assert abs(rep.err_sq - sobolev_norm(st.u - v, 0.0) ** 2) < 1e-12
+        rep = make_energy_report(st, cfg, v=v)
+        s0, s1, eps = cfg.sigma0, cfg.sigma0 + cfg.delta, st.eps
+
+        def close(got, want):
+            return abs(got - want) <= 1e-13 * abs(want)
+
+        fresh = WaveState(st.u, st.ut, st.eps, st.t)
+        assert close(rep.e_base, energy(fresh, s0))
+        assert close(rep.e_delta, energy(fresh, s1))
+        assert close(rep.dafermos, dafermos_energy(fresh, v, s0))
+        assert close(rep.err_sq, sobolev_norm(st.u - v, s0) ** 2)
+        # the functionals written out in Sobolev norms of the fields
+        tail = [
+            0.5 * (eps * sobolev_norm(st.ut, s)) ** 2 + eps * sobolev_norm(st.u, s + 1.0) ** 2
+            for s in (s0, s1)
+        ]
+        assert close(rep.e_base, 0.5 * sobolev_norm(st.u + eps * st.ut, s0) ** 2 + tail[0])
+        assert close(rep.e_delta, 0.5 * sobolev_norm(st.u + eps * st.ut, s1) ** 2 + tail[1])
+        assert close(rep.dafermos, 0.5 * sobolev_norm(st.u - v + eps * st.ut, s0) ** 2 + tail[0])
+
+    def test_monitor_and_report_share_base_energy(self, monkeypatch):
+        # in 2D the blow-up monitor's energy is the report's e_base: each
+        # sample evaluates it once, and e_delta once
+        import hypns.nlw as nlw
+
+        sigmas = []
+        real = nlw.weighted_sum
+
+        def counted(grid, sigma, density):
+            sigmas.append(sigma)
+            return real(grid, sigma, density)
+
+        monkeypatch.setattr(nlw, "weighted_sum", counted)
+        g = make_grid(2, 16)
+        cfg = DiagnosticsConfig(2, 0.5)
+        st = wave_state(g, 3, 0.1, ut_scale=0.0)
+        reports = []
+        nlw_solve(st.u, st.ut, st.eps, 0.01, dt=2e-3, observer=lambda s: reports.append(make_energy_report(s, cfg)))
+        assert len(reports) == 6
+        assert sorted(sigmas) == [0.0] * 6 + [0.5] * 6

@@ -19,7 +19,7 @@ from hypns.experiments import (
     save_field,
 )
 from hypns.reporting import emit_report
-from hypns.spectral import make_grid
+from hypns.spectral import inverse_transform, make_grid
 from hypns import cli
 
 DATA = Path(__file__).parent / "data"
@@ -118,6 +118,12 @@ class TestDataSources:
         assert np.array_equal(back.coeffs, v0.coeffs)
         cfg2 = golden_config(data_source="file", data_file=str(path))
         assert np.array_equal(build_reference_field(cfg2, g).coeffs, v0.coeffs)
+        # a file written before half-spectrum storage holds the full spectrum
+        full = np.fft.fftn(inverse_transform(v0), axes=(1, 2)) * g.fwd_scale
+        old = tmp_path / "full.npz"
+        np.savez(old, dim=2, n=16, coeffs=full)
+        assert full.shape == (2, 16, 16)
+        assert np.max(np.abs(load_field(old, g).coeffs - v0.coeffs)) <= 1e-14 * np.max(np.abs(v0.coeffs))
 
     def test_file_dimension_mismatch(self, tmp_path):
         g = make_grid(2, 16)

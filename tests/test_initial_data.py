@@ -64,8 +64,7 @@ class TestSynth:
                 g = make_grid(2, n)
                 f = synth_hs_field(DataRecipe(5, s, 2, 1.0, eta), g)
                 mag2 = np.sum(np.abs(f.coeffs) ** 2, axis=0)
-                w = np.where(g.k2 > 0, g.k2, 1.0) ** sigma
-                w[g.k2 == 0] = 0.0
+                w = g.weight(sigma)  # |k|^(2 sigma) times the half-spectrum multiplicity
                 shell = (g.kmag > n / 4) & (g.kmag <= n / 2)
                 sums.append(float(np.sum((w * mag2)[shell])))
             shells[sigma] = sums

@@ -180,7 +180,7 @@ class TestRescale:
 
     def test_mode_dilation_and_amplitude(self):
         g = make_grid(2, 32)
-        c = np.zeros((2,) + g.shape, dtype=np.complex128)
+        c = np.zeros((2,) + g.spec_shape, dtype=np.complex128)
         c[1][1, 0] = 0.5
         c[1][-1, 0] = 0.5
         f = SpectralField(g, c)
@@ -219,18 +219,27 @@ class TestRescale:
         with pytest.raises(ValueError, match="range"):
             rescale(WaveState(f, zero_field(g), 1.0, 0.0), "from_unit", eps=0.25)
 
+    def test_nyquist_content_rejected(self):
+        # k = (2, n/2) lies on the 2-divisible sublattice, but the sign of
+        # n/2 is undefined, so the mode has no image under contraction
+        g = make_grid(2, 16)
+        c = np.zeros((2,) + g.spec_shape, dtype=np.complex128)
+        c[0][2, g.n // 2] = 0.3
+        st = WaveState(SpectralField(g, c), zero_field(g), 0.25, 0.0)
+        with pytest.raises(ValueError, match="Nyquist"):
+            rescale(st, "to_unit")
+
     def test_scaling_equivalence_two_mode(self):
         # solving at eps then lifting equals lifting data then solving the
         # unit-parameter system with dt/eps
         g = make_grid(2, 32)
-        c = np.zeros((2,) + g.shape, dtype=np.complex128)
+        c = np.zeros((2,) + g.spec_shape, dtype=np.complex128)
         c[1][1, 0] = 0.4
         c[1][-1, 0] = 0.4
+        # mode (1, 1); its partner (-1, -1) is implied by conjugate symmetry
         a = 0.3 / math.sqrt(2)
         c[0][1, 1] = a
-        c[0][-1, -1] = a
         c[1][1, 1] = -a
-        c[1][-1, -1] = -a
         f = SpectralField(g, c)
         unit = WaveState(f, 0.2 * f, 1.0, 0.0)
         eps = 0.25

@@ -10,8 +10,7 @@ from hypns.spectral import (
     _tensor_divergence_coeffs,
     convection_term,
     divergence,
-    half_spectrum,
-    hermitian_defect,
+    hs_inner,
     inverse_transform,
     l2_inner,
     l2_norm,
@@ -20,13 +19,47 @@ from hypns.spectral import (
     linf_norm,
     make_grid,
     sobolev_norm,
-    to_full,
     transform,
     zero_field,
 )
 from hypns.initial_data import random_divergence_free_field, taylor_green
 
 from conftest import single_mode_field
+
+# 2D with every even n in [8, 64], 3D with n in {8, 16}
+grid_shapes = st.one_of(
+    st.tuples(st.just(2), st.integers(4, 32).map(lambda m: 2 * m)),
+    st.tuples(st.just(3), st.sampled_from([8, 16])),
+)
+property_settings = settings(max_examples=30, deadline=None, database=None, derandomize=True)
+
+
+def random_real_field(dim, n, seed):
+    """Transform of seeded real values with content on every mode,
+    the Nyquist planes included."""
+    g = make_grid(dim, n)
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((dim,) + g.shape) * rng.uniform(0.1, 10.0)
+    f, _ = transform(g, vals)
+    return g, f, vals
+
+
+def rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def self_conjugate_planes(g):
+    """Index of the planes k_last = 0 and k_last = n/2, whose modes have
+    their conjugate partners in the same plane."""
+    return [(Ellipsis, 0), (Ellipsis, g.n // 2)]
+
+
+def mirrored(plane):
+    """plane(-k') for a plane indexed by the other wavenumbers k'."""
+    out = plane
+    for ax in range(1, plane.ndim):
+        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
+    return out
 
 
 class TestGrid:
@@ -40,6 +73,7 @@ class TestGrid:
         g = make_grid(3, 16)
         assert g.npoints == 16**3
         assert g.shape == (16, 16, 16)
+        assert g.spec_shape == (16, 16, 9)
 
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
@@ -79,11 +113,17 @@ class TestTransform:
         back = inverse_transform(f)
         assert np.max(np.abs(back - vals)) < 1e-12 * np.max(np.abs(vals))
 
-    def test_real_field_is_hermitian(self):
-        g = make_grid(2, 16)
-        vals = np.random.default_rng(1).standard_normal((2, 16, 16))
-        f, _ = transform(g, vals)
-        assert hermitian_defect(f) < 1e-12
+    @property_settings
+    @given(shape=grid_shapes, seed=st.integers(0, 2**32 - 1))
+    def test_real_round_trip_property(self, shape, seed):
+        g, f, _ = random_real_field(*shape, seed)
+        back, _ = transform(g, inverse_transform(f))
+        assert rel_err(back.coeffs, f.coeffs) <= 1e-13
+        for plane in self_conjugate_planes(g):
+            assert np.max(np.abs(f.coeffs[plane])) > 0.0
+            assert rel_err(back.coeffs[plane], f.coeffs[plane]) <= 1e-13
+            # realness: on these planes c(-k) = conj c(k) holds between stored modes
+            assert rel_err(mirrored(f.coeffs[plane]), np.conj(f.coeffs[plane])) <= 1e-13
 
     def test_shape_mismatch(self):
         g = make_grid(2, 16)
@@ -208,7 +248,7 @@ class TestConvection:
         # mode just inside the mask; its self-interaction lands above it
         f = single_mode_field(g, (g.dealias_cutoff, 0), (0.0, 1.0))
         out = convection_term(f)
-        above = np.zeros(g.shape, dtype=bool)
+        above = np.zeros(g.spec_shape, dtype=bool)
         for k in g.k:
             above |= np.abs(k) > g.dealias_cutoff
         assert np.max(np.abs(out.coeffs[:, above])) == 0.0
@@ -239,75 +279,85 @@ def test_gagliardo_nirenberg_lattice():
 # Real-FFT half spectrum: properties over grid sizes and random real data
 # ---------------------------------------------------------------------------
 
-# 2D with every even n in [8, 64], 3D with n in {8, 16}
-grid_shapes = st.one_of(
-    st.tuples(st.just(2), st.integers(4, 32).map(lambda m: 2 * m)),
-    st.tuples(st.just(3), st.sampled_from([8, 16])),
-)
-property_settings = settings(max_examples=30, deadline=None, database=None, derandomize=True)
 
+class FullSpectrum:
+    """Tables of the full complex-to-complex spectrum (last axis n long),
+    built here independently of Grid, for the oracles below."""
 
-def random_real_field(dim, n, seed):
-    """Transform of seeded real values with content on every mode,
-    the Nyquist planes included."""
-    g = make_grid(dim, n)
-    rng = np.random.default_rng(seed)
-    vals = rng.standard_normal((dim,) + g.shape) * rng.uniform(0.1, 10.0)
-    f, _ = transform(g, vals)
-    return g, f
+    def __init__(self, grid):
+        self.grid = grid
+        k1 = np.fft.fftfreq(grid.n, 1.0 / grid.n)
+        self.k = np.meshgrid(*([k1] * grid.dim), indexing="ij")
+        self.k2 = sum(k * k for k in self.k)
+        self.keff = [np.where(np.abs(k) == grid.n // 2, 0.0, k) for k in self.k]
+        self.mask = np.all([np.abs(k) <= grid.dealias_cutoff for k in self.k], axis=0)
 
+    def coeffs(self, vals):
+        """Mean-free full spectrum of real values, by a c2c transform."""
+        g = self.grid
+        c = np.fft.fftn(vals, axes=tuple(range(1, g.dim + 1))) * g.fwd_scale
+        c[(slice(None),) + (0,) * g.dim] = 0.0
+        return c
 
-def c2c_tensor_divergence(grid, c):
-    """Dealiased nabla : (u (x) u) with complex-to-complex transforms over
-    the full spectrum, the formula the r2c kernel replaces."""
-    axes = tuple(range(1, grid.dim + 1))
-    vals = np.fft.ifftn(c * grid.dealias_mask / grid.fwd_scale, axes=axes).real
-    out = np.zeros_like(c)
-    for i in range(grid.dim):
-        for j in range(i, grid.dim):
-            tij = np.fft.fftn(vals[i] * vals[j]) * grid.fwd_scale
-            out[i] += grid.ik[j] * tij
-            if j != i:
-                out[j] += grid.ik[i] * tij
-    return out * grid.dealias_mask
+    def half(self, c):
+        return c[..., : self.grid.n // 2 + 1]
 
+    def weighted_sum(self, sigma, density):
+        w = np.where(self.k2 > 0, self.k2, 1.0) ** sigma
+        w[self.k2 == 0] = 0.0
+        return float(np.sum(w * density))
 
-def rel_err(got, want):
-    return np.linalg.norm(got - want) / np.linalg.norm(want)
+    def leray(self, c):
+        keff = self.keff
+        k2 = sum(k * k for k in keff)
+        kdotc = sum(k * ci for k, ci in zip(keff, c)) / np.where(k2 > 0, k2, 1.0)
+        return np.stack([ci - k * kdotc for k, ci in zip(keff, c)])
+
+    def tensor_divergence(self, c):
+        """Dealiased nabla : (u (x) u) with c2c transforms over the full
+        spectrum, the formula the r2c kernel replaces."""
+        g = self.grid
+        axes = tuple(range(1, g.dim + 1))
+        vals = np.fft.ifftn(c * self.mask / g.fwd_scale, axes=axes).real
+        out = np.zeros_like(c)
+        for i in range(g.dim):
+            for j in range(i, g.dim):
+                tij = np.fft.fftn(vals[i] * vals[j]) * g.fwd_scale
+                out[i] += 1j * self.keff[j] * tij
+                if j != i:
+                    out[j] += 1j * self.keff[i] * tij
+        return out * self.mask
 
 
 class TestHalfSpectrum:
     @property_settings
     @given(shape=grid_shapes, seed=st.integers(0, 2**32 - 1))
-    def test_to_full_reproduces_full_coefficients(self, shape, seed):
-        g, f = random_real_field(*shape, seed)
-        h = half_spectrum(g, f.coeffs)
-        assert h.shape == (g.dim,) + g.shape[:-1] + (g.n // 2 + 1,)
-        assert np.shares_memory(h, f.coeffs)
-        full = to_full(h)
-        assert rel_err(full, f.coeffs) <= 1e-15
+    def test_transform_is_half_of_c2c(self, shape, seed):
+        g, f, vals = random_real_field(*shape, seed)
+        full = FullSpectrum(g)
+        c = full.coeffs(vals)
+        assert f.coeffs.shape == (g.dim,) + g.shape[:-1] + (g.n // 2 + 1,)
+        assert rel_err(f.coeffs, full.half(c)) <= 1e-14
         for ax in range(1, g.dim + 1):
             nyq = (slice(None),) * ax + (g.n // 2,)
             assert np.max(np.abs(f.coeffs[nyq])) > 0.0
-            assert rel_err(full[nyq], f.coeffs[nyq]) <= 1e-15
+            assert rel_err(f.coeffs[nyq], full.half(c)[nyq]) <= 1e-14
 
     @property_settings
     @given(shape=grid_shapes, seed=st.integers(0, 2**32 - 1))
     def test_r2c_convection_matches_c2c(self, shape, seed):
-        g, f = random_real_field(*shape, seed)
-        oracle = c2c_tensor_divergence(g, f.coeffs)
-        assert rel_err(_tensor_divergence_coeffs(g, f.coeffs), oracle) <= 1e-13
-        half = _tensor_divergence_coeffs(g, half_spectrum(g, f.coeffs))
-        assert rel_err(half, half_spectrum(g, oracle)) <= 1e-13
-        projected = _leray_coeffs(g, oracle)
+        g, f, vals = random_real_field(*shape, seed)
+        full = FullSpectrum(g)
+        oracle = full.tensor_divergence(full.coeffs(vals))
+        assert rel_err(_tensor_divergence_coeffs(g, f.coeffs), full.half(oracle)) <= 1e-13
+        projected = full.half(full.leray(oracle))
+        assert rel_err(_leray_coeffs(g, _tensor_divergence_coeffs(g, f.coeffs)), projected) <= 1e-13
         assert rel_err(_convection_coeffs(g, f.coeffs), projected) <= 1e-13
-        half = _convection_coeffs(g, half_spectrum(g, f.coeffs))
-        assert rel_err(half, half_spectrum(g, projected)) <= 1e-13
 
     @property_settings
     @given(shape=grid_shapes, seed=st.integers(0, 2**32 - 1))
     def test_parseval_and_round_trip(self, shape, seed):
-        g, f = random_real_field(*shape, seed)
+        g, f, _ = random_real_field(*shape, seed)
         vals = inverse_transform(f)
         assert vals.shape == (g.dim,) + g.shape and vals.dtype == np.float64
         quad = np.sum(vals**2) * g.cell_volume
@@ -316,12 +366,37 @@ class TestHalfSpectrum:
         assert np.max(np.abs(mean)) <= 1e-12 * np.max(np.abs(vals))
         assert rel_err(back.coeffs, f.coeffs) <= 1e-13
 
-    def test_half_tables_are_views(self):
+    @property_settings
+    @given(shape=grid_shapes, seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.0, 2.0))
+    def test_weights_match_c2c_sums(self, shape, seed, sigma):
+        g, f, f_vals = random_real_field(*shape, seed)
+        _, h, h_vals = random_real_field(*shape, seed + 1)
+        full = FullSpectrum(g)
+        cf, ch = full.coeffs(f_vals), full.coeffs(h_vals)
+        want = full.weighted_sum(sigma, np.sum(np.abs(cf) ** 2, axis=0))
+        assert abs(sobolev_norm(f, sigma) ** 2 - want) <= 1e-13 * want
+        # the pairing is measured against the size of its factors: it may
+        # cancel to far below them
+        want = full.weighted_sum(sigma, np.sum((np.conj(cf) * ch).real, axis=0))
+        scale = sobolev_norm(f, sigma) * sobolev_norm(h, sigma)
+        assert abs(hs_inner(f, h, sigma) - want) <= 1e-13 * scale
+        assert abs(hs_inner(f, f, sigma) - sobolev_norm(f, sigma) ** 2) <= 1e-13 * sobolev_norm(f, sigma) ** 2
+
+    def test_tables_are_half_of_full_tables(self):
         for g in (make_grid(2, 16), make_grid(3, 8)):
-            h = g.half
-            assert h.k2.shape == g.shape[:-1] + (g.n // 2 + 1,)
-            pairs = [(h.k2, g.k2), (h.k2eff_safe, g.k2eff_safe), (h.dealias_mask, g.dealias_mask)]
-            pairs += list(zip(h.keff, g.keff)) + list(zip(h.ik, g.ik))
-            for view, table in pairs:
-                assert np.shares_memory(view, table)
-                assert np.array_equal(view, half_spectrum(g, table))
+            full = FullSpectrum(g)
+            nh = g.n // 2 + 1
+            assert g.spec_shape == g.shape[:-1] + (nh,)
+            pairs = [(g.k2, full.k2), (g.kmag, np.sqrt(full.k2)), (g.dealias_mask, full.mask)]
+            pairs += list(zip(g.keff, full.keff)) + [(ik, 1j * k) for ik, k in zip(g.ik, full.keff)]
+            pairs += list(zip(g.k[:-1], full.k[:-1]))
+            for table, want in pairs:
+                assert table.shape == g.spec_shape
+                assert np.array_equal(table, full.half(want))
+            # along the last axis the wavenumbers run over 0..n/2
+            assert np.array_equal(g.k[-1][(0,) * (g.dim - 1)], np.arange(nh))
+            mult = np.full(g.spec_shape, 2.0)
+            mult[..., 0] = mult[..., -1] = 1.0
+            assert np.array_equal(g.mult, mult)
+            assert g.weight(0.0)[(0,) * g.dim] == 0.0
+            assert g.weight(0.5) is g.weight(0.5)
