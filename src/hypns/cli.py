@@ -12,7 +12,6 @@ import sys
 
 import numpy as np
 
-from .diagnostics import make_energy_report  # noqa: F401  (re-exported for scripts)
 from .experiments import (
     ConfigError,
     normalized_dump,
@@ -158,13 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_config:
             sp.add_argument("--config", required=True, help="experiment config file")
         sp.add_argument("--out", default=None, help="output directory (overrides HYPNS_OUT and config)")
-        sp.add_argument("--force", action="store_true", help="proceed past failed admissibility checks")
-        sp.add_argument("--jobs", type=int, default=1, help="parallel workers across eps values")
         sp.set_defaults(handler=fn)
         return sp
 
-    add("converge", _cmd_converge)
-    add("exist", _cmd_exist)
+    for name, fn in (("converge", _cmd_converge), ("exist", _cmd_exist)):
+        add(name, fn).add_argument("--jobs", type=int, default=1, help="parallel workers across eps values")
+    sub.choices["exist"].add_argument("--force", action="store_true", help="proceed past failed admissibility checks")
     add("audit", _cmd_audit)
     add("taylor-green", _cmd_taylor_green, needs_config=False)
     add("normalize-config", _cmd_normalize_config)

@@ -14,6 +14,7 @@ from .spectral import (
     SpectralField,
     _leray_coeffs,
     _tensor_divergence_coeffs,
+    base_sigma,
     hs_inner,
     l2_inner,
     l2_norm,
@@ -37,7 +38,6 @@ class DiagnosticsConfig:
     delta: float
     n_exponent: int = 0
     threshold_c: float = 1.0
-    sample_stride: int = 1
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -49,7 +49,7 @@ class DiagnosticsConfig:
 
     @property
     def sigma0(self) -> float:
-        return 0.0 if self.dim == 2 else 0.5
+        return base_sigma(self.dim)
 
 
 @dataclass
@@ -388,6 +388,11 @@ def energy_decay_audit(
     )
 
 
+def cross_term_quadrature(eps: float, times, vals) -> float:
+    """eps times the trapezoidal integral of ``vals`` over ``times`` (0 for one sample)."""
+    return float(eps * np.trapezoid(vals, times))
+
+
 def epsilon_dt_cross_term(wave_traj, ns_traj) -> float:
     """Trapezoidal quadrature of eps int u_t . v_t over the common sample
     times (with half-derivative weights on each factor in 3D)."""
@@ -400,7 +405,6 @@ def epsilon_dt_cross_term(wave_traj, ns_traj) -> float:
     if np.max(np.abs(times - ns_times)) > 1e-9 * max(times[-1], 1e-300):
         raise ValueError("misaligned sampling: sample times differ")
 
-    eps = wave_traj[0].eps
-    weight = 0.0 if wave_traj[0].u.grid.dim == 2 else 0.5
-    vals = np.array([hs_inner(w.ut, dt_v(v), weight) for w, v in zip(wave_traj, ns_traj)])
-    return float(eps * np.trapezoid(vals, times))
+    sigma0 = base_sigma(wave_traj[0].u.grid.dim)
+    vals = np.array([hs_inner(w.ut, dt_v(v), sigma0) for w, v in zip(wave_traj, ns_traj)])
+    return cross_term_quadrature(wave_traj[0].eps, times, vals)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .diagnostics import (
     DiagnosticsConfig,
-    EnergyReport,
+    cross_term_quadrature,
     energy_decay_audit,
     fill_composite,
     interpolation_ratios,
@@ -28,9 +28,9 @@ from .initial_data import (
     taylor_green,
     truncate_initial_data,
 )
-from .ns import NsState, SolverFailure, default_dt, dt_v, ns_solve, plan_steps
+from .ns import NsState, SolverFailure, default_dt, dt_v, ns_solve
 from .nlw import nlw_solve
-from .spectral import SpectralField, hs_inner, l2_norm, make_grid, sobolev_norm, zero_field
+from .spectral import SpectralField, hs_inner, l2_norm, make_grid
 
 
 class ConfigError(ValueError):
@@ -272,23 +272,31 @@ def build_wave_data(cfg: ExperimentConfig, v0: SpectralField, eps: float):
 
 
 # ---------------------------------------------------------------------------
-# Convergence sweep
+# Convergence sweep and existence probe
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class SweepRow:
+    """One eps of a sweep or probe.  Without a reference run the error columns
+    (``sup_err_sq``, ``sup_dafermos``, ``cross_term``) are NaN."""
+
     eps: float
-    sup_err_sq: float
-    sup_dafermos: float
-    sup_eps_delta_e: float
-    cross_term: float
-    blowup: bool
-    blowup_t: float | None
-    first_threshold_violation_t: float | None
-    n_star: int | None
-    hypothesis: HypothesisReport | None
-    reports: list
+    sup_err_sq: float = math.nan
+    sup_dafermos: float = math.nan
+    sup_eps_delta_e: float = math.nan
+    cross_term: float = math.nan
+    blowup: bool = False
+    blowup_t: float | None = None
+    first_threshold_violation_t: float | None = None
+    n_star: int | None = None
+    hypothesis: HypothesisReport | None = None
+    reports: list = field(default_factory=list)
+    initial_eps_delta_e: float = math.nan
+    composite_monotone: bool = False
+    base_monotone: bool | None = None
+    skipped: bool = False
+    skip_reason: str = ""
 
 
 @dataclass
@@ -300,135 +308,6 @@ class SweepResult:
     fit_note: str = ""
 
 
-def _sample_times(T: float, dt: float, stride: int):
-    n_steps, dt_eff = plan_steps(T, dt)
-    idx = sorted(set(range(0, n_steps + 1, max(stride, 1))) | {0, n_steps})
-    return np.array([T if i == n_steps else i * dt_eff for i in idx])
-
-
-def _converge_one(cfg: ExperimentConfig, eps: float, v0_coeffs, ns_times, ns_coeffs, dt: float):
-    grid = make_grid(cfg.dim, cfg.n)
-    v0 = SpectralField(grid, v0_coeffs)
-    u0, u1 = build_wave_data(cfg, v0, eps)
-    hyp = check_hypotheses(u0, u1, v0, eps, cfg.s, cfg.delta, cfg.dim)
-    dcfg = DiagnosticsConfig(cfg.dim, cfg.delta, threshold_c=cfg.threshold_c)
-
-    reports = []
-    cross_vals = []
-    sample_i = {"i": 0}
-
-    def observer(state):
-        i = sample_i["i"]
-        if i >= len(ns_times) or abs(state.t - ns_times[i]) > 1e-9 * max(cfg.T, 1.0):
-            raise RuntimeError("wave samples drifted out of alignment with the reference run")
-        v = SpectralField(grid, ns_coeffs[i])
-        reports.append(make_energy_report(state, dcfg, v=v))
-        vt = dt_v(NsState(v, state.t))
-        weight = 0.0 if cfg.dim == 2 else 0.5
-        cross_vals.append(hs_inner(state.ut, vt, weight))
-        sample_i["i"] = i + 1
-
-    blowup, blowup_t = False, None
-    try:
-        result = nlw_solve(
-            u0,
-            u1,
-            eps,
-            cfg.T,
-            dt=dt,
-            observer=observer,
-            stride=cfg.sample_stride,
-            blowup_factor=cfg.energy_ceiling,
-        )
-        blowup, blowup_t = result.blew_up, result.blowup_t
-    except SolverFailure as exc:
-        blowup, blowup_t = True, exc.t
-
-    audit = energy_decay_audit(
-        reports,
-        eps,
-        cfg.delta,
-        u0_l2=l2_norm(u0),
-        dim=cfg.dim,
-        n_exponent=cfg.composite_n,
-        u0_h_half=sobolev_norm(u0, 0.5) if cfg.dim == 3 else None,
-    )
-    fill_composite(reports, audit.used_n)
-
-    times = np.array([r.t for r in reports])
-    cross = float(eps * np.trapezoid(np.array(cross_vals), times)) if len(reports) > 1 else 0.0
-
-    return SweepRow(
-        eps=eps,
-        sup_err_sq=max((r.err_sq for r in reports), default=math.nan),
-        sup_dafermos=max((r.dafermos for r in reports), default=math.nan),
-        sup_eps_delta_e=audit.sup_eps_delta_e,
-        cross_term=cross,
-        blowup=blowup,
-        blowup_t=blowup_t,
-        first_threshold_violation_t=audit.first_threshold_violation_t,
-        n_star=audit.n_star,
-        hypothesis=hyp,
-        reports=reports,
-    )
-
-
-def run_convergence(cfg: ExperimentConfig, jobs: int = 1) -> SweepResult:
-    """Solve the reference system once, then the relaxed system per eps,
-    recording sup-in-time errors and the full diagnostic series.
-
-    Deterministic for a fixed (config, seed) regardless of ``jobs``."""
-    bad = cfg.validate()
-    if bad:
-        raise ConfigError(bad)
-    grid = make_grid(cfg.dim, cfg.n)
-    v0 = build_reference_field(cfg, grid)
-    dt = cfg.dt if cfg.dt is not None else default_dt(grid, v0)
-
-    ns_times, ns_coeffs = [], []
-
-    def ns_observer(state):
-        ns_times.append(state.t)
-        ns_coeffs.append(state.v.coeffs)
-
-    ns_solve(v0, cfg.T, dt=dt, observer=ns_observer, stride=cfg.sample_stride)
-    ns_times = np.array(ns_times)
-
-    args = [(cfg, eps, v0.coeffs, ns_times, ns_coeffs, dt) for eps in cfg.eps_list]
-    if jobs <= 1:
-        rows = [_converge_one(*a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            rows = list(ex.map(_converge_one, *zip(*args)))
-    rows.sort(key=lambda r: -r.eps)
-
-    fit = fit_rate([(r.eps, r.sup_err_sq) for r in rows])
-    note = "" if fit is not None else "fit undefined: need at least two usable rows"
-    return SweepResult(config=cfg, dt_used=dt, rows=rows, fit=fit, fit_note=note)
-
-
-# ---------------------------------------------------------------------------
-# Existence probe
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ExistenceRow:
-    eps: float
-    skipped: bool
-    skip_reason: str
-    hypothesis: HypothesisReport | None
-    blowup: bool
-    blowup_t: float | None
-    initial_eps_delta_e: float
-    sup_eps_delta_e: float
-    n_star: int | None
-    composite_monotone: bool
-    first_threshold_violation_t: float | None
-    base_monotone: bool | None
-    reports: list
-
-
 @dataclass
 class ExistenceResult:
     config: ExperimentConfig
@@ -437,25 +316,35 @@ class ExistenceResult:
     sup_bound_ok: bool
 
 
-def _exist_one(cfg: ExperimentConfig, eps: float, v0_coeffs, dt: float, force: bool):
+def _wave_run(cfg: ExperimentConfig, eps: float, v0_coeffs, dt: float, ref, force: bool) -> SweepRow:
+    """Solve the relaxed system for one eps and audit its energies.  ``ref``
+    is the reference run as (time, coefficients) per sample or None; data that
+    fail admissibility are skipped unless ``force`` is set."""
     grid = make_grid(cfg.dim, cfg.n)
     v0 = SpectralField(grid, v0_coeffs)
     u0, u1 = build_wave_data(cfg, v0, eps)
     hyp = check_hypotheses(u0, u1, v0, eps, cfg.s, cfg.delta, cfg.dim)
-    dcfg = DiagnosticsConfig(cfg.dim, cfg.delta, threshold_c=cfg.threshold_c)
-
     if not hyp.passed and not force:
-        return ExistenceRow(
-            eps, True, "admissibility hypotheses failed (rerun with force to proceed)", hyp,
-            False, None, math.nan, math.nan, None, False, None, None, [],
+        return SweepRow(
+            eps, hypothesis=hyp, skipped=True,
+            skip_reason="admissibility hypotheses failed (rerun with force to proceed)",
         )
 
+    dcfg = DiagnosticsConfig(cfg.dim, cfg.delta, threshold_c=cfg.threshold_c)
     reports = []
+    cross_vals = []
 
     def observer(state):
-        reports.append(make_energy_report(state, dcfg))
+        v = None
+        if ref is not None:
+            i = len(reports)
+            if i >= len(ref) or abs(state.t - ref[i][0]) > 1e-9 * max(cfg.T, 1.0):
+                raise RuntimeError("wave samples drifted out of alignment with the reference run")
+            v = SpectralField(grid, ref[i][1])
+        reports.append(make_energy_report(state, dcfg, v=v))
+        if v is not None:
+            cross_vals.append(hs_inner(state.ut, dt_v(NsState(v, state.t)), dcfg.sigma0))
 
-    blowup, blowup_t = False, None
     try:
         result = nlw_solve(
             u0, u1, eps, cfg.T, dt=dt, observer=observer,
@@ -466,33 +355,31 @@ def _exist_one(cfg: ExperimentConfig, eps: float, v0_coeffs, dt: float, force: b
         blowup, blowup_t = True, exc.t
 
     audit = energy_decay_audit(
-        reports,
-        eps,
-        cfg.delta,
-        u0_l2=l2_norm(u0),
-        dim=cfg.dim,
-        n_exponent=cfg.composite_n,
-        u0_h_half=sobolev_norm(u0, 0.5) if cfg.dim == 3 else None,
+        reports, eps, cfg.delta, u0_l2=l2_norm(u0), dim=cfg.dim,
+        n_exponent=cfg.composite_n, u0_h_half=hyp.smallness,
     )
     fill_composite(reports, audit.used_n)
-    return ExistenceRow(
+    return SweepRow(
         eps=eps,
-        skipped=False,
-        skip_reason="",
-        hypothesis=hyp,
+        sup_err_sq=max(r.err_sq for r in reports),
+        sup_dafermos=max(r.dafermos for r in reports),
+        sup_eps_delta_e=audit.sup_eps_delta_e,
+        cross_term=math.nan if ref is None else cross_term_quadrature(eps, [r.t for r in reports], cross_vals),
         blowup=blowup,
         blowup_t=blowup_t,
-        initial_eps_delta_e=eps**cfg.delta * reports[0].e_delta,
-        sup_eps_delta_e=audit.sup_eps_delta_e,
-        n_star=audit.n_star,
-        composite_monotone=audit.composite_monotone,
         first_threshold_violation_t=audit.first_threshold_violation_t,
-        base_monotone=audit.base_monotone,
+        n_star=audit.n_star,
+        hypothesis=hyp,
         reports=reports,
+        initial_eps_delta_e=eps**cfg.delta * reports[0].e_delta,
+        composite_monotone=audit.composite_monotone,
+        base_monotone=audit.base_monotone,
     )
 
 
-def run_existence_probe(cfg: ExperimentConfig, jobs: int = 1, force: bool = False) -> ExistenceResult:
+def _run_eps_list(cfg: ExperimentConfig, jobs: int, with_reference: bool, force: bool):
+    """Validate, build v0 and dt, solve the reference system if asked, then
+    run ``_wave_run`` per eps.  Returns dt and the rows, largest eps first."""
     bad = cfg.validate()
     if bad:
         raise ConfigError(bad)
@@ -500,14 +387,40 @@ def run_existence_probe(cfg: ExperimentConfig, jobs: int = 1, force: bool = Fals
     v0 = build_reference_field(cfg, grid)
     dt = cfg.dt if cfg.dt is not None else default_dt(grid, v0)
 
-    args = [(cfg, eps, v0.coeffs, dt, force) for eps in cfg.eps_list]
+    ref = None
+    if with_reference:
+        ref = []
+        ns_solve(v0, cfg.T, dt=dt, observer=lambda st: ref.append((st.t, st.v.coeffs)), stride=cfg.sample_stride)
+
+    args = [(cfg, eps, v0.coeffs, dt, ref, force) for eps in cfg.eps_list]
     if jobs <= 1:
-        rows = [_exist_one(*a) for a in args]
+        rows = [_wave_run(*a) for a in args]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            rows = list(ex.map(_exist_one, *zip(*args)))
+            rows = list(ex.map(_wave_run, *zip(*args)))
     rows.sort(key=lambda r: -r.eps)
+    return dt, rows
 
+
+def run_convergence(cfg: ExperimentConfig, jobs: int = 1) -> SweepResult:
+    """Solve the reference system once, then the relaxed system per eps,
+    recording sup-in-time errors and the full diagnostic series.  No row is
+    skipped for failing admissibility.  Deterministic for a fixed (config,
+    seed) regardless of ``jobs``."""
+    dt, rows = _run_eps_list(cfg, jobs, with_reference=True, force=True)
+    fit = fit_rate([(r.eps, r.sup_err_sq) for r in rows])
+    note = "" if fit is not None else "fit undefined: need at least two usable rows"
+    return SweepResult(config=cfg, dt_used=dt, rows=rows, fit=fit, fit_note=note)
+
+
+def run_existence_probe(cfg: ExperimentConfig, jobs: int = 1, force: bool = False) -> ExistenceResult:
+    """Solve the relaxed system per eps without a reference run and check
+    that eps^delta E stays within twice its largest initial value.
+
+    Rows whose data fail the admissibility hypotheses are skipped (no
+    solve, ``skipped`` set) unless ``force`` is set.  Deterministic for a
+    fixed (config, seed) regardless of ``jobs``."""
+    _, rows = _run_eps_list(cfg, jobs, with_reference=False, force=force)
     ran = [r for r in rows if not r.skipped]
     max_initial = max((r.initial_eps_delta_e for r in ran), default=math.nan)
     sup_ok = bool(ran) and all(r.sup_eps_delta_e <= 2.0 * max_initial for r in ran)

@@ -11,6 +11,7 @@ from .spectral import (
     Grid,
     SpectralField,
     _leray_coeffs,
+    base_sigma,
     l2_norm,
     sobolev_norm,
     transform,
@@ -198,7 +199,7 @@ def check_hypotheses(
     """
     if dim != u0.grid.dim:
         raise ValueError("dimension mismatch between fields and request")
-    sig0 = 0.0 if dim == 2 else 0.5
+    sig0 = base_sigma(dim)
     ref = sobolev_norm(v0, s + sig0)
     denom = eps ** (s / 2.0) * max(ref, 1e-300)
 

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ns import SolverFailure, default_dt, plan_steps
+from .ns import _check_finite, default_dt, march
 from .spectral import (
     Grid,
     SpectralField,
@@ -206,7 +206,9 @@ class _NlwStepper:
     def nonlinearity(self, u: np.ndarray) -> np.ndarray:
         return -_convection_coeffs(self.grid, u)
 
-    def step(self, u: np.ndarray, w: np.ndarray):
+    def step(self, uw):
+        """Advance the pair (u, u_t) of coefficient arrays by one step."""
+        u, w = uw
         m = self.to_mid
         n0 = self.nonlinearity(u)
         u_mid = m.p11 * u + m.p12 * w + m.cu * n0
@@ -218,10 +220,8 @@ def nlw_step(state: WaveState, dt: float) -> WaveState:
     if dt <= 0:
         raise ValueError("dt must be > 0")
     g = state.u.grid
-    stepper = _NlwStepper(g, state.eps, dt)
-    uc, wc = stepper.step(state.u.coeffs, state.ut.coeffs)
-    if not np.isfinite(np.vdot(uc, uc).real):
-        raise SolverFailure("non-finite wave coefficients", state.t + dt)
+    uc, wc = _NlwStepper(g, state.eps, dt).step((state.u.coeffs, state.ut.coeffs))
+    _check_finite(uc, state.t + dt)
     return WaveState(SpectralField(g, uc), SpectralField(g, wc), state.eps, state.t + dt)
 
 
@@ -261,27 +261,16 @@ def nlw_solve(
     if blowup_monitor is None:
         blowup_monitor = lambda st: energy(st, 0.0)
 
-    n_steps, dt_eff = plan_steps(T, dt)
     state = WaveState(u0, u1, eps, 0.0)
     ceiling = blowup_factor * max(blowup_monitor(state), 1e-300)
-    if observer is not None:
-        observer(state)
-    if n_steps == 0:
-        return WaveSolveResult(state)
-
-    stepper = _NlwStepper(grid, eps, dt_eff)
-    uc, wc = u0.coeffs, u1.coeffs
-    for i in range(1, n_steps + 1):
-        uc, wc = stepper.step(uc, wc)
-        t = T if i == n_steps else i * dt_eff
-        if i % max(stride, 1) == 0 or i == n_steps:
-            if not np.isfinite(np.vdot(uc, uc).real):
-                raise SolverFailure("non-finite wave coefficients", t)
+    for t, (uc, wc) in march(lambda h: _NlwStepper(grid, eps, h).step, (u0.coeffs, u1.coeffs), T, dt, stride):
+        if t > 0.0:
             state = WaveState(SpectralField(grid, uc), SpectralField(grid, wc), eps, t)
+            del uc, wc  # the state holds copies; free the step arrays before the next steps
             if blowup_monitor(state) > ceiling:
                 return WaveSolveResult(state, blew_up=True, blowup_t=t)
-            if observer is not None:
-                observer(state)
+        if observer is not None:
+            observer(state)
     return WaveSolveResult(state)
 
 

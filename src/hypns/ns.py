@@ -100,6 +100,25 @@ def plan_steps(T: float, dt: float):
     return n_steps, T / n_steps
 
 
+def march(make_stepper, coeffs, T: float, dt: float, stride: int):
+    """Step ``coeffs`` with the map ``make_stepper(dt_eff)`` of ``plan_steps``
+    and yield ``(t, coeffs)`` at t=0, every ``stride``-th step and t=T.
+
+    ``coeffs`` is an array or a tuple whose first array is the solution;
+    that array must be finite at each sample, else SolverFailure."""
+    n_steps, dt_eff = plan_steps(T, dt)
+    yield 0.0, coeffs
+    if n_steps == 0:
+        return
+    step = make_stepper(dt_eff)
+    for i in range(1, n_steps + 1):
+        coeffs = step(coeffs)
+        if i % max(stride, 1) == 0 or i == n_steps:
+            t = T if i == n_steps else i * dt_eff
+            _check_finite(coeffs[0] if isinstance(coeffs, tuple) else coeffs, t)
+            yield t, coeffs
+
+
 def ns_solve(
     v0: SpectralField,
     T: float,
@@ -114,24 +133,14 @@ def ns_solve(
         raise ValueError("ns_solve requires divergence-free initial data")
     if dt is None:
         dt = default_dt(grid, v0)
-    n_steps, dt_eff = plan_steps(T, dt)
 
     state = NsState(v0, 0.0)
-    if observer is not None:
-        observer(state)
-    if n_steps == 0:
-        return state
-
-    stepper = _NsStepper(grid, dt_eff)
-    c = v0.coeffs
-    for i in range(1, n_steps + 1):
-        c = stepper.step(c)
-        t = T if i == n_steps else i * dt_eff
-        if i % max(stride, 1) == 0 or i == n_steps:
-            _check_finite(c, t)
+    for t, c in march(lambda h: _NsStepper(grid, h).step, v0.coeffs, T, dt, stride):
+        if t > 0.0:
             state = NsState(SpectralField(grid, c), t)
-            if observer is not None:
-                observer(state)
+            del c  # the state holds a copy; free the step array before the next steps
+        if observer is not None:
+            observer(state)
     return state
 
 

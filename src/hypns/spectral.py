@@ -138,6 +138,11 @@ def make_grid(dim: int, n: int) -> Grid:
     return Grid(dim, n)
 
 
+def base_sigma(dim: int) -> float:
+    """Regularity the energy estimates start from: L^2 in 2D, H^(1/2) in 3D."""
+    return 0.0 if dim == 2 else 0.5
+
+
 def _zero_mode_index(dim: int):
     return (slice(None),) + (0,) * dim
 
@@ -300,10 +305,6 @@ def divergence(f: SpectralField) -> SpectralField:
 def divergence_l2(grid: Grid, c: np.ndarray) -> float:
     d = _divergence_coeffs(grid, c)
     return float(np.sqrt(weighted_sum(grid, 0.0, np.abs(d) ** 2)))
-
-
-def dealias(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask)
 
 
 def _tensor_divergence_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -59,3 +61,27 @@ def single_mode_field(grid, k, component_dir, amp=1.0):
             for comp, d in enumerate(component_dir):
                 c[comp][idx] = 0.5 * amp * d
     return SpectralField(grid, c)
+
+
+def poison_from_step(monkeypatch, cls, name, calls_per_step, k):
+    """Make ``cls.name`` return NaN from solver step ``k`` (1-based) on.
+
+    The method is called ``calls_per_step`` times per step, so the call
+    count tells the step."""
+    fn = getattr(cls, name)
+    calls = [0]
+
+    def poisoned(self, *args):
+        step = calls[0] // calls_per_step + 1
+        calls[0] += 1
+        out = fn(self, *args)
+        return out * np.nan if step >= k else out
+
+    monkeypatch.setattr(cls, name, poisoned)
+
+
+# ten steps of 0.01 over T=0.1, sampled every third step, NaN from step 5 on:
+# the samples at steps 0 and 3 are clean and step 6 is the first non-finite one
+POISON = SimpleNamespace(
+    T=0.1, dt=0.01, stride=3, step=5, clean_times=[0.0, 3 * (0.1 / 10)], fail_t=6 * (0.1 / 10)
+)

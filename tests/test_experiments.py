@@ -18,9 +18,12 @@ from hypns.experiments import (
     run_inequality_audit,
     save_field,
 )
+from hypns.nlw import _NlwStepper
 from hypns.reporting import emit_report
 from hypns.spectral import inverse_transform, make_grid
 from hypns import cli
+
+from conftest import POISON, poison_from_step
 
 DATA = Path(__file__).parent / "data"
 
@@ -32,6 +35,10 @@ def golden_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def energy_series(row):
+    return [(r.t, r.e_base, r.e_delta, r.linf) for r in row.reports]
 
 
 class TestConfigParsing:
@@ -189,6 +196,24 @@ class TestExistenceProbe:
         forced = run_existence_probe(cfg, force=True)
         assert not forced.rows[0].skipped
 
+    def test_solver_failure_recorded_as_blowup(self, monkeypatch):
+        poison_from_step(monkeypatch, _NlwStepper, "nonlinearity", 2, POISON.step)
+        cfg = golden_config(eps_list=[0.1], T=POISON.T, dt=POISON.dt, sample_stride=POISON.stride)
+        row = run_existence_probe(cfg, force=True).rows[0]
+        assert row.blowup and row.blowup_t == POISON.fail_t
+        assert [r.t for r in row.reports] == POISON.clean_times
+
+    def test_probe_and_sweep_run_the_same_wave_solve(self):
+        cfg = golden_config()
+        probe = run_existence_probe(cfg, force=True)
+        sweep = run_convergence(cfg)
+        shared = ("eps", "sup_eps_delta_e", "initial_eps_delta_e", "n_star", "composite_monotone",
+                  "blowup", "first_threshold_violation_t")
+        for p, s in zip(probe.rows, sweep.rows, strict=True):
+            assert [getattr(p, name) for name in shared] == [getattr(s, name) for name in shared]
+            assert energy_series(p) == energy_series(s)
+            assert math.isnan(p.sup_err_sq) and math.isnan(p.sup_dafermos) and math.isnan(p.cross_term)
+
 
 class TestInequalityAudit:
     def test_small_audit_sections(self):
@@ -288,6 +313,26 @@ class TestCli:
         rc = cli.main(["exist", "--config", str(p), "--out", str(tmp_path / "o2"), "--force"])
         out = capsys.readouterr().out
         assert "skipped" not in out.splitlines()[-3]
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "--config", "c.cfg", "--jobs", "2"],
+        ["taylor-green", "--jobs", "2"],
+        ["normalize-config", "--config", "c.cfg", "--jobs", "2"],
+        ["converge", "--config", "c.cfg", "--force"],
+        ["audit", "--config", "c.cfg", "--force"],
+        ["taylor-green", "--force"],
+        ["normalize-config", "--config", "c.cfg", "--force"],
+    ])
+    def test_flag_rejected_where_not_read(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
+    def test_jobs_and_force_parse_where_read(self):
+        parser = cli.build_parser()
+        args = parser.parse_args(["exist", "--config", "c.cfg", "--force", "--jobs", "2"])
+        assert args.force and args.jobs == 2
+        assert parser.parse_args(["converge", "--config", "c.cfg", "--jobs", "2"]).jobs == 2
 
     def test_normalize_config_round_trip(self, tmp_path, capsys):
         p = self._write_cfg(tmp_path)

@@ -1,0 +1,64 @@
+"""Static hygiene of the package source, checked with the stdlib ``ast``.
+
+No linter is a dependency of the project, so this is its lint step: every
+name a module imports must be used in that module, and every module-level
+private (``_name``) function or class must be referenced somewhere in
+``src/`` or ``tests/``.  ``__init__.py`` is exempt: it re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hypns"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def referenced_names(tree):
+    """Every identifier read as a name or an attribute in the tree."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def unused_imports(path):
+    tree = parse(path)
+    used = referenced_names(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    found.append(f"{path.name}: {bound}")
+    return found
+
+
+def unreferenced_private_defs():
+    sources = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    used = set().union(*(referenced_names(parse(p)) for p in sources))
+    found = []
+    for path in MODULES:
+        for node in parse(path).body:
+            defines = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            if defines and node.name.startswith("_") and node.name not in used:
+                found.append(f"{path.name}: {node.name}")
+    return found
+
+
+def test_every_import_is_used():
+    assert [f for path in MODULES for f in unused_imports(path)] == []
+
+
+def test_every_private_definition_is_referenced():
+    assert unreferenced_private_defs() == []

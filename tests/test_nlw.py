@@ -8,6 +8,7 @@ from hypns.diagnostics import energy, linf_threshold
 from hypns.initial_data import random_divergence_free_field, taylor_green
 from hypns.nlw import (
     WaveState,
+    _NlwStepper,
     linear_propagate,
     mode_roots,
     nlw_solve,
@@ -15,10 +16,10 @@ from hypns.nlw import (
     propagate_mode,
     rescale,
 )
-from hypns.ns import ns_solve
+from hypns.ns import SolverFailure, ns_solve
 from hypns.spectral import SpectralField, inverse_transform, l2_norm, make_grid, zero_field
 
-from conftest import oracle_mode
+from conftest import POISON, oracle_mode, poison_from_step
 
 
 class TestModeRoots:
@@ -144,12 +145,29 @@ class TestNlwSolve:
         # energy decays, so an absurdly tight ceiling never fires ...
         assert not res.blew_up
         # ... but an increasing monitor does, as a verdict rather than an error
+        seen = []
         res = nlw_solve(
-            u0, zero_field(g), 0.1, 0.5, dt=1e-2,
+            u0, zero_field(g), 0.1, 0.5, dt=1e-2, observer=lambda st: seen.append(st.t),
             blowup_monitor=lambda st: 1.0 + st.t, blowup_factor=1.0 + 1e-9,
         )
         assert res.blew_up
         assert res.blowup_t is not None
+        # the sample that trips the monitor is not observed
+        assert seen == [0.0] and res.blowup_t > 0.0
+
+    def test_non_finite_step_raises_at_next_sample(self, monkeypatch):
+        poison_from_step(monkeypatch, _NlwStepper, "nonlinearity", 2, POISON.step)
+        u0 = random_divergence_free_field(make_grid(2, 16), 12)
+        seen = []
+
+        def obs(st):
+            assert np.all(np.isfinite(st.u.coeffs)) and np.all(np.isfinite(st.ut.coeffs))
+            seen.append(st.t)
+
+        with pytest.raises(SolverFailure) as exc:
+            nlw_solve(u0, zero_field(u0.grid), 0.1, POISON.T, dt=POISON.dt, observer=obs, stride=POISON.stride)
+        assert exc.value.t == POISON.fail_t
+        assert seen == POISON.clean_times
 
     def test_base_energy_monotone_under_threshold(self):
         g = make_grid(2, 32)

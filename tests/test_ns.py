@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import simpson
 
 from hypns.initial_data import random_divergence_free_field, taylor_green
-from hypns.ns import NsState, SolverFailure, dt_v, heat_propagate, ns_solve, ns_step
+from hypns.ns import NsState, SolverFailure, _NsStepper, dt_v, heat_propagate, ns_solve, ns_step
 from hypns.spectral import (
     divergence,
     inverse_transform,
@@ -14,7 +14,7 @@ from hypns.spectral import (
     zero_field,
 )
 
-from conftest import single_mode_field
+from conftest import POISON, poison_from_step, single_mode_field
 
 
 class TestHeatPropagate:
@@ -130,6 +130,20 @@ class TestNsSolve:
         f, _ = transform(g, np.random.default_rng(3).standard_normal((2, 16, 16)))
         with pytest.raises(ValueError):
             ns_solve(f, 0.1, dt=1e-3)
+
+    def test_non_finite_step_raises_at_next_sample(self, monkeypatch):
+        poison_from_step(monkeypatch, _NsStepper, "rhs", 4, POISON.step)
+        v0 = random_divergence_free_field(make_grid(2, 16), 12)
+        seen = []
+
+        def obs(st):
+            assert np.all(np.isfinite(st.v.coeffs))
+            seen.append(st.t)
+
+        with pytest.raises(SolverFailure) as exc:
+            ns_solve(v0, POISON.T, dt=POISON.dt, observer=obs, stride=POISON.stride)
+        assert exc.value.t == POISON.fail_t
+        assert seen == POISON.clean_times
 
 
 class TestDtV:
