@@ -12,7 +12,7 @@ from .ns import NsState, dt_v
 from .nlw import WaveState, energy
 from .spectral import (
     SpectralField,
-    _leray_coeffs,
+    _convection_coeffs,
     _tensor_divergence_coeffs,
     base_sigma,
     hs_inner,
@@ -163,7 +163,7 @@ class DafermosResidualRecord:
 
 def _projected_tensor_div(f: SpectralField) -> SpectralField:
     g = f.grid
-    return SpectralField(g, _leray_coeffs(g, _tensor_divergence_coeffs(g, f.coeffs)))
+    return SpectralField(g, _convection_coeffs(g, f.coeffs))
 
 
 def _tensor_div(f: SpectralField) -> SpectralField:

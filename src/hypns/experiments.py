@@ -392,21 +392,38 @@ def _run_eps_list(cfg: ExperimentConfig, jobs: int, with_reference: bool, force:
         ref = []
         ns_solve(v0, cfg.T, dt=dt, observer=lambda st: ref.append((st.t, st.v.coeffs)), stride=cfg.sample_stride)
 
-    args = [(cfg, eps, v0.coeffs, dt, ref, force) for eps in cfg.eps_list]
     if jobs <= 1:
-        rows = [_wave_run(*a) for a in args]
+        rows = [_wave_run(cfg, eps, v0.coeffs, dt, ref, force) for eps in cfg.eps_list]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            rows = list(ex.map(_wave_run, *zip(*args)))
+        # each worker receives everything but eps once, when it starts, so
+        # a task does not pickle the reference samples again
+        shared = (cfg, v0.coeffs, dt, ref, force)
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_hold_shared, initargs=shared) as ex:
+            rows = list(ex.map(_wave_run_shared, cfg.eps_list))
     rows.sort(key=lambda r: -r.eps)
     return dt, rows
+
+
+_shared = None  # a pool worker's (cfg, v0_coeffs, dt, ref, force), set by _hold_shared
+
+
+def _hold_shared(*shared):
+    global _shared
+    _shared = shared
+
+
+def _wave_run_shared(eps: float) -> SweepRow:
+    cfg, v0_coeffs, dt, ref, force = _shared
+    return _wave_run(cfg, eps, v0_coeffs, dt, ref, force)
 
 
 def run_convergence(cfg: ExperimentConfig, jobs: int = 1) -> SweepResult:
     """Solve the reference system once, then the relaxed system per eps,
     recording sup-in-time errors and the full diagnostic series.  No row is
     skipped for failing admissibility.  Deterministic for a fixed (config,
-    seed) regardless of ``jobs``."""
+    seed) regardless of ``jobs``.  With ``jobs > 1`` the eps values run in a
+    process pool whose workers receive the reference samples and ``v0``
+    once, when they start; each task carries only its eps."""
     dt, rows = _run_eps_list(cfg, jobs, with_reference=True, force=True)
     fit = fit_rate([(r.eps, r.sup_err_sq) for r in rows])
     note = "" if fit is not None else "fit undefined: need at least two usable rows"
@@ -419,7 +436,9 @@ def run_existence_probe(cfg: ExperimentConfig, jobs: int = 1, force: bool = Fals
 
     Rows whose data fail the admissibility hypotheses are skipped (no
     solve, ``skipped`` set) unless ``force`` is set.  Deterministic for a
-    fixed (config, seed) regardless of ``jobs``."""
+    fixed (config, seed) regardless of ``jobs``.  With ``jobs > 1`` the pool
+    workers receive ``v0`` and the configuration once, when they start;
+    each task carries only its eps."""
     _, rows = _run_eps_list(cfg, jobs, with_reference=False, force=force)
     ran = [r for r in rows if not r.skipped]
     max_initial = max((r.initial_eps_delta_e for r in ran), default=math.nan)

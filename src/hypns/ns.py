@@ -18,6 +18,7 @@ from .spectral import (
     _convection_coeffs,
     divergence_l2,
     linf_norm,
+    mode_mag2,
     sobolev_norm,
 )
 
@@ -54,7 +55,12 @@ def default_dt(grid: Grid, v0: SpectralField) -> float:
 
 
 def _check_finite(c: np.ndarray, t: float):
-    if not np.isfinite(np.vdot(c, c).real):
+    """Reject non-finite coefficients, and finite ones whose sum of squared
+    moduli overflows.  Summed elementwise, not by a BLAS dot (see
+    ``spectral.weighted_sum``)."""
+    with np.errstate(over="ignore"):  # an overflow is reported as the failure
+        finite = np.isfinite(np.sum(mode_mag2(c)))
+    if not finite:
         raise SolverFailure("non-finite coefficients", t)
 
 

@@ -228,8 +228,12 @@ def mode_mag2(c: np.ndarray) -> np.ndarray:
 
 def weighted_sum(grid: Grid, sigma: float, density: np.ndarray) -> float:
     """Full-spectrum sum of |k|^(2 sigma) density(k), from a per-mode
-    density on the half spectrum."""
-    return float(np.vdot(grid.weight(sigma), density))
+    density on the half spectrum.
+
+    An elementwise product and ``np.sum``, not a BLAS dot: a BLAS call
+    wakes the library's thread pool, whose threads keep spinning after it
+    returns and take the CPU from the other workers of a process pool."""
+    return float(np.sum(grid.weight(sigma) * density))
 
 
 def lambda_power(f: SpectralField, sigma: float) -> SpectralField:
@@ -255,8 +259,11 @@ def l2_norm(f: SpectralField) -> float:
 
 
 def hs_inner(f: SpectralField, g: SpectralField, sigma: float) -> float:
-    """Homogeneous pairing sum_k |k|^(2 sigma) Re conj(f_hat) g_hat."""
-    return float(np.vdot(f.coeffs, g.coeffs * f.grid.weight(sigma)).real)
+    """Homogeneous pairing sum_k |k|^(2 sigma) Re conj(f_hat) g_hat.
+
+    Summed elementwise rather than by a BLAS dot, for the reason given in
+    ``weighted_sum``."""
+    return float(np.sum((np.conj(f.coeffs) * g.coeffs).real * f.grid.weight(sigma)))
 
 
 def l2_inner(f: SpectralField, g: SpectralField) -> float:
@@ -270,15 +277,19 @@ def linf_norm(f: SpectralField) -> float:
     return float(np.sqrt(np.max(np.sum(v * v, axis=0))))
 
 
-def _leray_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
+def _leray_inplace(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """Leray-project ``c`` in place and return it."""
     kdotc = grid.keff[0] * c[0]
     for i in range(1, grid.dim):
         kdotc += grid.keff[i] * c[i]
     kdotc /= grid.k2eff_safe
-    out = c.copy()
     for i in range(grid.dim):
-        out[i] -= grid.keff[i] * kdotc
-    return out
+        c[i] -= grid.keff[i] * kdotc
+    return c
+
+
+def _leray_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
+    return _leray_inplace(grid, c.copy())
 
 
 def leray_project(f: SpectralField) -> SpectralField:
@@ -316,11 +327,15 @@ def _tensor_divergence_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
     components and one forward transform per product u_i u_j.
     """
     axes = tuple(range(1, grid.dim + 1))
-    vals = np.fft.irfftn(c * grid.dealias_mask / grid.fwd_scale, s=grid.shape, axes=axes)
+    masked = c * grid.dealias_mask
+    masked /= grid.fwd_scale
+    vals = np.fft.irfftn(masked, s=grid.shape, axes=axes)
+    del masked
     out = np.zeros_like(c)
     for i in range(grid.dim):
         for j in range(i, grid.dim):
-            tij = np.fft.rfftn(vals[i] * vals[j]) * grid.fwd_scale
+            tij = np.fft.rfftn(vals[i] * vals[j])
+            tij *= grid.fwd_scale
             out[i] += grid.ik[j] * tij
             if j != i:
                 out[j] += grid.ik[i] * tij
@@ -330,7 +345,7 @@ def _tensor_divergence_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
 
 def _convection_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
     """P nabla : (u (x) u) on raw coefficients."""
-    return _leray_coeffs(grid, _tensor_divergence_coeffs(grid, c))
+    return _leray_inplace(grid, _tensor_divergence_coeffs(grid, c))
 
 
 def convection_term(f: SpectralField, div_tol: float = 1e-8) -> SpectralField:

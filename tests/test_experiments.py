@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypns.experiments import (
 from hypns.nlw import _NlwStepper
 from hypns.reporting import emit_report
 from hypns.spectral import inverse_transform, make_grid
-from hypns import cli
+from hypns import cli, experiments
 
 from conftest import POISON, poison_from_step
 
@@ -167,6 +168,23 @@ class TestRunConvergence:
             assert ra.sup_err_sq == rb.sup_err_sq
             assert ra.cross_term == rb.cross_term
 
+    def test_pool_task_payload_independent_of_reference_length(self, monkeypatch):
+        sizes = []  # pickled size of each submitted task, one list per run
+
+        class RecordingPool(experiments.ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                sizes[-1].append(len(pickle.dumps((fn, args, kwargs))))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        for T in (0.02, 0.2):  # 3 and 21 reference samples
+            sizes.append([])
+            run_convergence(golden_config(T=T), jobs=2)
+        short, long = sizes
+        assert short == long and len(long) == len(golden_config().eps_list)
+        # a single stored reference sample would not fit
+        assert max(long) < make_grid(2, 16).npoints * 16
+
     def test_cross_term_decays_with_eps(self):
         cfg = golden_config(n=32, eps_list=[1e-1, 1e-2, 1e-3], T=0.25)
         res = run_convergence(cfg)
@@ -195,6 +213,16 @@ class TestExistenceProbe:
         assert res.rows[0].hypothesis.smallness > 1.0 / 16.0
         forced = run_existence_probe(cfg, force=True)
         assert not forced.rows[0].skipped
+
+    def test_deterministic_across_jobs(self):
+        cfg = golden_config(eps_list=[0.1, 0.03, 0.01])
+        a = run_existence_probe(cfg, jobs=1)
+        b = run_existence_probe(cfg, jobs=2)
+        # repr compares every field of the rows, their hypothesis checks and
+        # energy reports exactly, and NaN columns equal
+        assert repr(a.rows) == repr(b.rows)
+        assert (a.max_initial_eps_delta_e, a.sup_bound_ok) == (b.max_initial_eps_delta_e, b.sup_bound_ok)
+        assert len(a.rows) == 3 and all(r.reports for r in a.rows)
 
     def test_solver_failure_recorded_as_blowup(self, monkeypatch):
         poison_from_step(monkeypatch, _NlwStepper, "nonlinearity", 2, POISON.step)

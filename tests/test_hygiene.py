@@ -4,6 +4,13 @@ No linter is a dependency of the project, so this is its lint step: every
 name a module imports must be used in that module, and every module-level
 private (``_name``) function or class must be referenced somewhere in
 ``src/`` or ``tests/``.  ``__init__.py`` is exempt: it re-exports.
+
+No module may call a BLAS-backed product (``vdot``, ``dot``, ``inner``,
+``matmul``, ``tensordot`` or the ``@`` operator).  A BLAS call wakes
+OpenBLAS's thread pool, whose threads spin on after it returns and take the
+CPU from the other workers of the experiment pool; reductions are written
+as elementwise products and sums.  ``np.polyfit`` in ``fit_rate`` reaches
+LAPACK but runs once per sweep, in the parent process, and is allowed.
 """
 
 import ast
@@ -27,6 +34,22 @@ def referenced_names(tree):
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     return names
+
+
+BLAS_PRODUCTS = {"vdot", "dot", "inner", "matmul", "tensordot"}
+
+
+def blas_products(path):
+    found = []
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in BLAS_PRODUCTS:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{path.name}:{node.lineno}: @")
+    return found
 
 
 def unused_imports(path):
@@ -62,3 +85,7 @@ def test_every_import_is_used():
 
 def test_every_private_definition_is_referenced():
     assert unreferenced_private_defs() == []
+
+
+def test_no_blas_products():
+    assert [f for path in sorted(PACKAGE.glob("*.py")) for f in blas_products(path)] == []

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import simpson
 
 from hypns.initial_data import random_divergence_free_field, taylor_green
-from hypns.ns import NsState, SolverFailure, _NsStepper, dt_v, heat_propagate, ns_solve, ns_step
+from hypns.ns import NsState, SolverFailure, _check_finite, _NsStepper, dt_v, heat_propagate, ns_solve, ns_step
 from hypns.spectral import (
     divergence,
     inverse_transform,
@@ -144,6 +144,32 @@ class TestNsSolve:
             ns_solve(v0, POISON.T, dt=POISON.dt, observer=obs, stride=POISON.stride)
         assert exc.value.t == POISON.fail_t
         assert seen == POISON.clean_times
+
+
+class TestCheckFinite:
+    def coeffs(self):
+        return random_divergence_free_field(make_grid(2, 16), 3).coeffs.copy()
+
+    def test_finite_passes(self):
+        _check_finite(self.coeffs(), 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)])
+    def test_non_finite_entry_raises(self, bad):
+        c = self.coeffs()
+        c[1, 2, 3] = bad
+        with pytest.raises(SolverFailure) as info:
+            _check_finite(c, 0.5)
+        assert info.value.t == 0.5
+
+    @pytest.mark.parametrize("size", [1e200, 1e154])
+    def test_finite_but_overflowing_sum_of_squares_raises(self, size):
+        # every entry is finite; 1e200 overflows on its own square, 1e154
+        # only in the sum over the grid
+        c = self.coeffs()
+        c[:] = size
+        assert np.isfinite(c).all()
+        with pytest.raises(SolverFailure):
+            _check_finite(c, 0.5)
 
 
 class TestDtV:
