@@ -65,17 +65,21 @@ class ExperimentConfig:
     r2_min: float = 0.9
 
     def validate(self) -> list:
-        bad = []
+        floats = [(f.name, getattr(self, f.name)) for f in fields(self) if f.name in _FLOAT_KEYS]
+        nonfinite = {k for k, v in floats if v is not None and not math.isfinite(v)}
+        bad = [f"{k}: must be finite, got {v}" for k, v in floats if k in nonfinite]
         if self.dim not in (2, 3):
             bad.append(f"dim: must be 2 or 3, got {self.dim}")
         if self.n < 8 or self.n % 2 != 0:
             bad.append(f"n: must be even and >= 8, got {self.n}")
-        if not 0.0 < self.s < 1.0:
+        if "s" not in nonfinite and not 0.0 < self.s < 1.0:
             bad.append(f"s: s in (0,1) is required for the convergence-rate claims, got {self.s}")
-        if not 0.0 < self.delta < 1.0:
+        if "delta" not in nonfinite and not 0.0 < self.delta < 1.0:
             bad.append(f"delta: must lie in (0,1), got {self.delta}")
         if not self.eps_list:
             bad.append("eps_list: must be nonempty")
+        elif not all(math.isfinite(e) for e in self.eps_list):
+            bad.append(f"eps_list: all entries must be finite, got {self.eps_list}")
         elif any(e <= 0 for e in self.eps_list):
             bad.append("eps_list: all entries must be > 0")
         elif any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
@@ -106,7 +110,7 @@ class ExperimentConfig:
             bad.append(f"sample_stride: must be >= 1, got {self.sample_stride}")
         if self.slope_tol < 0:
             bad.append(f"slope_tol: must be >= 0, got {self.slope_tol}")
-        if not 0.0 <= self.r2_min <= 1.0:
+        if "r2_min" not in nonfinite and not 0.0 <= self.r2_min <= 1.0:
             bad.append(f"r2_min: must lie in [0,1], got {self.r2_min}")
         return bad
 
@@ -174,12 +178,19 @@ def _convert(key: str, val: str):
         return None
     if key in _LIST_KEYS:
         items = [v.strip() for v in val.split(",") if v.strip()]
-        return [float(v) for v in items]
+        return [_finite_float(v) for v in items]
     if key in _INT_KEYS:
         return int(val)
     if key in _FLOAT_KEYS:
-        return float(val)
+        return _finite_float(val)
     return val
+
+
+def _finite_float(val: str) -> float:
+    x = float(val)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {val!r}")
+    return x
 
 
 def normalized_dump(cfg: ExperimentConfig) -> str:

@@ -3,7 +3,7 @@
 Fields are real, so their coefficients satisfy c(-k) = conj c(k) and only
 half of them are stored: the ``rfftn`` half spectrum, whose last axis keeps
 the wavenumbers 0 <= k_last <= n/2.  A coefficient array has shape
-(ncomp, n, ..., n, n//2+1), and every spectral table of a Grid has that
+(ncomp, n, ..., n, n//2+1), and every full spectral table of a Grid has that
 half shape (``Grid.spec_shape``).
 
 Coefficients follow the unitary convention: over the full spectrum the sum
@@ -16,10 +16,28 @@ spectrum become sums over the stored modes with the weight
 planes k_last = 0 and k_last = n/2 (the partners of their modes lie in the
 same plane and are stored there), 2 on every other plane, and 0 on the
 zero mode (fields are mean-free).
+
+The nonlinearity only reads and writes the 2/3-rule box |k_i| <= c,
+c = (n-1)//3 (``Grid.dealias_cutoff``), so it runs on a compact array of
+shape (ncomp, 2c+1, ..., 2c+1, c+1) holding just that box
+(``Grid.box_shape``).  Along each of the first dim-1 axes the compact array
+keeps the wavenumbers 0..c and then -c..-1, the ``fftfreq`` order of a
+(2c+1)-point grid; along the last axis 0..c.  In the half spectrum the box
+is 2^(dim-1) rectangular blocks, one per choice of the low (0..c) or high
+(n-c..n-1) index range on each of the first dim-1 axes: ``Grid.box_blocks``
+pairs each block's index in the half spectrum with its index in the
+compact array, and ``box_gather`` and ``box_scatter`` move coefficients
+between the two layouts.
+
+Full half-spectrum tables: ``k``, ``k2``, ``kmag``, ``keff``,
+``k2eff_safe``, ``dealias_mask``, ``mult`` and the ``weight`` cache
+(``ik`` is computed from ``keff`` on access).  Compact box tables, built
+once per grid: ``box_ik``, ``box_keff`` and ``box_k2eff_safe``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +59,10 @@ class Grid:
 
     ``shape`` is the collocation shape (n, ..., n); ``spec_shape`` the
     half-spectrum shape (n, ..., n, n//2+1) of the tables ``k``, ``k2``,
-    ``kmag``, ``keff``, ``ik``, ``k2eff_safe``, ``dealias_mask`` and
-    ``mult``.  Along the last axis ``k`` runs over 0..n/2.
+    ``kmag``, ``keff``, ``k2eff_safe``, ``dealias_mask`` and ``mult``.
+    Along the last axis ``k`` runs over 0..n/2.  ``box_shape`` is the shape
+    of the compact 2/3-rule box and of the tables ``box_ik``, ``box_keff``
+    and ``box_k2eff_safe`` (see the module docstring).
     """
 
     dim: int
@@ -80,7 +100,6 @@ class Grid:
         k2eff = np.zeros_like(keff[0])
         for kd in keff:
             k2eff += kd * kd
-        ik = [1j * kd for kd in keff]
         # Leray divisor: k2eff vanishes where every component is 0 or n/2,
         # and so does keff, so replacing those zeros by 1 changes nothing
         k2eff_safe = np.where(k2eff > 0, k2eff, 1.0)
@@ -92,6 +111,21 @@ class Grid:
         mult[..., 0] = 1.0
         mult[..., -1] = 1.0
 
+        # the box as blocks: (half-spectrum index, compact index) per block
+        low = (slice(0, cutoff + 1), slice(0, cutoff + 1))
+        high = (slice(self.n - cutoff, self.n), slice(cutoff + 1, 2 * cutoff + 1))
+        blocks = []
+        for ranges in itertools.product((low, high), repeat=self.dim - 1):
+            full = (Ellipsis,) + tuple(r[0] for r in ranges) + (low[0],)
+            box = (Ellipsis,) + tuple(r[1] for r in ranges) + (low[1],)
+            blocks.append((full, box))
+        object.__setattr__(self, "box_blocks", tuple(blocks))
+        object.__setattr__(self, "box_shape", (2 * cutoff + 1,) * (self.dim - 1) + (cutoff + 1,))
+        box_keff = tuple(box_gather(self, kd) for kd in keff)
+        object.__setattr__(self, "box_keff", box_keff)
+        object.__setattr__(self, "box_ik", tuple(1j * kd for kd in box_keff))
+        object.__setattr__(self, "box_k2eff_safe", box_gather(self, k2eff_safe))
+
         object.__setattr__(self, "k2eff_safe", k2eff_safe)
         object.__setattr__(self, "k", tuple(kvec))
         object.__setattr__(self, "keff", tuple(keff))
@@ -100,13 +134,17 @@ class Grid:
         object.__setattr__(self, "mult", mult)
         object.__setattr__(self, "dealias_mask", dealias)
         object.__setattr__(self, "dealias_cutoff", cutoff)
-        object.__setattr__(self, "ik", tuple(ik))
         object.__setattr__(self, "shape", (self.n,) * self.dim)
         object.__setattr__(self, "spec_shape", kvec[0].shape)
         object.__setattr__(self, "cell_volume", (TWO_PI / self.n) ** self.dim)
         # unitary convention: coeffs = rfftn(values) * fwd_scale
         object.__setattr__(self, "fwd_scale", TWO_PI ** (self.dim / 2) / self.n**self.dim)
         object.__setattr__(self, "_weights", {})
+
+    @property
+    def ik(self) -> tuple:
+        """Derivative symbols i keff, one full table per axis, built on access."""
+        return tuple(1j * kd for kd in self.keff)
 
     @property
     def npoints(self) -> int:
@@ -131,6 +169,25 @@ class Grid:
             w.flags.writeable = False
             self._weights[sigma] = w
         return w
+
+
+def box_gather(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """The 2/3-rule box of a half-spectrum array (or table) as a new
+    compact array; leading axes are kept."""
+    out = np.empty(c.shape[: c.ndim - grid.dim] + grid.box_shape, dtype=c.dtype)
+    for full, box in grid.box_blocks:
+        out[box] = c[full]
+    return out
+
+
+def box_scatter(grid: Grid, b: np.ndarray, into: np.ndarray | None = None) -> np.ndarray:
+    """Write the compact box ``b`` into the box of the half-spectrum array
+    ``into`` and return it; by default ``into`` is a new zero array."""
+    if into is None:
+        into = np.zeros(b.shape[: b.ndim - grid.dim] + grid.spec_shape, dtype=b.dtype)
+    for full, box in grid.box_blocks:
+        into[full] = b[box]
+    return into
 
 
 def make_grid(dim: int, n: int) -> Grid:
@@ -277,19 +334,20 @@ def linf_norm(f: SpectralField) -> float:
     return float(np.sqrt(np.max(np.sum(v * v, axis=0))))
 
 
-def _leray_inplace(grid: Grid, c: np.ndarray) -> np.ndarray:
-    """Leray-project ``c`` in place and return it."""
-    kdotc = grid.keff[0] * c[0]
-    for i in range(1, grid.dim):
-        kdotc += grid.keff[i] * c[i]
-    kdotc /= grid.k2eff_safe
-    for i in range(grid.dim):
-        c[i] -= grid.keff[i] * kdotc
+def _leray_inplace(c: np.ndarray, keff, k2eff_safe: np.ndarray) -> np.ndarray:
+    """Leray-project ``c`` in place on the tables ``keff`` and ``k2eff_safe``
+    (full or compact, matching ``c``) and return it."""
+    kdotc = keff[0] * c[0]
+    for i in range(1, len(keff)):
+        kdotc += keff[i] * c[i]
+    kdotc /= k2eff_safe
+    for i in range(len(keff)):
+        c[i] -= keff[i] * kdotc
     return c
 
 
 def _leray_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
-    return _leray_inplace(grid, c.copy())
+    return _leray_inplace(c.copy(), grid.keff, grid.k2eff_safe)
 
 
 def leray_project(f: SpectralField) -> SpectralField:
@@ -300,9 +358,10 @@ def leray_project(f: SpectralField) -> SpectralField:
 
 
 def _divergence_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
-    d = np.zeros(grid.spec_shape, dtype=np.complex128)
-    for i in range(grid.dim):
-        d += grid.ik[i] * c[i]
+    d = grid.keff[0] * c[0]
+    for i in range(1, grid.dim):
+        d += grid.keff[i] * c[i]
+    d *= 1j
     return d
 
 
@@ -318,46 +377,66 @@ def divergence_l2(grid: Grid, c: np.ndarray) -> float:
     return float(np.sqrt(weighted_sum(grid, 0.0, np.abs(d) ** 2)))
 
 
-def _tensor_divergence_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
-    """Dealiased nabla : (u (x) u) on raw coefficients.
+def require_divergence_free(what: str, fields, tol: float = 1e-8):
+    """Raise ValueError unless ``fields`` are finite and their summed
+    divergence L^2 norm is at most ``tol`` times their summed H^1 size.
 
-    Inputs are masked with the 2/3 rule, products formed pointwise on the
-    collocation grid, and the output masked again, so no aliased content
-    survives below the cutoff.  One batched inverse transform of the
-    components and one forward transform per product u_i u_j.
+    Non-finite data is rejected first, and the comparison is written so
+    that a NaN fails it."""
+    grid = fields[0].grid
+    if not all(np.isfinite(f.coeffs).all() for f in fields):
+        raise ValueError(f"{what} requires finite data")
+    scale = max(sum(sobolev_norm(f, 1.0) for f in fields), 1e-300)
+    if not sum(divergence_l2(grid, f.coeffs) for f in fields) <= tol * scale:
+        raise ValueError(f"{what} requires divergence-free data")
+
+
+def _box_convection(grid: Grid, b: np.ndarray, project: bool) -> np.ndarray:
+    """Dealiased nabla : (u (x) u), Leray-projected if ``project``, from and
+    to the compact 2/3-rule box.
+
+    The box is the whole dealiased input, products are formed pointwise on
+    the collocation grid, and only the box of each product's transform is
+    kept, so no aliased content survives below the cutoff.  One batched
+    inverse transform of the components and one forward transform per
+    product u_i u_j; the derivatives and the projection act on the box only.
     """
-    axes = tuple(range(1, grid.dim + 1))
-    masked = c * grid.dealias_mask
-    masked /= grid.fwd_scale
-    vals = np.fft.irfftn(masked, s=grid.shape, axes=axes)
-    del masked
-    out = np.zeros_like(c)
+    spec = np.zeros((grid.dim,) + grid.spec_shape, dtype=np.complex128)
+    for full, box in grid.box_blocks:
+        np.divide(b[box], grid.fwd_scale, out=spec[full])
+    vals = np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(1, grid.dim + 1)))
+    del spec
+    out = np.zeros_like(b)
     for i in range(grid.dim):
         for j in range(i, grid.dim):
-            tij = np.fft.rfftn(vals[i] * vals[j])
+            tij = box_gather(grid, np.fft.rfftn(vals[i] * vals[j]))
             tij *= grid.fwd_scale
-            out[i] += grid.ik[j] * tij
+            out[i] += grid.box_ik[j] * tij
             if j != i:
-                out[j] += grid.ik[i] * tij
-    out *= grid.dealias_mask
+                out[j] += grid.box_ik[i] * tij
+    if project:
+        _leray_inplace(out, grid.box_keff, grid.box_k2eff_safe)
     return out
 
 
+def _tensor_divergence_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """Dealiased nabla : (u (x) u) on half-spectrum coefficients."""
+    return box_scatter(grid, _box_convection(grid, box_gather(grid, c), project=False))
+
+
 def _convection_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
-    """P nabla : (u (x) u) on raw coefficients."""
-    return _leray_inplace(grid, _tensor_divergence_coeffs(grid, c))
+    """P nabla : (u (x) u) on half-spectrum coefficients."""
+    return box_scatter(grid, _box_convection(grid, box_gather(grid, c), project=True))
 
 
 def convection_term(f: SpectralField, div_tol: float = 1e-8) -> SpectralField:
     """Leray-projected convection P nabla : (u (x) u), dealiased.
 
-    Rejects input whose divergence exceeds ``div_tol`` relative to the
-    H^1 size of the field.
+    Rejects non-finite input, and input whose divergence exceeds ``div_tol``
+    relative to the H^1 size of the field.
     """
     g = f.grid
     if f.ncomp != g.dim:
         raise ValueError("convection_term needs one component per spatial axis")
-    scale = max(sobolev_norm(f, 1.0), 1e-300)
-    if divergence_l2(g, f.coeffs) > div_tol * scale:
-        raise ValueError("convection_term requires a divergence-free field")
+    require_divergence_free("convection_term", [f], div_tol)
     return SpectralField(g, _convection_coeffs(g, f.coeffs))

@@ -3,9 +3,12 @@ from types import SimpleNamespace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from hypns import make_grid
 from hypns.initial_data import random_divergence_free_field
+from hypns.spectral import transform
 
 mp.mp.dps = 50
 
@@ -28,6 +31,24 @@ def oracle_mode(eps, k2, dt, u0, u1):
     u = a * mp.e ** (lp * dt) + b * mp.e ** (lm * dt)
     ut = a * lp * mp.e ** (lp * dt) + b * lm * mp.e ** (lm * dt)
     return complex(u), complex(ut)
+
+
+# 2D with every even n in [8, 64], 3D with n in {8, 16}
+grid_shapes = st.one_of(
+    st.tuples(st.just(2), st.integers(4, 32).map(lambda m: 2 * m)),
+    st.tuples(st.just(3), st.sampled_from([8, 16])),
+)
+property_settings = settings(max_examples=30, deadline=None, database=None, derandomize=True)
+
+
+def random_real_field(dim, n, seed):
+    """Transform of seeded real values with content on every mode,
+    the Nyquist planes included."""
+    g = make_grid(dim, n)
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((dim,) + g.shape) * rng.uniform(0.1, 10.0)
+    f, _ = transform(g, vals)
+    return g, f, vals
 
 
 @pytest.fixture(scope="session")
@@ -61,6 +82,17 @@ def single_mode_field(grid, k, component_dir, amp=1.0):
             for comp, d in enumerate(component_dir):
                 c[comp][idx] = 0.5 * amp * d
     return SpectralField(grid, c)
+
+
+def with_nan(f, inside_box):
+    """Copy of ``f`` with one coefficient set to NaN, inside the 2/3-rule
+    box or outside it."""
+    from hypns.spectral import SpectralField
+
+    c = f.coeffs.copy()
+    k = 1 if inside_box else f.grid.dealias_cutoff + 1
+    c[(0, k) + (1,) * (f.grid.dim - 1)] = np.nan
+    return SpectralField(f.grid, c)
 
 
 def poison_from_step(monkeypatch, cls, name, calls_per_step, k):

@@ -1,0 +1,164 @@
+"""The nonlinear path on the compact 2/3-rule box.
+
+The convection kernel and both steppers run on the compact box and touch
+the full half spectrum only for the transforms and the linear propagation.
+The oracles below are the full-array formulas they replace: the 2/3 mask
+applied before and after the products, Leray and the stage arithmetic over
+the whole half spectrum.  The compact path must reproduce them exactly
+(``np.array_equal``), not just to rounding, so that every output of the
+program stays byte-identical.
+"""
+
+import tracemalloc
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from hypns.initial_data import random_divergence_free_field
+from hypns.nlw import _NlwStepper, _WaveTables
+from hypns.ns import _NsStepper
+from hypns.spectral import (
+    _convection_coeffs,
+    _leray_coeffs,
+    _tensor_divergence_coeffs,
+    box_gather,
+    box_scatter,
+    make_grid,
+)
+
+from conftest import grid_shapes, property_settings, random_real_field
+
+
+def full_tensor_divergence(g, c):
+    """Masked input, one batched inverse transform, one forward transform
+    per product, derivatives over the whole half spectrum, masked output."""
+    axes = tuple(range(1, g.dim + 1))
+    masked = c * g.dealias_mask
+    masked /= g.fwd_scale
+    vals = np.fft.irfftn(masked, s=g.shape, axes=axes)
+    ik = g.ik
+    out = np.zeros_like(c)
+    for i in range(g.dim):
+        for j in range(i, g.dim):
+            tij = np.fft.rfftn(vals[i] * vals[j])
+            tij *= g.fwd_scale
+            out[i] += ik[j] * tij
+            if j != i:
+                out[j] += ik[i] * tij
+    out *= g.dealias_mask
+    return out
+
+
+def full_leray(g, c):
+    c = c.copy()
+    kdotc = g.keff[0] * c[0]
+    for i in range(1, g.dim):
+        kdotc += g.keff[i] * c[i]
+    kdotc /= g.k2eff_safe
+    for i in range(g.dim):
+        c[i] -= g.keff[i] * kdotc
+    return c
+
+
+def full_convection(g, c):
+    return full_leray(g, full_tensor_divergence(g, c))
+
+
+def full_ns_step(g, dt, c):
+    """Integrating-factor RK4 with every stage on the whole half spectrum."""
+    e, e2 = np.exp(-g.k2 * dt), np.exp(-g.k2 * (dt / 2.0))
+    a = -full_convection(g, c)
+    b = -full_convection(g, e2 * (c + (dt / 2.0) * a))
+    d = -full_convection(g, e2 * c + (dt / 2.0) * b)
+    h = -full_convection(g, e * c + dt * (e2 * d))
+    return e * c + (dt / 6.0) * (e * a + 2.0 * e2 * (b + d) + h)
+
+
+def full_nlw_step(g, eps, dt, u, w):
+    """Exponential midpoint rule with the forcing over the whole half spectrum."""
+    end, mid = _WaveTables(g.k2, eps, dt), _WaveTables(g.k2, eps, dt / 2.0)
+    n0 = -full_convection(g, u)
+    u_mid = mid.p11 * u + mid.p12 * w + mid.cu * n0
+    n_mid = -full_convection(g, u_mid)
+    return end.p11 * u + end.p12 * w + end.cu * n_mid, end.p21 * u + end.p22 * w + end.cw * n_mid
+
+
+class TestBoxLayout:
+    @property_settings
+    @given(shape=grid_shapes, seed=st.integers(0, 2**32 - 1))
+    def test_scatter_of_gather_is_masked_input(self, shape, seed):
+        g, f, _ = random_real_field(*shape, seed)
+        b = box_gather(g, f.coeffs)
+        assert b.shape == (g.dim,) + g.box_shape
+        assert np.array_equal(box_scatter(g, b), f.coeffs * g.dealias_mask)
+
+    def test_compact_layout(self):
+        for g in (make_grid(2, 8), make_grid(2, 64), make_grid(3, 8), make_grid(3, 16)):
+            c = g.dealias_cutoff
+            assert len(g.box_blocks) == 2 ** (g.dim - 1)
+            assert g.box_shape == (2 * c + 1,) * (g.dim - 1) + (c + 1,)
+            # compact wavenumbers run 0..c, -c..-1 on the first axes, 0..c on the last
+            for ax, k in enumerate(box_gather(g, kk) for kk in g.k):
+                line = np.moveaxis(k, ax, 0)[(slice(None),) + (0,) * (g.dim - 1)]
+                want = np.arange(c + 1) if ax == g.dim - 1 else np.r_[0 : c + 1, -c:0]
+                assert np.array_equal(line, want)
+
+
+class TestExactEquivalence:
+    @property_settings
+    @given(shape=grid_shapes, seed=st.integers(0, 2**32 - 1))
+    def test_kernels_match_full_mask_formulas(self, shape, seed):
+        g, f, _ = random_real_field(*shape, seed)
+        td = full_tensor_divergence(g, f.coeffs)
+        assert np.array_equal(_tensor_divergence_coeffs(g, f.coeffs), td)
+        assert np.array_equal(_leray_coeffs(g, td), full_leray(g, td))
+        assert np.array_equal(_convection_coeffs(g, f.coeffs), full_convection(g, f.coeffs))
+
+    @property_settings
+    @given(shape=grid_shapes, seed=st.integers(0, 2**32 - 1), dt=st.floats(1e-4, 2e-2))
+    def test_ns_step_matches_full_stages(self, shape, seed, dt):
+        g, f, _ = random_real_field(*shape, seed)
+        assert np.array_equal(_NsStepper(g, dt).step(f.coeffs), full_ns_step(g, dt, f.coeffs))
+
+    @property_settings
+    @given(
+        shape=grid_shapes,
+        seed=st.integers(0, 2**32 - 1),
+        eps=st.floats(1e-3, 1.0),
+        dt=st.floats(1e-4, 2e-2),
+    )
+    def test_nlw_step_matches_full_forcing(self, shape, seed, eps, dt):
+        g, f, _ = random_real_field(*shape, seed)
+        _, h, _ = random_real_field(*shape, seed + 1)
+        got = _NlwStepper(g, eps, dt).step((f.coeffs, h.coeffs))
+        want = full_nlw_step(g, eps, dt, f.coeffs, h.coeffs)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+# Peak traced allocation of one step on 3D n=16, in units of one
+# (dim, *spec_shape) complex array, measured on the full-array steppers
+# these replace (stepper tables built beforehand and excluded).
+FULL_ARRAY_PEAK_UNITS = {"ns": 9.19, "nlw": 7.02}
+
+
+def step_peak_units(step, arg, unit_bytes):
+    step(arg)  # first call outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        step(arg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / unit_bytes
+
+
+def test_step_allocation_peak_not_above_full_array_steppers():
+    g = make_grid(3, 16)
+    c = random_divergence_free_field(g, 3).coeffs
+    ns = step_peak_units(_NsStepper(g, 1e-3).step, c, c.nbytes)
+    nlw = step_peak_units(_NlwStepper(g, 0.01, 1e-3).step, (c, 0.5 * c), c.nbytes)
+    assert ns <= FULL_ARRAY_PEAK_UNITS["ns"]
+    assert nlw <= FULL_ARRAY_PEAK_UNITS["nlw"]

@@ -82,6 +82,29 @@ class TestConfigParsing:
             assert frag in text
         assert len(exc.value.violations) >= 5
 
+    def test_non_finite_values_named_with_line(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text(
+            "dim = 2\nn = 16\nT = nan\ndt = inf\neps_list = 0.1, nan\n"
+            "amplitude = -inf\neta = nan\nenergy_ceiling = nan\n"
+        )
+        with pytest.raises(ConfigError) as exc:
+            parse_config(p)
+        for lineno, key in enumerate(("T", "dt", "eps_list", "amplitude", "eta", "energy_ceiling"), start=3):
+            assert any(v.startswith(f"line {lineno}: {key}: must be finite") for v in exc.value.violations)
+        assert len(exc.value.violations) == 6
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"T": math.nan}, {"T": math.inf}, {"dt": math.nan}, {"eps_list": [0.1, math.nan]},
+            {"amplitude": math.nan}, {"eta": math.nan}, {"energy_ceiling": math.nan}, {"s": math.nan},
+        ],
+    )
+    def test_validate_rejects_non_finite(self, kw):
+        (key,) = kw
+        assert [v for v in ExperimentConfig(**kw).validate() if v.startswith(f"{key}:")] != []
+
     def test_unknown_and_duplicate_keys(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("dim = 2\ndim = 3\nn = 16\neps_list = 0.1\n")

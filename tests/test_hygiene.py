@@ -11,6 +11,10 @@ OpenBLAS's thread pool, whose threads spin on after it returns and take the
 CPU from the other workers of the experiment pool; reductions are written
 as elementwise products and sums.  ``np.polyfit`` in ``fit_rate`` reaches
 LAPACK but runs once per sweep, in the parent process, and is allowed.
+
+``numpy.fft`` transforms may be called only in ``spectral.py`` and
+``initial_data.py``, where the transform counts of the benchmark arithmetic
+(``bench/workloads.expected_counts``) are documented.
 """
 
 import ast
@@ -52,6 +56,40 @@ def blas_products(path):
     return found
 
 
+FFT_TRANSFORMS = {
+    "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+    "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn",
+    "hfft", "ihfft",
+}
+FFT_MODULES = {"spectral.py", "initial_data.py"}
+
+
+def fft_transform_calls(path):
+    """Calls of ``<...>.fft.<transform>`` and of transforms imported from ``numpy.fft``."""
+    tree = parse(path)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.fft"
+        for alias in node.names
+        if alias.name in FFT_TRANSFORMS
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        via_module = (
+            isinstance(func, ast.Attribute)
+            and func.attr in FFT_TRANSFORMS
+            and isinstance(func.value, ast.Attribute)
+            and func.value.attr == "fft"
+        )
+        if via_module or (isinstance(func, ast.Name) and func.id in imported):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
 def unused_imports(path):
     tree = parse(path)
     used = referenced_names(tree)
@@ -89,3 +127,9 @@ def test_every_private_definition_is_referenced():
 
 def test_no_blas_products():
     assert [f for path in sorted(PACKAGE.glob("*.py")) for f in blas_products(path)] == []
+
+
+def test_fft_transforms_only_where_counted():
+    assert fft_transform_calls(PACKAGE / "spectral.py") != []  # the rule sees the calls it governs
+    others = [p for p in sorted(PACKAGE.glob("*.py")) if p.name not in FFT_MODULES]
+    assert [f for path in others for f in fft_transform_calls(path)] == []

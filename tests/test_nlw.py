@@ -19,7 +19,7 @@ from hypns.nlw import (
 from hypns.ns import SolverFailure, ns_solve
 from hypns.spectral import SpectralField, inverse_transform, l2_norm, make_grid, zero_field
 
-from conftest import POISON, oracle_mode, poison_from_step
+from conftest import POISON, oracle_mode, poison_from_step, with_nan
 
 
 class TestModeRoots:
@@ -154,6 +154,18 @@ class TestNlwSolve:
         assert res.blowup_t is not None
         # the sample that trips the monitor is not observed
         assert seen == [0.0] and res.blowup_t > 0.0
+
+    @pytest.mark.parametrize("inside_box", [True, False])
+    @pytest.mark.parametrize("slot", ["u0", "u1"])
+    def test_rejects_non_finite_data(self, slot, inside_box):
+        # a NaN must fail the guard, not reach the observer at t=0
+        u0 = random_divergence_free_field(make_grid(2, 16), 3)
+        data = {"u0": u0, "u1": 0.5 * u0}
+        data[slot] = with_nan(data[slot], inside_box)
+        seen = []
+        with pytest.raises(ValueError, match="finite"):
+            nlw_solve(data["u0"], data["u1"], 0.1, 0.1, dt=1e-2, observer=seen.append)
+        assert seen == []
 
     def test_non_finite_step_raises_at_next_sample(self, monkeypatch):
         poison_from_step(monkeypatch, _NlwStepper, "nonlinearity", 2, POISON.step)

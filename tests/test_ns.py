@@ -14,7 +14,7 @@ from hypns.spectral import (
     zero_field,
 )
 
-from conftest import POISON, poison_from_step, single_mode_field
+from conftest import POISON, poison_from_step, single_mode_field, with_nan
 
 
 class TestHeatPropagate:
@@ -130,6 +130,15 @@ class TestNsSolve:
         f, _ = transform(g, np.random.default_rng(3).standard_normal((2, 16, 16)))
         with pytest.raises(ValueError):
             ns_solve(f, 0.1, dt=1e-3)
+
+    @pytest.mark.parametrize("inside_box", [True, False])
+    def test_rejects_non_finite_data(self, inside_box):
+        # a NaN must fail the guard, not reach the observer at t=0
+        v0 = with_nan(random_divergence_free_field(make_grid(2, 16), 3), inside_box)
+        seen = []
+        with pytest.raises(ValueError, match="finite"):
+            ns_solve(v0, 0.1, dt=1e-2, observer=seen.append)
+        assert seen == []
 
     def test_non_finite_step_raises_at_next_sample(self, monkeypatch):
         poison_from_step(monkeypatch, _NsStepper, "rhs", 4, POISON.step)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from hypns.spectral import (
@@ -24,25 +24,7 @@ from hypns.spectral import (
 )
 from hypns.initial_data import random_divergence_free_field, taylor_green
 
-from conftest import single_mode_field
-
-# 2D with every even n in [8, 64], 3D with n in {8, 16}
-grid_shapes = st.one_of(
-    st.tuples(st.just(2), st.integers(4, 32).map(lambda m: 2 * m)),
-    st.tuples(st.just(3), st.sampled_from([8, 16])),
-)
-property_settings = settings(max_examples=30, deadline=None, database=None, derandomize=True)
-
-
-def random_real_field(dim, n, seed):
-    """Transform of seeded real values with content on every mode,
-    the Nyquist planes included."""
-    g = make_grid(dim, n)
-    rng = np.random.default_rng(seed)
-    vals = rng.standard_normal((dim,) + g.shape) * rng.uniform(0.1, 10.0)
-    f, _ = transform(g, vals)
-    return g, f, vals
-
+from conftest import grid_shapes, property_settings, random_real_field, single_mode_field, with_nan
 
 def rel_err(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
@@ -264,6 +246,18 @@ class TestConvection:
         f, _ = transform(g, np.random.default_rng(13).standard_normal((2, 16, 16)))
         with pytest.raises(ValueError):
             convection_term(f)
+
+    @pytest.mark.parametrize("inside_box", [True, False])
+    def test_rejects_non_finite_field(self, inside_box):
+        f = with_nan(random_divergence_free_field(make_grid(2, 16), 13), inside_box)
+        with pytest.raises(ValueError, match="finite"):
+            convection_term(f)
+
+    def test_nan_outside_box_does_not_reach_kernel_output(self):
+        # the kernel reads only the 2/3-rule box, so the guard above is
+        # what rejects such data
+        f = with_nan(random_divergence_free_field(make_grid(2, 16), 13), inside_box=False)
+        assert np.isfinite(_convection_coeffs(f.grid, f.coeffs)).all()
 
 
 def test_gagliardo_nirenberg_lattice():
