@@ -327,12 +327,13 @@ class ExistenceResult:
     sup_bound_ok: bool
 
 
-def _wave_run(cfg: ExperimentConfig, eps: float, v0_coeffs, dt: float, ref, force: bool) -> SweepRow:
-    """Solve the relaxed system for one eps and audit its energies.  ``ref``
-    is the reference run as (time, coefficients) per sample or None; data that
-    fail admissibility are skipped unless ``force`` is set."""
-    grid = make_grid(cfg.dim, cfg.n)
-    v0 = SpectralField(grid, v0_coeffs)
+def _wave_run(cfg: ExperimentConfig, eps: float, v0: SpectralField, dt: float, ref, force: bool) -> SweepRow:
+    """Solve the relaxed system for one eps and audit its energies.
+
+    ``v0`` is the reference data; the solve runs on its grid, so every eps
+    of a run shares one ``Grid`` and its tables.  ``ref`` is the reference
+    run as a list of ``(t, SpectralField)`` samples on that grid, or None.
+    Data that fail admissibility are skipped unless ``force`` is set."""
     u0, u1 = build_wave_data(cfg, v0, eps)
     hyp = check_hypotheses(u0, u1, v0, eps, cfg.s, cfg.delta, cfg.dim)
     if not hyp.passed and not force:
@@ -351,7 +352,7 @@ def _wave_run(cfg: ExperimentConfig, eps: float, v0_coeffs, dt: float, ref, forc
             i = len(reports)
             if i >= len(ref) or abs(state.t - ref[i][0]) > 1e-9 * max(cfg.T, 1.0):
                 raise RuntimeError("wave samples drifted out of alignment with the reference run")
-            v = SpectralField(grid, ref[i][1])
+            v = ref[i][1]
         reports.append(make_energy_report(state, dcfg, v=v))
         if v is not None:
             cross_vals.append(hs_inner(state.ut, dt_v(NsState(v, state.t)), dcfg.sigma0))
@@ -401,21 +402,24 @@ def _run_eps_list(cfg: ExperimentConfig, jobs: int, with_reference: bool, force:
     ref = None
     if with_reference:
         ref = []
-        ns_solve(v0, cfg.T, dt=dt, observer=lambda st: ref.append((st.t, st.v.coeffs)), stride=cfg.sample_stride)
+        ns_solve(v0, cfg.T, dt=dt, observer=lambda st: ref.append((st.t, st.v)), stride=cfg.sample_stride)
 
     if jobs <= 1:
-        rows = [_wave_run(cfg, eps, v0.coeffs, dt, ref, force) for eps in cfg.eps_list]
+        rows = [_wave_run(cfg, eps, v0, dt, ref, force) for eps in cfg.eps_list]
     else:
         # each worker receives everything but eps once, when it starts, so
-        # a task does not pickle the reference samples again
-        shared = (cfg, v0.coeffs, dt, ref, force)
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_hold_shared, initargs=shared) as ex:
+        # a task does not pickle the reference samples again; the pool
+        # starts all its workers at the first task, so it gets no more
+        # workers than tasks
+        shared = (cfg, v0, dt, ref, force)
+        workers = min(jobs, len(cfg.eps_list))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_hold_shared, initargs=shared) as ex:
             rows = list(ex.map(_wave_run_shared, cfg.eps_list))
     rows.sort(key=lambda r: -r.eps)
     return dt, rows
 
 
-_shared = None  # a pool worker's (cfg, v0_coeffs, dt, ref, force), set by _hold_shared
+_shared = None  # a pool worker's (cfg, v0, dt, ref, force), set by _hold_shared
 
 
 def _hold_shared(*shared):
@@ -424,8 +428,8 @@ def _hold_shared(*shared):
 
 
 def _wave_run_shared(eps: float) -> SweepRow:
-    cfg, v0_coeffs, dt, ref, force = _shared
-    return _wave_run(cfg, eps, v0_coeffs, dt, ref, force)
+    cfg, v0, dt, ref, force = _shared
+    return _wave_run(cfg, eps, v0, dt, ref, force)
 
 
 def run_convergence(cfg: ExperimentConfig, jobs: int = 1) -> SweepResult:

@@ -7,6 +7,7 @@ exactly per mode, classical RK4 handles the transformed nonlinearity.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -116,12 +117,54 @@ def plan_steps(T: float, dt: float):
     return n_steps, T / n_steps
 
 
+# mallopt(3) parameters and the ceilings glibc's dynamic rule can raise
+# them to on 64-bit: 4 MiB * sizeof(long) and twice that
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+_TRIM_THRESHOLD_MAX = 64 << 20
+_heap_kept = False
+
+
+def _keep_heap():
+    """Keep the memory a step frees in the process, so the next step reuses
+    it instead of faulting in fresh zero-filled pages.
+
+    A step frees a few MiB of temporaries at the top of the glibc heap.
+    glibc hands the top back to the kernel (trims it) once it exceeds the
+    dynamic trim threshold, twice the largest freed mmapped chunk: about
+    0.53 MiB at 2D n=128 and 1.7 MiB at 3D n=32.  So every step trimmed the
+    heap and the next one faulted it in again.  A warm second NS + wave
+    solve pair (20 steps each, stride 10) took 13,610 minor faults at 2D
+    n=128 and 47,241 at 3D n=32; with this policy it takes 0 or 1.  A
+    fresh-process ``converge_2d`` or ``converge_3d`` benchmark run took
+    about 45k faults and spent a seventh of its time in the kernel; now it
+    takes 2-5k.
+
+    Sets the mmap and trim thresholds to the ceilings glibc's dynamic rule
+    can reach (mallopt(3)); both must be set, because setting either one
+    switches the dynamic rule off.  Called by ``march`` and effective on
+    the first call only; forked pool workers inherit the setting.  A
+    silent no-op where the C library has no ``mallopt``."""
+    global _heap_kept
+    if _heap_kept:
+        return
+    _heap_kept = True
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_MAX)
+
+
 def march(make_stepper, coeffs, T: float, dt: float, stride: int):
     """Step ``coeffs`` with the map ``make_stepper(dt_eff)`` of ``plan_steps``
     and yield ``(t, coeffs)`` at t=0, every ``stride``-th step and t=T.
 
     ``coeffs`` is an array or a tuple whose first array is the solution;
     that array must be finite at each sample, else SolverFailure."""
+    _keep_heap()
     n_steps, dt_eff = plan_steps(T, dt)
     yield 0.0, coeffs
     if n_steps == 0:

@@ -19,10 +19,12 @@ from hypns.experiments import (
     run_inequality_audit,
     save_field,
 )
+from hypns.diagnostics import make_energy_report
 from hypns.nlw import _NlwStepper
+from hypns.ns import ns_solve
 from hypns.reporting import emit_report
 from hypns.spectral import inverse_transform, make_grid
-from hypns import cli, experiments
+from hypns import cli, experiments, spectral
 
 from conftest import POISON, poison_from_step
 
@@ -207,6 +209,54 @@ class TestRunConvergence:
         assert short == long and len(long) == len(golden_config().eps_list)
         # a single stored reference sample would not fit
         assert max(long) < make_grid(2, 16).npoints * 16
+
+    @pytest.mark.parametrize("entry", [run_convergence, run_existence_probe])
+    def test_pool_forks_no_more_workers_than_eps(self, monkeypatch, entry):
+        workers = []
+
+        class RecordingPool(experiments.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        entry(golden_config(T=0.02), jobs=8)
+        assert workers == [len(golden_config().eps_list)]
+
+    @pytest.mark.parametrize("entry", [run_convergence, run_existence_probe])
+    def test_one_grid_per_run(self, monkeypatch, entry):
+        built = []
+        post_init = spectral.Grid.__post_init__
+
+        def counted(grid):
+            built.append((grid.dim, grid.n))
+            post_init(grid)
+
+        monkeypatch.setattr(spectral.Grid, "__post_init__", counted)
+        rows = entry(golden_config(), jobs=1).rows
+        assert built == [(2, 16)] and len(rows) == len(golden_config().eps_list)
+
+    def test_reference_samples_passed_without_copy(self, monkeypatch):
+        stored, passed = [], []
+
+        def recording_solve(v0, T, observer, **kwargs):
+            def keep(state):
+                stored.append(state.v)
+                observer(state)
+
+            return ns_solve(v0, T, observer=keep, **kwargs)
+
+        def recording_report(state, dcfg, v=None):
+            passed.append(v)
+            return make_energy_report(state, dcfg, v=v)
+
+        monkeypatch.setattr(experiments, "ns_solve", recording_solve)
+        monkeypatch.setattr(experiments, "make_energy_report", recording_report)
+        cfg = golden_config()
+        run_convergence(cfg)
+        assert len(stored) == 11  # t = 0, 0.01, ..., 0.1: every 5th step of dt 2e-3
+        assert len(passed) == len(cfg.eps_list) * len(stored)
+        assert all(p is s for p, s in zip(passed, stored * len(cfg.eps_list), strict=True))
 
     def test_cross_term_decays_with_eps(self):
         cfg = golden_config(n=32, eps_list=[1e-1, 1e-2, 1e-3], T=0.25)

@@ -15,6 +15,9 @@ LAPACK but runs once per sweep, in the parent process, and is allowed.
 ``numpy.fft`` transforms may be called only in ``spectral.py`` and
 ``initial_data.py``, where the transform counts of the benchmark arithmetic
 (``bench/workloads.expected_counts``) are documented.
+
+``ctypes`` may be imported only in ``ns.py``, whose ``_keep_heap`` is the
+one platform-specific call into the C library (the allocator policy).
 """
 
 import ast
@@ -90,6 +93,17 @@ def fft_transform_calls(path):
     return found
 
 
+def imported_modules(path):
+    """Top-level names of the modules a file imports absolutely."""
+    found = set()
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
 def unused_imports(path):
     tree = parse(path)
     used = referenced_names(tree)
@@ -133,3 +147,8 @@ def test_fft_transforms_only_where_counted():
     assert fft_transform_calls(PACKAGE / "spectral.py") != []  # the rule sees the calls it governs
     others = [p for p in sorted(PACKAGE.glob("*.py")) if p.name not in FFT_MODULES]
     assert [f for path in others for f in fft_transform_calls(path)] == []
+
+
+def test_ctypes_only_in_ns():
+    importers = [p.name for p in sorted(PACKAGE.glob("*.py")) if "ctypes" in imported_modules(p)]
+    assert importers == ["ns.py"]

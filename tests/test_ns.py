@@ -1,8 +1,13 @@
+import ctypes
+import resource
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from hypns import ns
 from hypns.initial_data import random_divergence_free_field, taylor_green
+from hypns.nlw import nlw_solve
 from hypns.ns import NsState, SolverFailure, _check_finite, _NsStepper, dt_v, heat_propagate, ns_solve, ns_step
 from hypns.spectral import (
     divergence,
@@ -153,6 +158,61 @@ class TestNsSolve:
             ns_solve(v0, POISON.T, dt=POISON.dt, observer=obs, stride=POISON.stride)
         assert exc.value.t == POISON.fail_t
         assert seen == POISON.clean_times
+
+
+def _on_glibc() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "gnu_get_libc_version")
+    except (OSError, TypeError):
+        return False
+
+
+class TestKeepHeap:
+    @pytest.mark.skipif(not _on_glibc(), reason="the allocator policy is a glibc mallopt")
+    def test_warm_solve_pair_takes_no_page_faults(self):
+        # without the policy the heap is trimmed after every step and faulted
+        # in again: thousands of minor faults per pair at this size
+        g = make_grid(2, 128)
+        v0 = random_divergence_free_field(g, 13, band=20)
+        u1 = zero_field(g)
+
+        def solve_pair():
+            ns_solve(v0, 0.04, dt=2e-3, stride=10)
+            nlw_solve(v0, u1, 1e-2, 0.04, dt=2e-3, stride=10)
+
+        solve_pair()  # warm-up: the heap grows to the steps' working set
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        solve_pair()
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+    def test_mallopt_called_once(self, monkeypatch):
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(ns, "_heap_kept", False)
+        monkeypatch.setattr(ns.ctypes, "CDLL", lambda name: Libc())
+        v0 = random_divergence_free_field(make_grid(2, 16), 14)
+        for _ in range(2):
+            ns_solve(v0, 0.01, dt=5e-3)  # march, the one step loop, applies the policy
+        ns._keep_heap()
+        assert calls == [(ns._M_MMAP_THRESHOLD, 32 << 20), (ns._M_TRIM_THRESHOLD, 64 << 20)]
+
+    @pytest.mark.parametrize("libc", ["raises", "no_mallopt"])
+    def test_silent_without_mallopt(self, monkeypatch, libc):
+        def cdll(name):
+            if libc == "raises":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(ns, "_heap_kept", False)
+        monkeypatch.setattr(ns.ctypes, "CDLL", cdll)
+        v0 = random_divergence_free_field(make_grid(2, 16), 15)
+        out = ns_solve(v0, 0.01, dt=5e-3)
+        assert out.t == 0.01 and np.all(np.isfinite(out.v.coeffs))
 
 
 class TestCheckFinite:
