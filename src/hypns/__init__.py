@@ -2,9 +2,7 @@
 relaxation of incompressible Navier-Stokes on the periodic torus."""
 
 from .diagnostics import (
-    DiagnosticsConfig,
     EnergyReport,
-    composite_energy,
     dafermos_derivative_residuals,
     dafermos_energy,
     energy,

@@ -25,33 +25,6 @@ from .spectral import (
 )
 
 
-@dataclass(frozen=True)
-class DiagnosticsConfig:
-    """Knobs for the energy monitors.
-
-    ``n_exponent`` is the composite-energy exponent N; ``threshold_c``
-    stands in for the analysis constants in the sup-norm threshold
-    ||u||_inf < 1/(c sqrt(eps)).
-    """
-
-    dim: int
-    delta: float
-    n_exponent: int = 0
-    threshold_c: float = 1.0
-
-    def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ValueError("dim must be 2 or 3")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.threshold_c <= 0:
-            raise ValueError("threshold_c must be > 0")
-
-    @property
-    def sigma0(self) -> float:
-        return base_sigma(self.dim)
-
-
 @dataclass
 class EnergyReport:
     """Scalar diagnostics of one wave state at one time."""
@@ -75,11 +48,6 @@ def composite_scalar(e_delta: float, e_base: float, n_exponent: int) -> float:
         return float(e_delta)
     with np.errstate(over="ignore"):
         return float(np.exp(np.log(e_delta) + n_exponent * np.log1p(e_base)))
-
-
-def composite_energy(state: WaveState, config: DiagnosticsConfig) -> float:
-    s0 = config.sigma0
-    return composite_scalar(energy(state, s0 + config.delta), energy(state, s0), config.n_exponent)
 
 
 def _modulated_energy(state: WaveState, diff: np.ndarray, sigma0: float) -> float:
@@ -112,18 +80,24 @@ def linf_threshold(state: WaveState, c: float) -> ThresholdCheck:
 
 def make_energy_report(
     state: WaveState,
-    config: DiagnosticsConfig,
+    delta: float,
+    *,
+    threshold_c: float = 1.0,
     v: SpectralField | None = None,
 ) -> EnergyReport:
-    """Energies, sup norm and, given the reference field v, the modulated
-    energy and the squared error ||u - v||^2 at sigma0, all from one set of
-    per-mode densities of the state's coefficients."""
-    s0 = config.sigma0
-    check = linf_threshold(state, config.threshold_c)
+    """Energies at sigma0 and sigma0 + ``delta``, the sup norm against the
+    threshold 1/(``threshold_c`` sqrt(eps)) and, given the reference field
+    v, the modulated energy and the squared error ||u - v||^2 at sigma0,
+    all from one set of per-mode densities of the state's coefficients.
+
+    sigma0 is ``base_sigma`` of the state's grid dimension.  ``composite``
+    stays NaN: ``energy_decay_audit`` fills it once the exponent is known."""
+    s0 = base_sigma(state.u.grid.dim)
+    check = linf_threshold(state, threshold_c)
     rep = EnergyReport(
         t=state.t,
         e_base=energy(state, s0),
-        e_delta=energy(state, s0 + config.delta),
+        e_delta=energy(state, s0 + delta),
         linf=check.value,
         threshold_ok=check.ok,
     )
@@ -132,11 +106,6 @@ def make_energy_report(
         rep.dafermos = _modulated_energy(state, diff, s0)
         rep.err_sq = weighted_sum(state.u.grid, s0, mode_mag2(diff))
     return rep
-
-
-def fill_composite(reports, n_exponent: int):
-    for r in reports:
-        r.composite = composite_scalar(r.e_delta, r.e_base, n_exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +270,17 @@ class DecayAudit:
     base_monotone: bool | None
 
 
-def smallest_monotone_exponent(e_delta, e_base, rel_tol: float = 1e-7) -> int | None:
+# relative slack under which a step of an energy series still counts as
+# non-increasing
+MONOTONE_REL_TOL = 1e-7
+
+
+def smallest_monotone_exponent(e_delta, e_base) -> int | None:
     """Smallest integer N >= 0 making E_delta (1+E_base)^N non-increasing
-    step-by-step within the relative tolerance, or None if no N works."""
+    step-by-step within ``MONOTONE_REL_TOL``, or None if no N works."""
     lo = 0
     hi = None
-    slack = math.log1p(rel_tol)
+    slack = math.log1p(MONOTONE_REL_TOL)
     for j in range(len(e_delta) - 1):
         d0, d1 = e_delta[j], e_delta[j + 1]
         if d1 <= 0.0:
@@ -332,10 +306,10 @@ def smallest_monotone_exponent(e_delta, e_base, rel_tol: float = 1e-7) -> int | 
     return n
 
 
-def _monotone_violations(times, series, rel_tol):
+def _monotone_violations(times, series):
     bad = []
     for j in range(len(series) - 1):
-        if series[j + 1] > series[j] * (1.0 + rel_tol) + 1e-300:
+        if series[j + 1] > series[j] * (1.0 + MONOTONE_REL_TOL) + 1e-300:
             bad.append(float(times[j + 1]))
     return bad
 
@@ -347,20 +321,25 @@ def energy_decay_audit(
     u0_l2: float,
     dim: int,
     n_exponent: int | None = None,
-    rel_tol: float = 1e-7,
     u0_h_half: float | None = None,
 ) -> DecayAudit:
-    """Check the decay and boundedness claims on an energy-report series."""
+    """Check the decay and boundedness claims on an energy-report series.
+
+    The composite E_delta (1 + E_base)^N is taken with N = ``n_exponent``,
+    or the smallest exponent that makes it monotone (0 if none does), and
+    is written to each report's ``composite``."""
     if not reports:
         raise ValueError("empty trajectory")
     times = [r.t for r in reports]
     e_base = [r.e_base for r in reports]
     e_delta = [r.e_delta for r in reports]
 
-    n_star = smallest_monotone_exponent(e_delta, e_base, rel_tol)
+    n_star = smallest_monotone_exponent(e_delta, e_base)
     used_n = n_exponent if n_exponent is not None else (n_star if n_star is not None else 0)
     composite = [composite_scalar(d, b, used_n) for d, b in zip(e_delta, e_base)]
-    violations = _monotone_violations(times, composite, rel_tol)
+    for r, c in zip(reports, composite):
+        r.composite = c
+    violations = _monotone_violations(times, composite)
 
     sup_eps_delta_e = eps**delta * max(e_delta)
     growth_cap = e_delta[0] * (2.0 * u0_l2**2 + 1.0) ** used_n
@@ -374,7 +353,7 @@ def energy_decay_audit(
 
     base_monotone = None
     if dim == 3 and u0_h_half is not None and u0_h_half < 1.0 / 16.0:
-        base_monotone = not _monotone_violations(times, e_base, rel_tol)
+        base_monotone = not _monotone_violations(times, e_base)
 
     return DecayAudit(
         n_star=n_star,

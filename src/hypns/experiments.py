@@ -9,10 +9,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .diagnostics import (
-    DiagnosticsConfig,
     cross_term_quadrature,
     energy_decay_audit,
-    fill_composite,
     interpolation_ratios,
     make_energy_report,
     trilinear_ratio,
@@ -30,7 +28,7 @@ from .initial_data import (
 )
 from .ns import NsState, SolverFailure, default_dt, dt_v, ns_solve
 from .nlw import nlw_solve
-from .spectral import SpectralField, hs_inner, l2_norm, make_grid
+from .spectral import SpectralField, base_sigma, hs_inner, l2_norm, make_grid
 
 
 class ConfigError(ValueError):
@@ -223,13 +221,15 @@ class RateFit:
 
 
 def fit_rate(pairs) -> RateFit | None:
-    """Least squares of log(value) against log(eps).
+    """Least squares of log(value) against log(eps) over the (eps, value)
+    pairs of any iterable.
 
     Nonpositive values are excluded (counted in ``excluded``); returns
     None when fewer than two usable points remain.
     """
+    pairs = list(pairs)
     usable = [(e, v) for e, v in pairs if e > 0 and v > 0 and math.isfinite(v)]
-    excluded = len(list(pairs)) - len(usable)
+    excluded = len(pairs) - len(usable)
     if len(usable) < 2:
         return None
     x = np.log([e for e, _ in usable])
@@ -335,14 +335,14 @@ def _wave_run(cfg: ExperimentConfig, eps: float, v0: SpectralField, dt: float, r
     run as a list of ``(t, SpectralField)`` samples on that grid, or None.
     Data that fail admissibility are skipped unless ``force`` is set."""
     u0, u1 = build_wave_data(cfg, v0, eps)
-    hyp = check_hypotheses(u0, u1, v0, eps, cfg.s, cfg.delta, cfg.dim)
+    hyp = check_hypotheses(u0, u1, v0, eps, cfg.s, cfg.delta)
     if not hyp.passed and not force:
         return SweepRow(
             eps, hypothesis=hyp, skipped=True,
             skip_reason="admissibility hypotheses failed (rerun with force to proceed)",
         )
 
-    dcfg = DiagnosticsConfig(cfg.dim, cfg.delta, threshold_c=cfg.threshold_c)
+    sigma0 = base_sigma(v0.grid.dim)
     reports = []
     cross_vals = []
 
@@ -353,9 +353,9 @@ def _wave_run(cfg: ExperimentConfig, eps: float, v0: SpectralField, dt: float, r
             if i >= len(ref) or abs(state.t - ref[i][0]) > 1e-9 * max(cfg.T, 1.0):
                 raise RuntimeError("wave samples drifted out of alignment with the reference run")
             v = ref[i][1]
-        reports.append(make_energy_report(state, dcfg, v=v))
+        reports.append(make_energy_report(state, cfg.delta, threshold_c=cfg.threshold_c, v=v))
         if v is not None:
-            cross_vals.append(hs_inner(state.ut, dt_v(NsState(v, state.t)), dcfg.sigma0))
+            cross_vals.append(hs_inner(state.ut, dt_v(NsState(v, state.t)), sigma0))
 
     try:
         result = nlw_solve(
@@ -370,7 +370,6 @@ def _wave_run(cfg: ExperimentConfig, eps: float, v0: SpectralField, dt: float, r
         reports, eps, cfg.delta, u0_l2=l2_norm(u0), dim=cfg.dim,
         n_exponent=cfg.composite_n, u0_h_half=hyp.smallness,
     )
-    fill_composite(reports, audit.used_n)
     return SweepRow(
         eps=eps,
         sup_err_sq=max(r.err_sq for r in reports),
@@ -397,7 +396,7 @@ def _run_eps_list(cfg: ExperimentConfig, jobs: int, with_reference: bool, force:
         raise ConfigError(bad)
     grid = make_grid(cfg.dim, cfg.n)
     v0 = build_reference_field(cfg, grid)
-    dt = cfg.dt if cfg.dt is not None else default_dt(grid, v0)
+    dt = cfg.dt if cfg.dt is not None else default_dt(v0)
 
     ref = None
     if with_reference:

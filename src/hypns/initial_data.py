@@ -57,7 +57,8 @@ class HypothesisReport:
 
     Each named ratio is the corresponding norm combination divided by
     eps^(s/2) times the reference homogeneous norm, so the truncation
-    family lands at ratios <= 1 exactly.  ``o1_value`` is the raw
+    family lands at ratios <= 1 exactly and the data pass when every
+    ratio is at most 1.  ``o1_value`` is the raw
     eps^(1 + delta/2) derivative-data term; ``smallness`` carries the 3D
     critical-norm check (None in 2D).
     """
@@ -69,7 +70,6 @@ class HypothesisReport:
     ratios: dict = field(default_factory=dict)
     o1_value: float = 0.0
     smallness: float | None = None
-    bound: float = 1.0
     passed: bool = False
 
 
@@ -99,8 +99,7 @@ def synth_hs_field(recipe: DataRecipe, grid: Grid) -> SpectralField:
     unit = ph / np.where(mag > 0, mag, 1.0)
 
     slope = recipe.regularity + grid.dim / 2.0 + recipe.spectral_slope_margin
-    profile = np.where(grid.k2 > 0, grid.k2, 1.0) ** (-slope / 2.0)
-    profile[grid.k2 == 0] = 0.0
+    profile = grid.k2_power(-slope / 2.0)
     # drop the unpaired Nyquist rows so derivative symbols stay clean
     for k in grid.k:
         profile[np.abs(k) == grid.n // 2] = 0.0
@@ -129,9 +128,7 @@ def random_divergence_free_field(
     axes = tuple(range(1, grid.dim + 1))
     c = np.fft.rfftn(noise, axes=axes)
     if slope != 0.0:
-        prof = np.where(grid.k2 > 0, grid.k2, 1.0) ** (-slope / 2.0)
-        prof[grid.k2 == 0] = 0.0
-        c = c * prof
+        c = c * grid.k2_power(-slope / 2.0)
     if band is not None:
         keep = np.ones(grid.spec_shape, dtype=bool)
         for k in grid.k:
@@ -189,16 +186,14 @@ def check_hypotheses(
     eps: float,
     s: float,
     delta: float,
-    dim: int,
-    bound: float = 1.0,
 ) -> HypothesisReport:
-    """Evaluate the admissibility block for the given dimension.
+    """Evaluate the admissibility block in the dimension of the fields' grid.
 
     2D terms are measured from L^2 upward; 3D terms sit half a derivative
-    higher and add the critical-norm smallness check ||u0|| < 1/16.
+    higher and add the critical-norm smallness check ||u0|| < 1/16.  The
+    data pass when every ratio is at most 1 (and, in 3D, the check holds).
     """
-    if dim != u0.grid.dim:
-        raise ValueError("dimension mismatch between fields and request")
+    dim = u0.grid.dim
     sig0 = base_sigma(dim)
     ref = sobolev_norm(v0, s + sig0)
     denom = eps ** (s / 2.0) * max(ref, 1e-300)
@@ -213,7 +208,7 @@ def check_hypotheses(
     o1_value = eps ** (1.0 + delta / 2.0) * sobolev_norm(u1, sig0 + delta)
     smallness = sobolev_norm(u0, 0.5) if dim == 3 else None
 
-    passed = all(r <= bound for r in ratios.values())
+    passed = all(r <= 1.0 for r in ratios.values())
     if dim == 3:
         passed = passed and smallness < 1.0 / 16.0
     return HypothesisReport(
@@ -224,7 +219,6 @@ def check_hypotheses(
         ratios=ratios,
         o1_value=o1_value,
         smallness=smallness,
-        bound=bound,
         passed=passed,
     )
 

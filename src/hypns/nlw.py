@@ -249,30 +249,28 @@ def nlw_solve(
     dt: float | None = None,
     observer=None,
     stride: int = 1,
-    blowup_monitor=None,
     blowup_factor: float = 1e6,
 ) -> WaveSolveResult:
     """Integrate the damped wave system to time T.
 
-    ``observer(state)`` fires at exact sample times.  When the monitored
-    energy (``energy(state, 0)`` by default) exceeds ``blowup_factor`` times its
-    initial value the run stops and the result carries the blow-up flag.
-    Non-finite or divergent initial data is rejected with ValueError.
+    ``observer(state)`` fires at exact sample times.  When the wave energy
+    ``energy(state, 0)`` of a sample exceeds ``blowup_factor`` times its
+    initial value the run stops, before that sample is observed, and the
+    result carries the blow-up flag.  Non-finite or divergent initial data
+    is rejected with ValueError.
     """
     grid = u0.grid
     require_divergence_free("nlw_solve", [u0, u1])
     if dt is None:
-        dt = default_dt(grid, u0)
-    if blowup_monitor is None:
-        blowup_monitor = lambda st: energy(st, 0.0)
+        dt = default_dt(u0)
 
     state = WaveState(u0, u1, eps, 0.0)
-    ceiling = blowup_factor * max(blowup_monitor(state), 1e-300)
+    ceiling = blowup_factor * max(energy(state, 0.0), 1e-300)
     for t, (uc, wc) in march(lambda h: _NlwStepper(grid, eps, h).step, (u0.coeffs, u1.coeffs), T, dt, stride):
         if t > 0.0:
             state = WaveState(SpectralField(grid, uc), SpectralField(grid, wc), eps, t)
             del uc, wc  # the state holds copies; free the step arrays before the next steps
-            if blowup_monitor(state) > ceiling:
+            if energy(state, 0.0) > ceiling:
                 return WaveSolveResult(state, blew_up=True, blowup_t=t)
         if observer is not None:
             observer(state)
@@ -291,13 +289,19 @@ def rescale(state: WaveState, direction: str, eps: float | None = None) -> WaveS
     if direction not in ("to_unit", "from_unit"):
         raise ValueError("direction must be 'to_unit' or 'from_unit'")
     grid = state.u.grid
+    half = grid.n // 2
 
     if direction == "to_unit":
         m = _lattice_factor(state.eps)
         if m == 1:
             return state
-        uc = _contract_modes(grid, state.u.coeffs, m)
-        wc = _contract_modes(grid, state.ut.coeffs, m)
+        # Nyquist content is rejected: the sign of k = n/2 is undefined, so
+        # it has no well-defined image
+        uc, wc = _remap_modes(
+            state, lambda k: (k % m == 0) & (np.abs(k) < half), lambda k: k // m,
+            "state has mode content off the m-divisible sublattice or at the Nyquist wavenumber; "
+            "cannot rescale to_unit",
+        )
         root = math.sqrt(state.eps)
         return WaveState(
             SpectralField(grid, uc * root),
@@ -313,8 +317,10 @@ def rescale(state: WaveState, direction: str, eps: float | None = None) -> WaveS
     m = _lattice_factor(eps)
     if m == 1:
         return state
-    uc = _dilate_modes(grid, state.u.coeffs, m)
-    wc = _dilate_modes(grid, state.ut.coeffs, m)
+    uc, wc = _remap_modes(
+        state, lambda k: np.abs(k * m) <= half - 1, lambda k: k * m,
+        "dilated wavenumbers exceed the grid range; cannot rescale from_unit",
+    )
     return WaveState(
         SpectralField(grid, uc * m),
         SpectralField(grid, wc * m**3),
@@ -333,44 +339,25 @@ def _lattice_factor(eps: float) -> int:
     return m
 
 
-def _mode_index_arrays(grid: Grid):
-    """Integer wavenumbers of the stored modes.  Taken modulo n they index
-    the coefficient array, the last axis (0..n/2) included."""
-    return [k.astype(np.int64) for k in grid.k]
+def _remap_modes(state: WaveState, keep, image, error: str):
+    """The coefficients of u and u_t, each moved from mode k to mode
+    ``image(k)`` on the modes where ``keep`` holds on every axis.
 
-
-def _contract_modes(grid: Grid, c: np.ndarray, m: int) -> np.ndarray:
-    """Map coefficient at mode m*q to mode q; requires support on the
-    m-divisible sublattice.  Nyquist content is rejected: the sign of
-    k = n/2 is undefined, so it has no well-defined image."""
-    kidx = _mode_index_arrays(grid)
-    on_sub = np.ones(grid.spec_shape, dtype=bool)
-    for k in kidx:
-        on_sub &= (k % m == 0) & (np.abs(k) < grid.n // 2)
-    off = ~on_sub
-    if np.max(np.abs(c[:, off])) > 1e-13 * max(np.max(np.abs(c)), 1e-300):
-        raise ValueError(
-            "state has mode content off the m-divisible sublattice or at the Nyquist wavenumber; "
-            "cannot rescale to_unit"
-        )
-    out = np.zeros_like(c)
-    src = tuple((k[on_sub]) % grid.n for k in kidx)
-    dst = tuple((k[on_sub] // m) % grid.n for k in kidx)
-    out[(slice(None),) + dst] = c[(slice(None),) + src]
-    return out
-
-
-def _dilate_modes(grid: Grid, c: np.ndarray, m: int) -> np.ndarray:
-    """Map coefficient at mode q to mode m*q; rejects out-of-range content."""
-    kidx = _mode_index_arrays(grid)
-    in_range = np.ones(grid.spec_shape, dtype=bool)
-    for k in kidx:
-        in_range &= np.abs(k * m) <= grid.n // 2 - 1
-    out_of_range = ~in_range
-    if np.max(np.abs(c[:, out_of_range])) > 1e-13 * max(np.max(np.abs(c)), 1e-300):
-        raise ValueError("dilated wavenumbers exceed the grid range; cannot rescale from_unit")
-    out = np.zeros_like(c)
-    src = tuple(k[in_range] % grid.n for k in kidx)
-    dst = tuple((k[in_range] * m) % grid.n for k in kidx)
-    out[(slice(None),) + dst] = c[(slice(None),) + src]
+    ``keep`` and ``image`` act on one axis's integer wavenumbers.  Content
+    outside the kept modes raises ValueError with the message ``error``."""
+    grid = state.u.grid
+    n = grid.n
+    # integer wavenumbers; taken modulo n they index the coefficient array,
+    # the last axis (0..n/2) included
+    kidx = [k.astype(np.int64) for k in grid.k]
+    kept = np.logical_and.reduce([keep(k) for k in kidx])
+    src = tuple(k[kept] % n for k in kidx)
+    dst = tuple(image(k[kept]) % n for k in kidx)
+    out = []
+    for c in (state.u.coeffs, state.ut.coeffs):
+        if np.max(np.abs(c[:, ~kept])) > 1e-13 * max(np.max(np.abs(c)), 1e-300):
+            raise ValueError(error)
+        moved = np.zeros_like(c)
+        moved[(slice(None),) + dst] = c[(slice(None),) + src]
+        out.append(moved)
     return out

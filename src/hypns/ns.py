@@ -49,12 +49,13 @@ def heat_propagate(f: SpectralField, tau: float) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * np.exp(-f.grid.k2 * tau))
 
 
-def default_dt(grid: Grid, v0: SpectralField) -> float:
-    """Advective CFL with safety 0.5; the linear part is exact."""
+def default_dt(v0: SpectralField) -> float:
+    """Advective CFL with safety 0.5 on the grid of ``v0``; the linear part
+    is exact."""
     vmax = linf_norm(v0)
     if vmax == 0.0:
         return 1e-3
-    return min(1e-3, 0.5 / (grid.n * vmax))
+    return min(1e-3, 0.5 / (v0.grid.n * vmax))
 
 
 def _check_finite(c: np.ndarray, t: float):
@@ -191,7 +192,7 @@ def ns_solve(
     grid = v0.grid
     require_divergence_free("ns_solve", [v0])
     if dt is None:
-        dt = default_dt(grid, v0)
+        dt = default_dt(v0)
 
     state = NsState(v0, 0.0)
     for t, c in march(lambda h: _NsStepper(grid, h).step, v0.coeffs, T, dt, stride):

@@ -158,14 +158,19 @@ class Grid:
         x = self.axes()
         return np.meshgrid(*([x] * self.dim), indexing="ij")
 
+    def k2_power(self, p: float) -> np.ndarray:
+        """New table |k|^(2 p), 0 on the zero mode for every p."""
+        out = np.where(self.k2 > 0, self.k2, 1.0) ** p
+        out[self.k2 == 0] = 0.0
+        return out
+
     def weight(self, sigma: float) -> np.ndarray:
         """Read-only table mult * |k|^(2 sigma), 0 on the zero mode: summed
         against a per-mode density it gives the full-spectrum sum.  Built
         once per sigma and kept on the grid."""
         w = self._weights.get(sigma)
         if w is None:
-            w = np.where(self.k2 > 0, self.k2, 1.0) ** sigma * self.mult
-            w[self.k2 == 0] = 0.0
+            w = self.k2_power(sigma) * self.mult
             w.flags.writeable = False
             self._weights[sigma] = w
         return w
@@ -301,9 +306,7 @@ def lambda_power(f: SpectralField, sigma: float) -> SpectralField:
     g = f.grid
     if sigma == 0.0:
         return f
-    mult = np.where(g.k2 > 0, g.k2, 1.0) ** (sigma / 2.0)
-    mult[g.k2 == 0] = 0.0
-    return SpectralField(g, f.coeffs * mult)
+    return SpectralField(g, f.coeffs * g.k2_power(sigma / 2.0))
 
 
 def sobolev_norm(f: SpectralField, sigma: float) -> float:
@@ -377,9 +380,13 @@ def divergence_l2(grid: Grid, c: np.ndarray) -> float:
     return float(np.sqrt(weighted_sum(grid, 0.0, np.abs(d) ** 2)))
 
 
-def require_divergence_free(what: str, fields, tol: float = 1e-8):
+# largest divergence, relative to the H^1 size, that counts as divergence-free
+DIV_TOL = 1e-8
+
+
+def require_divergence_free(what: str, fields):
     """Raise ValueError unless ``fields`` are finite and their summed
-    divergence L^2 norm is at most ``tol`` times their summed H^1 size.
+    divergence L^2 norm is at most ``DIV_TOL`` times their summed H^1 size.
 
     Non-finite data is rejected first, and the comparison is written so
     that a NaN fails it."""
@@ -387,7 +394,7 @@ def require_divergence_free(what: str, fields, tol: float = 1e-8):
     if not all(np.isfinite(f.coeffs).all() for f in fields):
         raise ValueError(f"{what} requires finite data")
     scale = max(sum(sobolev_norm(f, 1.0) for f in fields), 1e-300)
-    if not sum(divergence_l2(grid, f.coeffs) for f in fields) <= tol * scale:
+    if not sum(divergence_l2(grid, f.coeffs) for f in fields) <= DIV_TOL * scale:
         raise ValueError(f"{what} requires divergence-free data")
 
 
@@ -429,14 +436,14 @@ def _convection_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
     return box_scatter(grid, _box_convection(grid, box_gather(grid, c), project=True))
 
 
-def convection_term(f: SpectralField, div_tol: float = 1e-8) -> SpectralField:
+def convection_term(f: SpectralField) -> SpectralField:
     """Leray-projected convection P nabla : (u (x) u), dealiased.
 
-    Rejects non-finite input, and input whose divergence exceeds ``div_tol``
+    Rejects non-finite input, and input whose divergence exceeds ``DIV_TOL``
     relative to the H^1 size of the field.
     """
     g = f.grid
     if f.ncomp != g.dim:
         raise ValueError("convection_term needs one component per spatial axis")
-    require_divergence_free("convection_term", [f], div_tol)
+    require_divergence_free("convection_term", [f])
     return SpectralField(g, _convection_coeffs(g, f.coeffs))

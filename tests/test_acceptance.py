@@ -152,7 +152,7 @@ def test_criterion_5_globalization_bound(sweep_2d):
     for r in result.rows:
         e_delta = [rep.e_delta for rep in r.reports]
         e_base = [rep.e_base for rep in r.reports]
-        n_star = smallest_monotone_exponent(e_delta, e_base, rel_tol=1e-7)
+        n_star = smallest_monotone_exponent(e_delta, e_base)
         n_used.append(n_star)
         if n_star is None:
             mono_ok = False

@@ -5,15 +5,12 @@ import numpy as np
 import pytest
 
 from hypns.diagnostics import (
-    DiagnosticsConfig,
-    composite_energy,
     composite_scalar,
     dafermos_derivative_residuals,
     dafermos_energy,
     energy,
     energy_decay_audit,
     epsilon_dt_cross_term,
-    fill_composite,
     interpolation_ratios,
     linf_threshold,
     make_energy_report,
@@ -82,19 +79,17 @@ class TestComposite:
     def test_zero(self):
         g = make_grid(2, 16)
         st = WaveState(zero_field(g), zero_field(g), 0.1, 0.0)
-        assert composite_energy(st, DiagnosticsConfig(2, 0.5, n_exponent=7)) == 0.0
+        assert composite_scalar(energy(st, 0.5), energy(st, 0.0), 7) == 0.0
 
     def test_n_zero_reduces_to_energy(self):
         g = make_grid(2, 16)
         st = wave_state(g, 1, 0.1)
-        cfg = DiagnosticsConfig(2, 0.5, n_exponent=0)
-        assert composite_energy(st, cfg) == energy(st, 0.5)
+        assert composite_scalar(energy(st, 0.5), energy(st, 0.0), 0) == energy(st, 0.5)
 
     def test_log_consistency(self):
         g = make_grid(2, 16)
         st = wave_state(g, 2, 0.1)
-        cfg = DiagnosticsConfig(2, 0.5, n_exponent=23)
-        lhs = math.log(composite_energy(st, cfg))
+        lhs = math.log(composite_scalar(energy(st, 0.5), energy(st, 0.0), 23))
         rhs = math.log(energy(st, 0.5)) + 23 * math.log1p(energy(st, 0.0))
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
@@ -265,8 +260,7 @@ class TestDecayAudit:
     def test_zero_trajectory_passes(self):
         g = make_grid(2, 16)
         z = zero_field(g)
-        cfg = DiagnosticsConfig(2, 0.5)
-        reports = [make_energy_report(WaveState(z, z, 0.1, t), cfg) for t in (0.0, 0.1, 0.2)]
+        reports = [make_energy_report(WaveState(z, z, 0.1, t), 0.5) for t in (0.0, 0.1, 0.2)]
         audit = energy_decay_audit(reports, 0.1, 0.5, 0.0, 2)
         assert audit.composite_monotone
         assert audit.sup_eps_delta_e == 0.0
@@ -276,10 +270,9 @@ class TestDecayAudit:
     def test_taylor_green_run_decays(self):
         g = make_grid(2, 32)
         tg = taylor_green(g)
-        cfg = DiagnosticsConfig(2, 0.5)
         reports = []
         nlw_solve(tg, 0.0 * tg, 0.05, 1.0, dt=1e-3,
-                  observer=lambda st: reports.append(make_energy_report(st, cfg)), stride=10)
+                  observer=lambda st: reports.append(make_energy_report(st, 0.5)), stride=10)
         audit = energy_decay_audit(reports, 0.05, 0.5, l2_norm(tg), 2)
         assert audit.n_star == 0
         assert audit.composite_monotone
@@ -289,10 +282,9 @@ class TestDecayAudit:
     def test_injected_bump_flagged(self):
         g = make_grid(2, 16)
         tg_like = random_divergence_free_field(g, 3)
-        cfg = DiagnosticsConfig(2, 0.5)
         reports = []
         nlw_solve(tg_like, zero_field(g), 0.05, 0.2, dt=1e-3,
-                  observer=lambda st: reports.append(make_energy_report(st, cfg)), stride=10)
+                  observer=lambda st: reports.append(make_energy_report(st, 0.5)), stride=10)
         bump_at = reports[len(reports) // 2].t
         for r in reports:
             if r.t >= bump_at:
@@ -351,22 +343,27 @@ class TestCrossTerm:
 
 class TestEnergyReport:
     def test_composite_fill(self):
+        # the decay audit writes each report's composite at the exponent it used
         g = make_grid(2, 16)
-        cfg = DiagnosticsConfig(2, 0.5)
-        st = wave_state(g, 1, 0.1)
-        rep = make_energy_report(st, cfg)
-        assert math.isnan(rep.composite)
-        fill_composite([rep], 3)
-        assert rep.composite == composite_scalar(rep.e_delta, rep.e_base, 3)
+        states = [wave_state(g, 1, 0.1), wave_state(g, 2, 0.1, ut_scale=0.0)]
+        for n_exponent in (None, 3):
+            reports = [make_energy_report(st, 0.5) for st in states]
+            assert all(math.isnan(rep.composite) for rep in reports)
+            audit = energy_decay_audit(reports, 0.1, 0.5, 1.0, 2, n_exponent=n_exponent)
+            if n_exponent is not None:
+                assert audit.used_n == n_exponent
+            for rep in reports:
+                assert rep.composite == composite_scalar(rep.e_delta, rep.e_base, audit.used_n)
 
     @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
     def test_one_pass_report_matches_functionals(self, dim, n):
+        # sigma0 comes from the grid: L^2 in 2D, H^(1/2) in 3D
         g = make_grid(dim, n)
-        cfg = DiagnosticsConfig(dim, 0.5)
         st = wave_state(g, 2, 0.1)
         v = random_divergence_free_field(g, 99)
-        rep = make_energy_report(st, cfg, v=v)
-        s0, s1, eps = cfg.sigma0, cfg.sigma0 + cfg.delta, st.eps
+        rep = make_energy_report(st, 0.5, v=v)
+        s0 = 0.0 if dim == 2 else 0.5
+        s1, eps = s0 + 0.5, st.eps
 
         def close(got, want):
             return abs(got - want) <= 1e-13 * abs(want)
@@ -399,9 +396,8 @@ class TestEnergyReport:
 
         monkeypatch.setattr(nlw, "weighted_sum", counted)
         g = make_grid(2, 16)
-        cfg = DiagnosticsConfig(2, 0.5)
         st = wave_state(g, 3, 0.1, ut_scale=0.0)
         reports = []
-        nlw_solve(st.u, st.ut, st.eps, 0.01, dt=2e-3, observer=lambda s: reports.append(make_energy_report(s, cfg)))
+        nlw_solve(st.u, st.ut, st.eps, 0.01, dt=2e-3, observer=lambda s: reports.append(make_energy_report(s, 0.5)))
         assert len(reports) == 6
         assert sorted(sigmas) == [0.0] * 6 + [0.5] * 6

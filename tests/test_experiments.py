@@ -136,6 +136,12 @@ class TestFitRate:
         fit = fit_rate([(0.1, 1.0), (0.01, 0.0), (0.001, 0.5)])
         assert fit.n_points == 2 and fit.excluded == 1
 
+    def test_iterator_counts_exclusions_once(self):
+        pairs = [(1e-1, 1.0), (1e-2, 0.3), (1e-3, 0.0)]
+        fit = fit_rate(p for p in pairs)
+        assert fit.n_points == 2 and fit.excluded == 1
+        assert fit == fit_rate(pairs)
+
     def test_single_usable_point_undefined(self):
         assert fit_rate([(0.1, 1.0), (0.01, -1.0)]) is None
 
@@ -246,9 +252,9 @@ class TestRunConvergence:
 
             return ns_solve(v0, T, observer=keep, **kwargs)
 
-        def recording_report(state, dcfg, v=None):
+        def recording_report(state, delta, *, threshold_c=1.0, v=None):
             passed.append(v)
-            return make_energy_report(state, dcfg, v=v)
+            return make_energy_report(state, delta, threshold_c=threshold_c, v=v)
 
         monkeypatch.setattr(experiments, "ns_solve", recording_solve)
         monkeypatch.setattr(experiments, "make_energy_report", recording_report)

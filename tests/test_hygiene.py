@@ -21,6 +21,7 @@ one platform-specific call into the C library (the allocator policy).
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -152,3 +153,47 @@ def test_fft_transforms_only_where_counted():
 def test_ctypes_only_in_ns():
     importers = [p.name for p in sorted(PACKAGE.glob("*.py")) if "ctypes" in imported_modules(p)]
     assert importers == ["ns.py"]
+
+
+# The benchmark under ``bench/`` wraps and calls the package by name.  A
+# traced run reports a name it cannot find as ``absent`` and its metric as
+# None, so a removed or renamed entry point would turn a run incorrect
+# rather than fail a test.  These checks read ``bench/`` with ``ast`` and
+# import nothing from it.
+BENCH = ROOT / "bench"
+
+
+def module_constant(path, name):
+    """The literal value assigned to the module-level ``name`` in ``path``."""
+    for node in parse(path).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def microbenchmark_targets(path):
+    """``(module, name)`` of every ``(module, "name", ...)`` tuple in ``path``."""
+    found = []
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Tuple) and len(node.elts) >= 2:
+            module, name = node.elts[:2]
+            if isinstance(module, ast.Name) and isinstance(name, ast.Constant) and isinstance(name.value, str):
+                found.append((module.id, name.value))
+    return found
+
+
+def missing_attributes(targets):
+    return [f"hypns.{m}.{a}" for m, a in targets if not hasattr(importlib.import_module(f"hypns.{m}"), a)]
+
+
+def test_bench_traced_entry_points_exist():
+    entries = module_constant(BENCH / "tracer.py", "LAYER_ENTRY_POINTS")
+    pool = module_constant(BENCH / "tracer.py", "POOL_SPAN")
+    assert len(entries) > 1  # the rule sees the names it governs
+    assert missing_attributes([(module, attr) for _, module, attr in (*entries, pool)]) == []
+
+
+def test_bench_microbenchmark_targets_exist():
+    targets = microbenchmark_targets(BENCH / "worker.py")
+    assert {m for m, _ in targets} == {"spectral", "nlw"}  # the rule sees the calls it governs
+    assert missing_attributes(targets) == []

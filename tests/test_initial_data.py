@@ -156,7 +156,7 @@ class TestHypotheses:
         g = make_grid(2, 32)
         v0 = synth_hs_field(DataRecipe(6, 0.5, 2, 1.0), g)
         u0, u1 = truncate_initial_data(v0, 0.01)
-        rep = check_hypotheses(u0, u1, v0, 0.01, 0.5, 0.5, 2)
+        rep = check_hypotheses(u0, u1, v0, 0.01, 0.5, 0.5)
         assert rep.ratios["u1_low"] == 0.0
         assert rep.o1_value == 0.0
         assert rep.passed
@@ -166,22 +166,31 @@ class TestHypotheses:
         v0 = synth_hs_field(DataRecipe(7, 0.5, 2, 1.0), g)
         for eps in (0.1, 0.01, 0.001):
             u0, u1 = truncate_initial_data(v0, eps)
-            rep = check_hypotheses(u0, u1, v0, eps, 0.5, 0.5, 2)
+            rep = check_hypotheses(u0, u1, v0, eps, 0.5, 0.5)
             assert all(r <= 1.0 for r in rep.ratios.values())
 
     def test_3d_smallness_gate(self):
         g = make_grid(3, 16)
         v0 = synth_hs_field(DataRecipe(8, 0.5, 3, 1.3), g)
         u0, u1 = truncate_initial_data(v0, 1e-4)
-        rep = check_hypotheses(u0, u1, v0, 1e-4, 0.5, 0.5, 3)
+        rep = check_hypotheses(u0, u1, v0, 1e-4, 0.5, 0.5)
+        assert rep.dim == 3 and rep.smallness is not None
         assert rep.smallness > 1.0 / 16.0
         assert not rep.passed
+
+    def test_stale_dimension_argument_rejected(self):
+        # the dimension comes from the fields' grid; a 7th argument is an error
+        g = make_grid(2, 16)
+        v0 = synth_hs_field(DataRecipe(9, 0.5, 2, 1.0), g)
+        u0, u1 = truncate_initial_data(v0, 0.01)
+        with pytest.raises(TypeError):
+            check_hypotheses(u0, u1, v0, 0.01, 0.5, 0.5, 2)
 
     def test_2d_has_no_smallness(self):
         g = make_grid(2, 16)
         v0 = synth_hs_field(DataRecipe(9, 0.5, 2, 1.0), g)
         u0, u1 = truncate_initial_data(v0, 0.01)
-        rep = check_hypotheses(u0, u1, v0, 0.01, 0.5, 0.5, 2)
+        rep = check_hypotheses(u0, u1, v0, 0.01, 0.5, 0.5)
         assert rep.smallness is None
 
 
