@@ -16,9 +16,11 @@ from .experiments import (
     ConfigError,
     normalized_dump,
     parse_config,
+    rate_failures,
     run_convergence,
     run_existence_probe,
     run_inequality_audit,
+    slope_floor,
 )
 from .initial_data import taylor_green
 from .nlw import nlw_solve, propagate_mode
@@ -53,16 +55,12 @@ def _cmd_converge(args) -> int:
             f"dafermos={row.sup_dafermos:.6g} cross={row.cross_term:.6g} [{status}]"
         )
         ok &= not row.blowup
-    if result.fit is None:
-        print(f"fit: undefined ({result.fit_note})")
-        ok = False
-    else:
-        floor = cfg.s / 2.0 - cfg.slope_tol
-        print(
-            f"fit: slope={result.fit.slope:.4f} R2={result.fit.r2:.4f} "
-            f"(floor {floor:.4f}, R2 min {cfg.r2_min})"
-        )
-        ok &= result.fit.slope >= floor and result.fit.r2 >= cfg.r2_min
+    if result.fit is not None:
+        print(f"fit: slope={result.fit.slope:.4f} R2={result.fit.r2:.4f} (floor {slope_floor(cfg):.4f})")
+    failures = rate_failures(result)
+    for msg in failures:
+        print(f"rate gate: {msg}")
+    ok &= not failures
     print("converge:", "PASS" if ok else "FAIL")
     return PASS if ok else FAIL
 

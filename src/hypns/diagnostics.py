@@ -16,8 +16,6 @@ from .spectral import (
     _tensor_divergence_coeffs,
     base_sigma,
     hs_inner,
-    l2_inner,
-    l2_norm,
     linf_norm,
     mode_mag2,
     sobolev_norm,
@@ -39,15 +37,15 @@ class EnergyReport:
     err_sq: float = math.nan
 
 
-def composite_scalar(e_delta: float, e_base: float, n_exponent: int) -> float:
+def composite_scalar(e_delta: float, e_base: float, n: int) -> float:
     """E_delta (1 + E_base)^N evaluated in log space to dodge overflow;
     exactly E_delta for N = 0."""
     if e_delta <= 0.0:
         return 0.0
-    if n_exponent == 0:
+    if n == 0:
         return float(e_delta)
     with np.errstate(over="ignore"):
-        return float(np.exp(np.log(e_delta) + n_exponent * np.log1p(e_base)))
+        return float(np.exp(np.log(e_delta) + n * np.log1p(e_base)))
 
 
 def _modulated_energy(state: WaveState, diff: np.ndarray, sigma0: float) -> float:
@@ -78,22 +76,17 @@ def linf_threshold(state: WaveState, c: float) -> ThresholdCheck:
     return ThresholdCheck(value, bound, value < bound)
 
 
-def make_energy_report(
-    state: WaveState,
-    delta: float,
-    *,
-    threshold_c: float = 1.0,
-    v: SpectralField | None = None,
-) -> EnergyReport:
+def make_energy_report(state: WaveState, delta: float, *, v: SpectralField | None = None) -> EnergyReport:
     """Energies at sigma0 and sigma0 + ``delta``, the sup norm against the
-    threshold 1/(``threshold_c`` sqrt(eps)) and, given the reference field
-    v, the modulated energy and the squared error ||u - v||^2 at sigma0,
-    all from one set of per-mode densities of the state's coefficients.
+    threshold 1/sqrt(eps) (``linf_threshold`` with c = 1) and, given the
+    reference field v, the modulated energy and the squared error
+    ||u - v||^2 at sigma0, all from one set of per-mode densities of the
+    state's coefficients.
 
     sigma0 is ``base_sigma`` of the state's grid dimension.  ``composite``
     stays NaN: ``energy_decay_audit`` fills it once the exponent is known."""
     s0 = base_sigma(state.u.grid.dim)
-    check = linf_threshold(state, threshold_c)
+    check = linf_threshold(state, 1.0)
     rep = EnergyReport(
         t=state.t,
         e_base=energy(state, s0),
@@ -171,25 +164,14 @@ def dafermos_derivative_residuals(wave_traj, v_traj, sigma0: float):
         u, ut, v = st.u, st.ut, vfields[j]
         w = u - v
         dtv = (vfields[j + 1] - vfields[j - 1]) * (1.0 / (2.0 * h))
-
-        if sigma0 == 0.0:
-            gu = _tensor_div(u)  # unprojected quadratic flux in 2D
-            transport = l2_inner(v, _tensor_div(w))
-            defect = -eps * l2_norm(ut + gu) ** 2
-            cross = -eps * l2_inner(dtv, ut)
-            gap = eps * l2_norm(gu) ** 2 - sobolev_norm(w, 1.0) ** 2
-            gv_p = _projected_tensor_div(v)
-            resid = dtv + gv_p - _laplacian(v)
-            ns_term = -l2_inner(resid, w)
-        else:
-            gu_p = _projected_tensor_div(u)
-            gv_p = _projected_tensor_div(v)
-            transport = hs_inner(w, gv_p - gu_p, sigma0)
-            defect = -eps * sobolev_norm(ut + gu_p, sigma0) ** 2
-            cross = -eps * hs_inner(dtv, ut, sigma0)
-            gap = eps * sobolev_norm(gu_p, sigma0) ** 2 - sobolev_norm(w, sigma0 + 1.0) ** 2
-            resid = dtv + gv_p - _laplacian(v)
-            ns_term = -hs_inner(resid, w, sigma0)
+        gu_p = _projected_tensor_div(u)
+        gv_p = _projected_tensor_div(v)
+        transport = hs_inner(w, gv_p - gu_p, sigma0)
+        defect = -eps * sobolev_norm(ut + gu_p, sigma0) ** 2
+        cross = -eps * hs_inner(dtv, ut, sigma0)
+        gap = eps * sobolev_norm(gu_p, sigma0) ** 2 - sobolev_norm(w, sigma0 + 1.0) ** 2
+        resid = dtv + gv_p - _laplacian(v)
+        ns_term = -hs_inner(resid, w, sigma0)
 
         lhs = (energies[j + 1] - energies[j - 1]) / (2.0 * h)
         rhs = transport + defect + cross + gap
@@ -221,26 +203,24 @@ def trilinear_ratio(f: SpectralField) -> float:
 def interpolation_ratios(f: SpectralField, delta: float) -> dict:
     """Left/right ratios of the interpolation inequalities in use.
 
+    The Sobolev-scale interpolation runs between sigma0 and sigma0 + 1
+    through sigma0 + ``delta``, with sigma0 the grid's ``base_sigma``; the
+    sup-norm/Besov ratio uses sigma0 + ``delta`` and sigma0 + 1 + ``delta``.
     The Sobolev-scale ratios are exact lattice inequalities (<= 1); the
     sup-norm/Besov ratio carries an unknown embedding constant and is
     reported without a bound.
     """
-    dim = f.grid.dim
-    h_half = sobolev_norm(f, 0.5)
-    h_one = sobolev_norm(f, 1.0)
-    h_three_half = sobolev_norm(f, 1.5)
+    s0 = base_sigma(f.grid.dim)
+    sigmas = {0.5, 1.0, 1.5, s0, s0 + delta, s0 + 1.0, s0 + 1.0 + delta}
+    h = {sig: sobolev_norm(f, sig) for sig in sigmas}
     out = {"gagliardo_nirenberg": 0.0, "sobolev_interpolation": 0.0, "linf_besov": 0.0}
 
-    gn_denom = h_half * h_three_half
+    gn_denom = h[0.5] * h[1.5]
     if gn_denom > 0:
-        out["gagliardo_nirenberg"] = h_one**2 / gn_denom
+        out["gagliardo_nirenberg"] = h[1.0] ** 2 / gn_denom
 
-    if dim == 2:
-        lo, mid, hi = l2_norm(f), sobolev_norm(f, delta), h_one
-        linf_lo, linf_hi = sobolev_norm(f, delta), sobolev_norm(f, 1.0 + delta)
-    else:
-        lo, mid, hi = h_half, sobolev_norm(f, 0.5 + delta), h_three_half
-        linf_lo, linf_hi = sobolev_norm(f, 0.5 + delta), sobolev_norm(f, 1.5 + delta)
+    lo, mid, hi = h[s0], h[s0 + delta], h[s0 + 1.0]
+    linf_lo, linf_hi = mid, h[s0 + 1.0 + delta]
 
     denom = lo ** (1.0 - delta) * hi**delta
     if denom > 0:
@@ -267,7 +247,6 @@ class DecayAudit:
     sup_eps_delta_e: float
     growth_bound_ok: bool
     first_threshold_violation_t: float | None
-    base_monotone: bool | None
 
 
 # relative slack under which a step of an energy series still counts as
@@ -314,20 +293,12 @@ def _monotone_violations(times, series):
     return bad
 
 
-def energy_decay_audit(
-    reports,
-    eps: float,
-    delta: float,
-    u0_l2: float,
-    dim: int,
-    n_exponent: int | None = None,
-    u0_h_half: float | None = None,
-) -> DecayAudit:
+def energy_decay_audit(reports, eps: float, delta: float, u0_l2: float) -> DecayAudit:
     """Check the decay and boundedness claims on an energy-report series.
 
-    The composite E_delta (1 + E_base)^N is taken with N = ``n_exponent``,
-    or the smallest exponent that makes it monotone (0 if none does), and
-    is written to each report's ``composite``."""
+    The composite E_delta (1 + E_base)^N is taken with N the smallest
+    exponent that makes it monotone, ``n_star`` (0 if none does), and is
+    written to each report's ``composite``."""
     if not reports:
         raise ValueError("empty trajectory")
     times = [r.t for r in reports]
@@ -335,7 +306,7 @@ def energy_decay_audit(
     e_delta = [r.e_delta for r in reports]
 
     n_star = smallest_monotone_exponent(e_delta, e_base)
-    used_n = n_exponent if n_exponent is not None else (n_star if n_star is not None else 0)
+    used_n = n_star if n_star is not None else 0
     composite = [composite_scalar(d, b, used_n) for d, b in zip(e_delta, e_base)]
     for r, c in zip(reports, composite):
         r.composite = c
@@ -351,10 +322,6 @@ def energy_decay_audit(
             first_violation = r.t
             break
 
-    base_monotone = None
-    if dim == 3 and u0_h_half is not None and u0_h_half < 1.0 / 16.0:
-        base_monotone = not _monotone_violations(times, e_base)
-
     return DecayAudit(
         n_star=n_star,
         used_n=used_n,
@@ -363,7 +330,6 @@ def energy_decay_audit(
         sup_eps_delta_e=sup_eps_delta_e,
         growth_bound_ok=growth_bound_ok,
         first_threshold_violation_t=first_violation,
-        base_monotone=base_monotone,
     )
 
 

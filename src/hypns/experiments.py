@@ -53,17 +53,11 @@ class ExperimentConfig:
     data_source: str = "synthetic"
     data_file: str | None = None
     eta: float = 0.01
-    u1_scale: float = 0.0
-    threshold_c: float = 1.0
-    composite_n: int | None = None
-    energy_ceiling: float = 1e6
     out_dir: str = "out"
     sample_stride: int = 10
-    slope_tol: float = 0.1
-    r2_min: float = 0.9
 
     def validate(self) -> list:
-        floats = [(f.name, getattr(self, f.name)) for f in fields(self) if f.name in _FLOAT_KEYS]
+        floats = [(f.name, getattr(self, f.name)) for f in fields(self) if _kind(f) == "float"]
         nonfinite = {k for k, v in floats if v is not None and not math.isfinite(v)}
         bad = [f"{k}: must be finite, got {v}" for k, v in floats if k in nonfinite]
         if self.dim not in (2, 3):
@@ -96,49 +90,27 @@ class ExperimentConfig:
             bad.append("data_file: required when data_source = file")
         if self.eta <= 0:
             bad.append(f"eta: must be > 0, got {self.eta}")
-        if self.u1_scale < 0:
-            bad.append(f"u1_scale: must be >= 0, got {self.u1_scale}")
-        if self.threshold_c <= 0:
-            bad.append(f"threshold_c: must be > 0, got {self.threshold_c}")
-        if self.composite_n is not None and self.composite_n < 0:
-            bad.append(f"composite_n: must be >= 0 when given, got {self.composite_n}")
-        if self.energy_ceiling <= 1:
-            bad.append(f"energy_ceiling: must be > 1, got {self.energy_ceiling}")
         if self.sample_stride < 1:
             bad.append(f"sample_stride: must be >= 1, got {self.sample_stride}")
-        if self.slope_tol < 0:
-            bad.append(f"slope_tol: must be >= 0, got {self.slope_tol}")
-        if "r2_min" not in nonfinite and not 0.0 <= self.r2_min <= 1.0:
-            bad.append(f"r2_min: must lie in [0,1], got {self.r2_min}")
         return bad
 
 
-_LIST_KEYS = {"eps_list"}
-_INT_KEYS = {"dim", "n", "seed", "composite_n", "sample_stride"}
-_FLOAT_KEYS = {
-    "s",
-    "delta",
-    "T",
-    "dt",
-    "amplitude",
-    "eta",
-    "u1_scale",
-    "threshold_c",
-    "energy_ceiling",
-    "slope_tol",
-    "r2_min",
-}
-_STR_KEYS = {"data_source", "data_file", "out_dir"}
-_OPTIONAL_KEYS = {"dt", "composite_n", "data_file"}
-_ALL_KEYS = _LIST_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+def _kind(f) -> str:
+    """A config field's value type, ``int``, ``float``, ``str`` or ``list``:
+    its annotation as written, without ``| None``."""
+    return f.type.removesuffix(" | None")
 
 
 def parse_config(path) -> ExperimentConfig:
     """Read the line-oriented ``key = value`` format.
 
-    Lists are comma-separated, ``#`` starts a comment.  Every violation is
-    collected (with its line number) before raising, not just the first.
+    The keys are the fields of ``ExperimentConfig`` and each value is read
+    as its field's annotated type; a field annotated ``| None`` also takes
+    ``none`` or an empty value.  Lists are comma-separated, ``#`` starts a
+    comment.  Every violation is collected (with its line number) before
+    raising, not just the first.
     """
+    schema = {f.name: f for f in fields(ExperimentConfig)}
     violations = []
     values = {}
     seen = {}
@@ -152,7 +124,7 @@ def parse_config(path) -> ExperimentConfig:
                 continue
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key not in _ALL_KEYS:
+            if key not in schema:
                 violations.append(f"line {lineno}: unknown key {key!r}")
                 continue
             if key in seen:
@@ -160,7 +132,7 @@ def parse_config(path) -> ExperimentConfig:
                 continue
             seen[key] = lineno
             try:
-                values[key] = _convert(key, val)
+                values[key] = _convert(schema[key], val)
             except ValueError as exc:
                 violations.append(f"line {lineno}: {key}: {exc}")
 
@@ -171,15 +143,16 @@ def parse_config(path) -> ExperimentConfig:
     return cfg
 
 
-def _convert(key: str, val: str):
-    if key in _OPTIONAL_KEYS and val.lower() in ("none", ""):
+def _convert(f, val: str):
+    kind = _kind(f)
+    if kind != f.type and val.lower() in ("none", ""):
         return None
-    if key in _LIST_KEYS:
+    if kind == "list":
         items = [v.strip() for v in val.split(",") if v.strip()]
         return [_finite_float(v) for v in items]
-    if key in _INT_KEYS:
+    if kind == "int":
         return int(val)
-    if key in _FLOAT_KEYS:
+    if kind == "float":
         return _finite_float(val)
     return val
 
@@ -198,7 +171,7 @@ def normalized_dump(cfg: ExperimentConfig) -> str:
         val = getattr(cfg, f.name)
         if val is None:
             continue
-        if f.name in _LIST_KEYS:
+        if f.type == "list":
             val = ", ".join(repr(float(v)) for v in val)
         elif isinstance(val, float):
             val = repr(val)
@@ -274,12 +247,10 @@ def build_reference_field(cfg: ExperimentConfig, grid) -> SpectralField:
     return synth_hs_field(recipe, grid)
 
 
-def build_wave_data(cfg: ExperimentConfig, v0: SpectralField, eps: float):
-    u0, u1 = truncate_initial_data(v0, eps)
-    if cfg.u1_scale > 0:
-        recipe = DataRecipe(cfg.seed + 1000003, cfg.s, cfg.dim, cfg.u1_scale, cfg.eta)
-        u1 = synth_hs_field(recipe, v0.grid)
-    return u0, u1
+def build_wave_data(v0: SpectralField, eps: float):
+    """The relaxed system's data (u0, u1) for one eps: ``v0`` truncated at
+    the eps-dependent cutoff, and a zero initial velocity."""
+    return truncate_initial_data(v0, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +276,6 @@ class SweepRow:
     reports: list = field(default_factory=list)
     initial_eps_delta_e: float = math.nan
     composite_monotone: bool = False
-    base_monotone: bool | None = None
     skipped: bool = False
     skip_reason: str = ""
 
@@ -334,7 +304,7 @@ def _wave_run(cfg: ExperimentConfig, eps: float, v0: SpectralField, dt: float, r
     of a run shares one ``Grid`` and its tables.  ``ref`` is the reference
     run as a list of ``(t, SpectralField)`` samples on that grid, or None.
     Data that fail admissibility are skipped unless ``force`` is set."""
-    u0, u1 = build_wave_data(cfg, v0, eps)
+    u0, u1 = build_wave_data(v0, eps)
     hyp = check_hypotheses(u0, u1, v0, eps, cfg.s, cfg.delta)
     if not hyp.passed and not force:
         return SweepRow(
@@ -353,23 +323,17 @@ def _wave_run(cfg: ExperimentConfig, eps: float, v0: SpectralField, dt: float, r
             if i >= len(ref) or abs(state.t - ref[i][0]) > 1e-9 * max(cfg.T, 1.0):
                 raise RuntimeError("wave samples drifted out of alignment with the reference run")
             v = ref[i][1]
-        reports.append(make_energy_report(state, cfg.delta, threshold_c=cfg.threshold_c, v=v))
+        reports.append(make_energy_report(state, cfg.delta, v=v))
         if v is not None:
             cross_vals.append(hs_inner(state.ut, dt_v(NsState(v, state.t)), sigma0))
 
     try:
-        result = nlw_solve(
-            u0, u1, eps, cfg.T, dt=dt, observer=observer,
-            stride=cfg.sample_stride, blowup_factor=cfg.energy_ceiling,
-        )
+        result = nlw_solve(u0, u1, eps, cfg.T, dt=dt, observer=observer, stride=cfg.sample_stride)
         blowup, blowup_t = result.blew_up, result.blowup_t
     except SolverFailure as exc:
         blowup, blowup_t = True, exc.t
 
-    audit = energy_decay_audit(
-        reports, eps, cfg.delta, u0_l2=l2_norm(u0), dim=cfg.dim,
-        n_exponent=cfg.composite_n, u0_h_half=hyp.smallness,
-    )
+    audit = energy_decay_audit(reports, eps, cfg.delta, u0_l2=l2_norm(u0))
     return SweepRow(
         eps=eps,
         sup_err_sq=max(r.err_sq for r in reports),
@@ -384,7 +348,6 @@ def _wave_run(cfg: ExperimentConfig, eps: float, v0: SpectralField, dt: float, r
         reports=reports,
         initial_eps_delta_e=eps**cfg.delta * reports[0].e_delta,
         composite_monotone=audit.composite_monotone,
-        base_monotone=audit.base_monotone,
     )
 
 
@@ -442,6 +405,34 @@ def run_convergence(cfg: ExperimentConfig, jobs: int = 1) -> SweepResult:
     fit = fit_rate([(r.eps, r.sup_err_sq) for r in rows])
     note = "" if fit is not None else "fit undefined: need at least two usable rows"
     return SweepResult(config=cfg, dt_used=dt, rows=rows, fit=fit, fit_note=note)
+
+
+# how far below the claimed rate s/2 an acceptable fitted slope may sit
+SLOPE_TOL = {2: 0.1, 3: 0.15}
+
+
+def slope_floor(cfg: ExperimentConfig) -> float:
+    return cfg.s / 2.0 - SLOPE_TOL[cfg.dim]
+
+
+def rate_failures(result: SweepResult) -> list:
+    """The acceptance gates of the rate claim that a sweep fails; empty when
+    it passes.  The fitted slope must reach ``slope_floor``.  A 2D fit also
+    needs R^2 >= 0.9; a 3D sweep needs the critical norm of its data (the
+    largest ``hypothesis.smallness``) below 1/16."""
+    cfg, fit = result.config, result.fit
+    if fit is None:
+        return [result.fit_note or "fit undefined"]
+    bad = []
+    if not fit.slope >= slope_floor(cfg):
+        bad.append(f"slope {fit.slope:.4f} below floor {slope_floor(cfg):.4f}")
+    if cfg.dim == 2 and not fit.r2 >= 0.9:
+        bad.append(f"R2 {fit.r2:.4f} below 0.9")
+    if cfg.dim == 3:
+        small = max(r.hypothesis.smallness for r in result.rows)
+        if not small < 1.0 / 16.0:
+            bad.append(f"critical norm {small:.4f} not below 1/16")
+    return bad
 
 
 def run_existence_probe(cfg: ExperimentConfig, jobs: int = 1, force: bool = False) -> ExistenceResult:

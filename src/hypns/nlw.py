@@ -20,6 +20,7 @@ from .spectral import (
     Grid,
     SpectralField,
     _box_convection,
+    base_sigma,
     box_gather,
     mode_mag2,
     require_divergence_free,
@@ -254,23 +255,26 @@ def nlw_solve(
     """Integrate the damped wave system to time T.
 
     ``observer(state)`` fires at exact sample times.  When the wave energy
-    ``energy(state, 0)`` of a sample exceeds ``blowup_factor`` times its
-    initial value the run stops, before that sample is observed, and the
-    result carries the blow-up flag.  Non-finite or divergent initial data
-    is rejected with ValueError.
+    ``energy(state, base_sigma(dim))`` of a sample exceeds ``blowup_factor``
+    times its initial value the run stops, before that sample is observed,
+    and the result carries the blow-up flag.  That energy is the energy
+    report's ``e_base``, so the monitor and the report of one sample share
+    it through the state's cache.  Non-finite or divergent initial data is
+    rejected with ValueError.
     """
     grid = u0.grid
     require_divergence_free("nlw_solve", [u0, u1])
     if dt is None:
         dt = default_dt(u0)
 
+    sigma0 = base_sigma(grid.dim)
     state = WaveState(u0, u1, eps, 0.0)
-    ceiling = blowup_factor * max(energy(state, 0.0), 1e-300)
+    ceiling = blowup_factor * max(energy(state, sigma0), 1e-300)
     for t, (uc, wc) in march(lambda h: _NlwStepper(grid, eps, h).step, (u0.coeffs, u1.coeffs), T, dt, stride):
         if t > 0.0:
             state = WaveState(SpectralField(grid, uc), SpectralField(grid, wc), eps, t)
             del uc, wc  # the state holds copies; free the step arrays before the next steps
-            if energy(state, 0.0) > ceiling:
+            if energy(state, sigma0) > ceiling:
                 return WaveSolveResult(state, blew_up=True, blowup_t=t)
         if observer is not None:
             observer(state)

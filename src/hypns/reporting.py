@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 
-from .experiments import ExperimentConfig, RateFit, SweepResult
+from .experiments import ExperimentConfig, RateFit, SweepResult, slope_floor
 
 SWEEP_COLUMNS = (
     "epsilon",
@@ -77,7 +77,7 @@ def write_fit_txt(path, fit: RateFit | None, cfg: ExperimentConfig, note: str = 
         lines.append(f"n_points = {fit.n_points}")
         lines.append(f"excluded = {fit.excluded}")
         lines.append(f"reference_slope = {cfg.s / 2.0!r}")
-        lines.append(f"slope_floor = {cfg.s / 2.0 - cfg.slope_tol!r}")
+        lines.append(f"slope_floor = {slope_floor(cfg)!r}")
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -255,13 +255,13 @@ class TestInterpolationRatios:
 class TestDecayAudit:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            energy_decay_audit([], 0.1, 0.5, 1.0, 2)
+            energy_decay_audit([], 0.1, 0.5, 1.0)
 
     def test_zero_trajectory_passes(self):
         g = make_grid(2, 16)
         z = zero_field(g)
         reports = [make_energy_report(WaveState(z, z, 0.1, t), 0.5) for t in (0.0, 0.1, 0.2)]
-        audit = energy_decay_audit(reports, 0.1, 0.5, 0.0, 2)
+        audit = energy_decay_audit(reports, 0.1, 0.5, 0.0)
         assert audit.composite_monotone
         assert audit.sup_eps_delta_e == 0.0
         assert audit.growth_bound_ok
@@ -273,7 +273,7 @@ class TestDecayAudit:
         reports = []
         nlw_solve(tg, 0.0 * tg, 0.05, 1.0, dt=1e-3,
                   observer=lambda st: reports.append(make_energy_report(st, 0.5)), stride=10)
-        audit = energy_decay_audit(reports, 0.05, 0.5, l2_norm(tg), 2)
+        audit = energy_decay_audit(reports, 0.05, 0.5, l2_norm(tg))
         assert audit.n_star == 0
         assert audit.composite_monotone
         e_base = [r.e_base for r in reports]
@@ -290,7 +290,7 @@ class TestDecayAudit:
             if r.t >= bump_at:
                 r.e_delta *= 10.0
                 r.e_base *= 10.0
-        audit = energy_decay_audit(reports, 0.05, 0.5, 1.0, 2)
+        audit = energy_decay_audit(reports, 0.05, 0.5, 1.0)
         assert audit.n_star is None
         assert not audit.composite_monotone
         assert audit.violation_times[0] == bump_at
@@ -346,14 +346,12 @@ class TestEnergyReport:
         # the decay audit writes each report's composite at the exponent it used
         g = make_grid(2, 16)
         states = [wave_state(g, 1, 0.1), wave_state(g, 2, 0.1, ut_scale=0.0)]
-        for n_exponent in (None, 3):
-            reports = [make_energy_report(st, 0.5) for st in states]
-            assert all(math.isnan(rep.composite) for rep in reports)
-            audit = energy_decay_audit(reports, 0.1, 0.5, 1.0, 2, n_exponent=n_exponent)
-            if n_exponent is not None:
-                assert audit.used_n == n_exponent
-            for rep in reports:
-                assert rep.composite == composite_scalar(rep.e_delta, rep.e_base, audit.used_n)
+        reports = [make_energy_report(st, 0.5) for st in states]
+        assert all(math.isnan(rep.composite) for rep in reports)
+        audit = energy_decay_audit(reports, 0.1, 0.5, 1.0)
+        assert audit.used_n == (audit.n_star if audit.n_star is not None else 0)
+        for rep in reports:
+            assert rep.composite == composite_scalar(rep.e_delta, rep.e_base, audit.used_n)
 
     @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
     def test_one_pass_report_matches_functionals(self, dim, n):
@@ -382,9 +380,10 @@ class TestEnergyReport:
         assert close(rep.e_delta, 0.5 * sobolev_norm(st.u + eps * st.ut, s1) ** 2 + tail[1])
         assert close(rep.dafermos, 0.5 * sobolev_norm(st.u - v + eps * st.ut, s0) ** 2 + tail[0])
 
-    def test_monitor_and_report_share_base_energy(self, monkeypatch):
-        # in 2D the blow-up monitor's energy is the report's e_base: each
-        # sample evaluates it once, and e_delta once
+    @pytest.mark.parametrize("dim, n, s0", [(2, 16, 0.0), (3, 8, 0.5)])
+    def test_monitor_and_report_share_base_energy(self, monkeypatch, dim, n, s0):
+        # the blow-up monitor's energy is the report's e_base: each sample
+        # evaluates it once, and e_delta once
         import hypns.nlw as nlw
 
         sigmas = []
@@ -395,9 +394,9 @@ class TestEnergyReport:
             return real(grid, sigma, density)
 
         monkeypatch.setattr(nlw, "weighted_sum", counted)
-        g = make_grid(2, 16)
+        g = make_grid(dim, n)
         st = wave_state(g, 3, 0.1, ut_scale=0.0)
         reports = []
         nlw_solve(st.u, st.ut, st.eps, 0.01, dt=2e-3, observer=lambda s: reports.append(make_energy_report(s, 0.5)))
         assert len(reports) == 6
-        assert sorted(sigmas) == [0.0] * 6 + [0.5] * 6
+        assert sorted(sigmas) == [s0] * 6 + [s0 + 0.5] * 6

@@ -9,6 +9,9 @@ import pytest
 from hypns.experiments import (
     ConfigError,
     ExperimentConfig,
+    RateFit,
+    SweepResult,
+    SweepRow,
     build_reference_field,
     fit_rate,
     load_field,
@@ -20,6 +23,7 @@ from hypns.experiments import (
     save_field,
 )
 from hypns.diagnostics import make_energy_report
+from hypns.initial_data import HypothesisReport
 from hypns.nlw import _NlwStepper
 from hypns.ns import ns_solve
 from hypns.reporting import emit_report
@@ -88,11 +92,11 @@ class TestConfigParsing:
         p = tmp_path / "c.cfg"
         p.write_text(
             "dim = 2\nn = 16\nT = nan\ndt = inf\neps_list = 0.1, nan\n"
-            "amplitude = -inf\neta = nan\nenergy_ceiling = nan\n"
+            "amplitude = -inf\neta = nan\ndelta = nan\n"
         )
         with pytest.raises(ConfigError) as exc:
             parse_config(p)
-        for lineno, key in enumerate(("T", "dt", "eps_list", "amplitude", "eta", "energy_ceiling"), start=3):
+        for lineno, key in enumerate(("T", "dt", "eps_list", "amplitude", "eta", "delta"), start=3):
             assert any(v.startswith(f"line {lineno}: {key}: must be finite") for v in exc.value.violations)
         assert len(exc.value.violations) == 6
 
@@ -100,12 +104,24 @@ class TestConfigParsing:
         "kw",
         [
             {"T": math.nan}, {"T": math.inf}, {"dt": math.nan}, {"eps_list": [0.1, math.nan]},
-            {"amplitude": math.nan}, {"eta": math.nan}, {"energy_ceiling": math.nan}, {"s": math.nan},
+            {"amplitude": math.nan}, {"eta": math.nan}, {"delta": math.nan}, {"s": math.nan},
         ],
     )
     def test_validate_rejects_non_finite(self, kw):
         (key,) = kw
         assert [v for v in ExperimentConfig(**kw).validate() if v.startswith(f"{key}:")] != []
+
+    @pytest.mark.parametrize(
+        "line", ["u1_scale = 0.5", "threshold_c = 2.0", "composite_n = 3", "energy_ceiling = 1e3",
+                 "slope_tol = 0.2", "r2_min = 0.5"],
+    )
+    def test_removed_keys_unknown(self, tmp_path, line):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"dim = 2\nn = 16\n{line}\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(p)
+        key = line.split(" =")[0]
+        assert exc.value.violations == [f"line 3: unknown key {key!r}"]
 
     def test_unknown_and_duplicate_keys(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -252,9 +268,9 @@ class TestRunConvergence:
 
             return ns_solve(v0, T, observer=keep, **kwargs)
 
-        def recording_report(state, delta, *, threshold_c=1.0, v=None):
+        def recording_report(state, delta, *, v=None):
             passed.append(v)
-            return make_energy_report(state, delta, threshold_c=threshold_c, v=v)
+            return make_energy_report(state, delta, v=v)
 
         monkeypatch.setattr(experiments, "ns_solve", recording_solve)
         monkeypatch.setattr(experiments, "make_energy_report", recording_report)
@@ -405,6 +421,27 @@ class TestCli:
         rc = cli.main(["normalize-config", "--config", str(p)])
         assert rc == 1
         assert "eps_list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "dim, r2, smallness, rc",
+        [(3, 0.87, 0.04, 0), (3, 0.87, 0.07, 2), (2, 0.87, None, 2), (2, 0.95, None, 0)],
+    )
+    def test_converge_rate_gate_by_dimension(self, tmp_path, capsys, monkeypatch, dim, r2, smallness, rc):
+        # 3D gates the slope at s/2 - 0.15 and the critical norm below 1/16,
+        # with no R^2 gate; 2D gates the slope at s/2 - 0.1 and R^2 >= 0.9
+        p = self._write_cfg(tmp_path, dim=dim, n=8, eps_list=[0.1, 0.01, 0.001])
+        cfg = parse_config(p)
+        rows = [
+            SweepRow(eps, sup_err_sq=eps**2.3,
+                     hypothesis=HypothesisReport(eps, cfg.s, cfg.delta, dim, smallness=smallness))
+            for eps in cfg.eps_list
+        ]
+        canned = SweepResult(cfg, 2e-3, rows, RateFit(2.3, 0.0, r2, len(rows)))
+        monkeypatch.setattr(cli, "run_convergence", lambda cfg, jobs: canned)
+        assert cli.main(["converge", "--config", str(p), "--out", str(tmp_path / "out")]) == rc
+        assert ("PASS" if rc == 0 else "FAIL") in capsys.readouterr().out.splitlines()[-1]
+        floor = (tmp_path / "out" / "fit.txt").read_text().splitlines()[-1]
+        assert floor == f"slope_floor = {cfg.s / 2.0 - (0.1 if dim == 2 else 0.15)!r}"
 
     def test_env_out_dir(self, tmp_path, capsys, monkeypatch):
         p = self._write_cfg(tmp_path, eps_list=[0.1, 0.01], T=0.05)

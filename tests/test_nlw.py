@@ -17,7 +17,7 @@ from hypns.nlw import (
     rescale,
 )
 from hypns.ns import SolverFailure, ns_solve
-from hypns.spectral import SpectralField, inverse_transform, l2_norm, make_grid, zero_field
+from hypns.spectral import SpectralField, inverse_transform, l2_norm, make_grid, sobolev_norm, zero_field
 
 from conftest import POISON, oracle_mode, poison_from_step, with_nan
 
@@ -192,6 +192,18 @@ class TestNlwSolve:
             vals.append(energy(st, 0.0))
 
         nlw_solve(u0, 0.0 * u0, eps, 0.5, dt=1e-3, observer=obs, stride=1)
+        tol = 1e-8 * vals[0]
+        assert all(b <= a + tol for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("eps", [0.1, 0.01])
+    def test_base_energy_monotone_small_data_3d(self, eps):
+        # 3D data below the critical size 1/16 in H^(1/2) keep the H^(1/2)
+        # energy non-increasing
+        g = make_grid(3, 16)
+        u0 = random_divergence_free_field(g, 5, band=4)
+        u0 = u0 * (0.05 / sobolev_norm(u0, 0.5))
+        vals = []
+        nlw_solve(u0, 0.0 * u0, eps, 0.5, dt=5e-3, observer=lambda st: vals.append(energy(st, 0.5)), stride=1)
         tol = 1e-8 * vals[0]
         assert all(b <= a + tol for a, b in zip(vals, vals[1:]))
 
