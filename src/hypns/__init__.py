@@ -36,11 +36,9 @@ from .initial_data import (
     truncate_initial_data,
 )
 from .nlw import (
-    ModeRoots,
     WaveSolveResult,
     WaveState,
     linear_propagate,
-    mode_roots,
     nlw_solve,
     nlw_step,
     propagate_mode,
@@ -55,7 +53,6 @@ from .spectral import (
     divergence,
     inverse_transform,
     l2_norm,
-    lambda_power,
     leray_project,
     linf_norm,
     make_grid,

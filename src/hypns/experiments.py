@@ -195,7 +195,7 @@ class RateFit:
 
 def fit_rate(pairs) -> RateFit | None:
     """Least squares of log(value) against log(eps) over the (eps, value)
-    pairs of any iterable.
+    pairs of any iterable, in closed form: no LAPACK call.
 
     Nonpositive values are excluded (counted in ``excluded``); returns
     None when fewer than two usable points remain.
@@ -207,7 +207,11 @@ def fit_rate(pairs) -> RateFit | None:
         return None
     x = np.log([e for e, _ in usable])
     y = np.log([v for _, v in usable])
-    slope, intercept = np.polyfit(x, y, 1)
+    # <dx, dy> / |dx|^2 as the component of dy along dx / |dx|, over |dx|
+    dx = x - x.mean()
+    norm = np.sqrt(np.sum(dx * dx))
+    slope = np.sum(dx / norm * (y - y.mean())) / norm
+    intercept = y.mean() - slope * x.mean()
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot

@@ -19,6 +19,7 @@ from .ns import _check_finite, default_dt, march
 from .spectral import (
     Grid,
     SpectralField,
+    _adopt,
     _box_convection,
     base_sigma,
     box_gather,
@@ -30,7 +31,6 @@ from .spectral import (
 # below this size of (disc * (dt / 2 eps)^2) the propagator entries are
 # evaluated by series to dodge the cancellation at the double-root locus
 _SERIES_Z2 = 1e-4
-_DOUBLE_ROOT_TOL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,36 +69,6 @@ def energy(state: WaveState, sigma: float) -> float:
     if sigma not in cache:
         cache[sigma] = weighted_sum(state.u.grid, sigma, state.energy_density)
     return cache[sigma]
-
-
-@dataclass(frozen=True)
-class ModeRoots:
-    """Characteristic roots of eps z^2 + z + k2 = 0 for one mode."""
-
-    kind: str  # real-distinct | double | complex-pair
-    lam_plus: complex
-    lam_minus: complex
-    discriminant: float
-
-
-def mode_roots(eps: float, k2: float) -> ModeRoots:
-    """Numerically stable roots; lam_minus is computed without cancellation
-    and lam_plus recovered from the product k2/eps."""
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    if k2 < 0:
-        raise ValueError("k2 must be >= 0")
-    disc = 1.0 - 4.0 * eps * k2
-    if abs(disc) < _DOUBLE_ROOT_TOL:
-        lam = complex(-1.0 / (2.0 * eps))
-        return ModeRoots("double", lam, lam, disc)
-    if disc > 0:
-        lam_minus = -(1.0 + math.sqrt(disc)) / (2.0 * eps)
-        lam_plus = k2 / (eps * lam_minus) if k2 > 0 else 0.0
-        return ModeRoots("real-distinct", complex(lam_plus), complex(lam_minus), disc)
-    om = math.sqrt(-disc) / (2.0 * eps)
-    re = -1.0 / (2.0 * eps)
-    return ModeRoots("complex-pair", complex(re, om), complex(re, -om), disc)
 
 
 def _propagator_entries(eps: float, k2: np.ndarray, dt: float):
@@ -155,21 +125,29 @@ def _propagator_entries(eps: float, k2: np.ndarray, dt: float):
     return p11, p12, p21, p22
 
 
+def _duhamel_weights(p11: np.ndarray, p12: np.ndarray, k2: np.ndarray, eps: float):
+    """Integral of exp(A s) ds on the forcing slot (0, N/eps), on the wavenumbers ``k2``:
+    u gets cu = (1 - P11)/k2 * N (0 on the zero mode), u_t gets cw = P12/eps * N."""
+    cu = (1.0 - p11) / np.where(k2 > 0, k2, 1.0)
+    cu[k2 == 0] = 0.0
+    return cu, p12 / eps
+
+
 class _WaveTables:
-    """Cached propagator and Duhamel weights for fixed (eps, dt) on the
-    wavenumbers ``k2``."""
+    """Cached propagator entries for fixed (eps, dt) on the wavenumbers ``k2``."""
 
     def __init__(self, k2: np.ndarray, eps: float, dt: float):
         self.p11, self.p12, self.p21, self.p22 = _propagator_entries(eps, k2, dt)
-        k2safe = np.where(k2 > 0, k2, 1.0)
-        # integral of exp(A s) ds applied to the forcing slot (0, N/eps):
-        # u gets (1 - P11)/k2 * N, u_t gets P12/eps * N
-        self.cu = (1.0 - self.p11) / k2safe
-        self.cu[k2 == 0] = 0.0
-        self.cw = self.p12 / eps
 
     def apply(self, u: np.ndarray, w: np.ndarray):
-        return self.p11 * u + self.p12 * w, self.p21 * u + self.p22 * w
+        """New arrays P11 u + P12 w and P21 u + P22 w, through one temporary."""
+        uo = self.p11 * u
+        tmp = self.p12 * w
+        uo += tmp
+        wo = self.p21 * u
+        np.multiply(self.p22, w, out=tmp)
+        wo += tmp
+        return uo, wo
 
 
 def propagate_mode(eps: float, k2: float, dt: float, u0: complex, u1: complex):
@@ -187,7 +165,7 @@ def linear_propagate(state: WaveState, dt: float) -> WaveState:
     tables = _WaveTables(state.u.grid.k2, state.eps, dt)
     uc, wc = tables.apply(state.u.coeffs, state.ut.coeffs)
     g = state.u.grid
-    return WaveState(SpectralField(g, uc), SpectralField(g, wc), state.eps, state.t + dt)
+    return WaveState(_adopt(g, uc), _adopt(g, wc), state.eps, state.t + dt)
 
 
 class _NlwStepper:
@@ -200,9 +178,13 @@ class _NlwStepper:
     def __init__(self, grid: Grid, eps: float, dt: float):
         self.grid = grid
         self.to_end = _WaveTables(grid.k2, eps, dt)
-        mid = _WaveTables(grid.k2, eps, dt / 2.0)
-        self.mid_p11, self.mid_p12, self.mid_cu = (box_gather(grid, t) for t in (mid.p11, mid.p12, mid.cu))
-        self.end_cu, self.end_cw = (box_gather(grid, t) for t in (self.to_end.cu, self.to_end.cw))
+        mid_p11, mid_p12, _, _ = _propagator_entries(eps, grid.k2, dt / 2.0)
+        self.mid_p11, self.mid_p12 = box_gather(grid, mid_p11), box_gather(grid, mid_p12)
+        k2 = box_gather(grid, grid.k2)
+        self.mid_cu, _ = _duhamel_weights(self.mid_p11, self.mid_p12, k2, eps)
+        self.end_cu, self.end_cw = _duhamel_weights(
+            box_gather(grid, self.to_end.p11), box_gather(grid, self.to_end.p12), k2, eps
+        )
 
     def nonlinearity(self, u: np.ndarray) -> np.ndarray:
         """Minus the convection, compact box to compact box."""
@@ -229,7 +211,7 @@ def nlw_step(state: WaveState, dt: float) -> WaveState:
     g = state.u.grid
     uc, wc = _NlwStepper(g, state.eps, dt).step((state.u.coeffs, state.ut.coeffs))
     _check_finite(uc, state.t + dt)
-    return WaveState(SpectralField(g, uc), SpectralField(g, wc), state.eps, state.t + dt)
+    return WaveState(_adopt(g, uc), _adopt(g, wc), state.eps, state.t + dt)
 
 
 @dataclass
@@ -272,12 +254,13 @@ def nlw_solve(
     ceiling = blowup_factor * max(energy(state, sigma0), 1e-300)
     for t, (uc, wc) in march(lambda h: _NlwStepper(grid, eps, h).step, (u0.coeffs, u1.coeffs), T, dt, stride):
         if t > 0.0:
-            state = WaveState(SpectralField(grid, uc), SpectralField(grid, wc), eps, t)
-            del uc, wc  # the state holds copies; free the step arrays before the next steps
+            state = WaveState(_adopt(grid, uc), _adopt(grid, wc), eps, t)
             if energy(state, sigma0) > ceiling:
                 return WaveSolveResult(state, blew_up=True, blowup_t=t)
         if observer is not None:
             observer(state)
+        if t < T:  # the steps to the next sample need not hold this one
+            del state, uc, wc
     return WaveSolveResult(state)
 
 

@@ -16,8 +16,8 @@ import numpy as np
 from .spectral import (
     Grid,
     SpectralField,
+    _adopt,
     _box_convection,
-    _convection_coeffs,
     box_gather,
     box_scatter,
     linf_norm,
@@ -104,7 +104,7 @@ def ns_step(state: NsState, dt: float) -> NsState:
     grid = state.v.grid
     c = _NsStepper(grid, dt).step(state.v.coeffs)
     _check_finite(c, state.t + dt)
-    return NsState(SpectralField(grid, c), state.t + dt)
+    return NsState(_adopt(grid, c), state.t + dt)
 
 
 def plan_steps(T: float, dt: float):
@@ -164,7 +164,8 @@ def march(make_stepper, coeffs, T: float, dt: float, stride: int):
     and yield ``(t, coeffs)`` at t=0, every ``stride``-th step and t=T.
 
     ``coeffs`` is an array or a tuple whose first array is the solution;
-    that array must be finite at each sample, else SolverFailure."""
+    that array must be finite at each sample, else SolverFailure.  Steppers
+    never write their inputs, so a caller may keep a sample's arrays as is."""
     _keep_heap()
     n_steps, dt_eff = plan_steps(T, dt)
     yield 0.0, coeffs
@@ -197,15 +198,21 @@ def ns_solve(
     state = NsState(v0, 0.0)
     for t, c in march(lambda h: _NsStepper(grid, h).step, v0.coeffs, T, dt, stride):
         if t > 0.0:
-            state = NsState(SpectralField(grid, c), t)
-            del c  # the state holds a copy; free the step array before the next steps
+            state = NsState(_adopt(grid, c), t)
         if observer is not None:
             observer(state)
+        if t < T:  # the steps to the next sample need not hold this one
+            del state, c
     return state
 
 
 def dt_v(state: NsState) -> SpectralField:
-    """Time derivative Lap v - P nabla:(v (x) v), evaluated spectrally."""
+    """Time derivative Lap v - P nabla:(v (x) v), evaluated spectrally; the
+    convection is subtracted on its 2/3-rule box only."""
     g = state.v.grid
     c = state.v.coeffs
-    return SpectralField(g, -g.k2 * c - _convection_coeffs(g, c))
+    b = _box_convection(g, box_gather(g, c), project=True)
+    out = -g.k2 * c
+    for full, box in g.box_blocks:
+        out[full] -= b[box]
+    return _adopt(g, out)

@@ -29,10 +29,18 @@ pairs each block's index in the half spectrum with its index in the
 compact array, and ``box_gather`` and ``box_scatter`` move coefficients
 between the two layouts.
 
+The inverse transform of the box gets a buffer of the last-axis columns
+0..c only, which ``irfftn(..., s=grid.shape)`` zero-pads to n/2+1, so its
+c2c passes over the first axes skip the all-zero columns c+1..n/2.
+
 Full half-spectrum tables: ``k``, ``k2``, ``kmag``, ``keff``,
 ``k2eff_safe``, ``dealias_mask``, ``mult`` and the ``weight`` cache
 (``ik`` is computed from ``keff`` on access).  Compact box tables, built
 once per grid: ``box_ik``, ``box_keff`` and ``box_k2eff_safe``.
+
+A ``SpectralField`` owns its coefficients, which are read-only.  The
+constructor copies what it is given; ``_adopt`` wraps, without the copy, an
+array that its caller has just made and will not write again.
 """
 
 from __future__ import annotations
@@ -255,6 +263,18 @@ class SpectralField:
         return SpectralField(self.grid, -self.coeffs)
 
 
+def _adopt(grid: Grid, c: np.ndarray) -> SpectralField:
+    """Wrap the new half-spectrum array ``c`` as a field without the
+    constructor's copy: its zero mode is set to 0 and it is marked
+    read-only, in place.  The caller must not write ``c`` afterwards."""
+    c[_zero_mode_index(grid.dim)] = 0.0
+    c.flags.writeable = False
+    f = object.__new__(SpectralField)
+    object.__setattr__(f, "grid", grid)
+    object.__setattr__(f, "coeffs", c)
+    return f
+
+
 def zero_field(grid: Grid, ncomp: int | None = None) -> SpectralField:
     ncomp = grid.dim if ncomp is None else ncomp
     return SpectralField(grid, np.zeros((ncomp,) + grid.spec_shape, dtype=np.complex128))
@@ -296,17 +316,6 @@ def weighted_sum(grid: Grid, sigma: float, density: np.ndarray) -> float:
     wakes the library's thread pool, whose threads keep spinning after it
     returns and take the CPU from the other workers of a process pool."""
     return float(np.sum(grid.weight(sigma) * density))
-
-
-def lambda_power(f: SpectralField, sigma: float) -> SpectralField:
-    """Multiplier |k|^sigma (the operator sqrt(-Laplace) to a real power).
-
-    The zero mode stays 0 for every sigma, including negative ones.
-    """
-    g = f.grid
-    if sigma == 0.0:
-        return f
-    return SpectralField(g, f.coeffs * g.k2_power(sigma / 2.0))
 
 
 def sobolev_norm(f: SpectralField, sigma: float) -> float:
@@ -408,7 +417,7 @@ def _box_convection(grid: Grid, b: np.ndarray, project: bool) -> np.ndarray:
     inverse transform of the components and one forward transform per
     product u_i u_j; the derivatives and the projection act on the box only.
     """
-    spec = np.zeros((grid.dim,) + grid.spec_shape, dtype=np.complex128)
+    spec = np.zeros((grid.dim,) + grid.spec_shape[:-1] + (grid.dealias_cutoff + 1,), dtype=np.complex128)
     for full, box in grid.box_blocks:
         np.divide(b[box], grid.fwd_scale, out=spec[full])
     vals = np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(1, grid.dim + 1)))

@@ -95,6 +95,32 @@ def with_nan(f, inside_box):
     return SpectralField(f.grid, c)
 
 
+def count_field_copies(monkeypatch):
+    """Record every ``SpectralField`` the constructor builds (each one a
+    copy of the array it is given) in the returned list."""
+    from hypns.spectral import SpectralField
+
+    built = []
+    post_init = SpectralField.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SpectralField, "__post_init__", counted)
+    return built
+
+
+def assert_samples_own_arrays(samples):
+    """``samples`` holds a (field, copy of its coefficients) pair per field
+    a solve's observer saw, the copy taken when it saw it.  Each field's
+    array must be read-only, unchanged since then and held by no other."""
+    arrays = [f.coeffs for f, _ in samples]
+    assert all(not c.flags.writeable for c in arrays)
+    assert all(np.array_equal(f.coeffs, kept) for f, kept in samples)
+    assert len({id(c) for c in arrays}) == len(arrays)
+
+
 def poison_from_step(monkeypatch, cls, name, calls_per_step, k):
     """Make ``cls.name`` return NaN from solver step ``k`` (1-based) on.
 

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypns.experiments import (
     ConfigError,
@@ -160,6 +162,23 @@ class TestFitRate:
 
     def test_single_usable_point_undefined(self):
         assert fit_rate([(0.1, 1.0), (0.01, -1.0)]) is None
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(
+        gaps=st.lists(st.floats(0.2, 1.0), min_size=2, max_size=8),
+        rate=st.floats(0.1, 3.0),
+        log_c=st.floats(-7.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_polyfit(self, gaps, rate, log_c, seed):
+        # noisy power laws on eps lists at least 10^0.2 apart, as a sweep has;
+        # the intercept is compared on the scale max(|intercept|, 1)
+        eps = 10.0 ** -np.cumsum(gaps)
+        vals = np.exp(log_c + rate * np.log(eps) + 0.3 * np.random.default_rng(seed).standard_normal(len(eps)))
+        fit = fit_rate(zip(eps, vals))
+        slope, intercept = np.polyfit(np.log(eps), np.log(vals), 1)
+        assert abs(fit.slope - slope) <= 1e-12 * abs(slope)
+        assert abs(fit.intercept - intercept) <= 1e-12 * max(abs(intercept), 1.0)
 
 
 class TestDataSources:

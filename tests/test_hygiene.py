@@ -6,11 +6,15 @@ private (``_name``) function or class must be referenced somewhere in
 ``src/`` or ``tests/``.  ``__init__.py`` is exempt: it re-exports.
 
 No module may call a BLAS-backed product (``vdot``, ``dot``, ``inner``,
-``matmul``, ``tensordot`` or the ``@`` operator).  A BLAS call wakes
+``matmul``, ``tensordot`` or the ``@`` operator) or reach LAPACK
+(``polyfit``, ``lstsq``, any ``linalg`` attribute or import).  A BLAS call wakes
 OpenBLAS's thread pool, whose threads spin on after it returns and take the
 CPU from the other workers of the experiment pool; reductions are written
-as elementwise products and sums.  ``np.polyfit`` in ``fit_rate`` reaches
-LAPACK but runs once per sweep, in the parent process, and is allowed.
+as elementwise products and sums.  LAPACK costs memory even when called
+once: the ``np.polyfit`` that ``fit_rate`` made at the end of every sweep
+raised the peak RSS of a fresh-process ``converge_3d`` benchmark sample
+by 1.0-1.1 MiB (54.7 to 55.8 MiB), so the rate fit is a closed-form least
+squares.
 
 ``numpy.fft`` transforms may be called only in ``spectral.py`` and
 ``initial_data.py``, where the transform counts of the benchmark arithmetic
@@ -44,7 +48,7 @@ def referenced_names(tree):
     return names
 
 
-BLAS_PRODUCTS = {"vdot", "dot", "inner", "matmul", "tensordot"}
+BLAS_PRODUCTS = {"vdot", "dot", "inner", "matmul", "tensordot", "polyfit", "lstsq"}
 
 
 def blas_products(path):
@@ -57,6 +61,12 @@ def blas_products(path):
                 found.append(f"{path.name}:{node.lineno}: {name}")
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             found.append(f"{path.name}:{node.lineno}: @")
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            found.append(f"{path.name}:{node.lineno}: linalg")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+            if any("linalg" in name.split(".") for name in names):
+                found.append(f"{path.name}:{node.lineno}: linalg")
     return found
 
 

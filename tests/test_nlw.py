@@ -9,8 +9,8 @@ from hypns.initial_data import random_divergence_free_field, taylor_green
 from hypns.nlw import (
     WaveState,
     _NlwStepper,
+    _propagator_entries,
     linear_propagate,
-    mode_roots,
     nlw_solve,
     nlw_step,
     propagate_mode,
@@ -19,28 +19,57 @@ from hypns.nlw import (
 from hypns.ns import SolverFailure, ns_solve
 from hypns.spectral import SpectralField, inverse_transform, l2_norm, make_grid, sobolev_norm, zero_field
 
-from conftest import POISON, oracle_mode, poison_from_step, with_nan
+from conftest import (
+    POISON,
+    assert_samples_own_arrays,
+    count_field_copies,
+    oracle_mode,
+    poison_from_step,
+    with_nan,
+)
+
+
+def propagator(eps, k2, dt):
+    """The entries (p11, p12, p21, p22) of exp(dt A) for one mode."""
+    return tuple(float(p[0]) for p in _propagator_entries(eps, np.asarray([k2]), dt))
 
 
 class TestModeRoots:
+    """The characteristic roots lam+- of eps z^2 + z + k2 = 0 as the solver's
+    propagator exp(dt A) realises them: its eigenvalues are exp(lam+- dt), so
+    its trace is exp(lam+ dt) + exp(lam- dt) and its determinant
+    exp((lam+ + lam-) dt) = exp(-dt/eps)."""
+
     def test_double_root(self):
-        r = mode_roots(1.0 / 8.0, 2.0)
-        assert r.kind == "double"
-        assert r.lam_plus == r.lam_minus == -4.0
+        # eps = 1/8, k2 = 2: lam = -4 twice, exp(dt A) = exp(-4 dt) (I + dt (A + 4 I))
+        dt = 0.1
+        p11, p12, p21, p22 = propagator(1.0 / 8.0, 2.0, dt)
+        e = math.exp(-4.0 * dt)
+        want = (e * (1.0 + 4.0 * dt), e * dt, -16.0 * e * dt, e * (1.0 - 4.0 * dt))
+        assert all(abs(got - w) <= 1e-15 * abs(w) for got, w in zip((p11, p12, p21, p22), want))
 
     def test_complex_pair(self):
-        r = mode_roots(1.0, 1.0)
-        assert r.kind == "complex-pair"
-        assert abs(r.lam_plus - complex(-0.5, math.sqrt(3) / 2)) < 1e-14
+        # eps = k2 = 1: lam = -1/2 +- i sqrt(3)/2
+        dt = 0.7
+        p11, p12, p21, p22 = propagator(1.0, 1.0, dt)
+        assert abs(p11 + p22 - 2.0 * math.exp(-dt / 2.0) * math.cos(math.sqrt(3) / 2.0 * dt)) < 1e-14
+        assert abs(p11 * p22 - p12 * p21 - math.exp(-dt)) < 1e-14
 
     def test_parabolic_limit(self):
-        eps, k2 = 1e-6, 1.0
-        r = mode_roots(eps, k2)
-        assert abs(r.lam_plus + k2) <= 2.2 * eps * k2**2
+        # exp(lam- dt) underflows, so the trace is exp(lam+ dt) alone
+        eps, k2, dt = 1e-6, 1.0, 1.0
+        p11, _, _, p22 = propagator(eps, k2, dt)
+        lam_plus = math.log(p11 + p22) / dt
+        assert abs(lam_plus + k2) <= 2.2 * eps * k2**2
 
     def test_rejects_bad_eps(self):
-        with pytest.raises(ValueError):
-            mode_roots(0.0, 1.0)
+        g = make_grid(2, 16)
+        f = zero_field(g)
+        for eps in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                WaveState(f, f, eps)
+            with pytest.raises(ValueError):
+                nlw_solve(f, f, eps, 0.1, dt=0.01)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sum_and_product(self, seed):
@@ -48,12 +77,13 @@ class TestModeRoots:
         for _ in range(250):
             eps = 10 ** rng.uniform(-6, 1)
             k2 = 10 ** rng.uniform(-1, 4)
-            r = mode_roots(eps, k2)
-            s = r.lam_plus + r.lam_minus
-            p = r.lam_plus * r.lam_minus
-            assert abs(s + 1.0 / eps) <= 1e-10 * abs(s)
-            assert abs(p - k2 / eps) <= 1e-10 * abs(p)
-            assert r.lam_plus.real < 0 and r.lam_minus.real < 0
+            dt = eps * 10 ** rng.uniform(-2, 0.5)
+            p11, p12, p21, p22 = propagator(eps, k2, dt)
+            disc = mp.sqrt(mp.mpc(1 - 4 * mp.mpf(eps) * mp.mpf(k2)))
+            ep, em = (mp.exp((-1 + r) / (2 * mp.mpf(eps)) * dt) for r in (disc, -disc))
+            assert abs(p11 + p22 - float(mp.re(ep + em))) <= 1e-10 * float(abs(ep) + abs(em))
+            det = float(mp.exp(-dt / mp.mpf(eps)))
+            assert abs(p11 * p22 - p12 * p21 - det) <= 1e-10 * det
 
 
 class TestLinearPropagate:
@@ -155,6 +185,22 @@ class TestNlwSolve:
         # the sample that trips the monitor is not observed
         assert seen == [0.0] and res.blowup_t > 0.0
 
+    def test_samples_hold_the_step_arrays(self, monkeypatch):
+        g = make_grid(2, 16)
+        u0 = random_divergence_free_field(g, 13, band=4)
+        u1 = random_divergence_free_field(g, 14, band=4)
+        copies = count_field_copies(monkeypatch)
+        samples, copies_at_start = [], []
+
+        def observer(st):
+            if st.t == 0.0:
+                copies_at_start.append(len(copies))
+            samples.extend((f, f.coeffs.copy()) for f in (st.u, st.ut))
+
+        nlw_solve(u0, u1, 0.1, 0.05, dt=0.005, observer=observer, stride=3)
+        assert len(samples) == 2 * 5 and len(copies) == copies_at_start[0]
+        assert_samples_own_arrays(samples)
+
     @pytest.mark.parametrize("inside_box", [True, False])
     @pytest.mark.parametrize("slot", ["u0", "u1"])
     def test_rejects_non_finite_data(self, slot, inside_box):
@@ -206,6 +252,34 @@ class TestNlwSolve:
         nlw_solve(u0, 0.0 * u0, eps, 0.5, dt=5e-3, observer=lambda st: vals.append(energy(st, 0.5)), stride=1)
         tol = 1e-8 * vals[0]
         assert all(b <= a + tol for a, b in zip(vals, vals[1:]))
+
+
+def embed(f, grid):
+    """``f`` on the finer ``grid``: each coefficient moved to the same
+    integer wavenumber."""
+    idx = tuple(k.astype(np.int64) % grid.n for k in f.grid.k)
+    c = np.zeros((grid.dim,) + grid.spec_shape, dtype=np.complex128)
+    c[(slice(None),) + idx] = f.coeffs
+    return SpectralField(grid, c)
+
+
+class TestSpatialConvergence:
+    # largest difference of a band mode from the n = 128 run at T, measured
+    # 1.95e-8, 1.59e-13 and 2.6e-18 on band coefficients up to 0.085
+    BOUNDS = {32: 4e-8, 48: 4e-13, 64: 1e-15}
+
+    def test_band_modes_converge_with_n(self):
+        band = 6
+        f = 2.0 * random_divergence_free_field(make_grid(2, 32), 1, band=band)
+        low = np.r_[0 : band + 1, -band:0]
+        ends = {}
+        for n in (32, 48, 64, 128):
+            g = make_grid(2, n)
+            u = nlw_solve(embed(f, g), zero_field(g), 0.05, 0.5, dt=1e-3).state.u.coeffs
+            ends[n] = u[:, low % n, : band + 1]
+        diffs = {n: float(np.max(np.abs(ends[n] - ends[128]))) for n in (32, 48, 64)}
+        assert diffs[32] > diffs[48] > diffs[64]
+        assert all(diffs[n] <= bound for n, bound in self.BOUNDS.items())
 
 
 class TestRescale:

@@ -19,7 +19,14 @@ from hypns.spectral import (
     zero_field,
 )
 
-from conftest import POISON, poison_from_step, single_mode_field, with_nan
+from conftest import (
+    POISON,
+    assert_samples_own_arrays,
+    count_field_copies,
+    poison_from_step,
+    single_mode_field,
+    with_nan,
+)
 
 
 class TestHeatPropagate:
@@ -129,6 +136,21 @@ class TestNsSolve:
         assert times[0] == 0.0
         assert times[-1] == 0.01
         assert np.allclose(np.diff(times), times[1] - times[0])
+
+    def test_samples_hold_the_step_arrays(self, monkeypatch):
+        g = make_grid(2, 16)
+        v0 = random_divergence_free_field(g, 13, band=4)
+        copies = count_field_copies(monkeypatch)
+        samples, copies_at_start = [], []
+
+        def observer(st):
+            if st.t == 0.0:
+                copies_at_start.append(len(copies))
+            samples.append((st.v, st.v.coeffs.copy()))
+
+        ns_solve(v0, 0.05, dt=0.005, observer=observer, stride=3)
+        assert len(samples) == 5 and len(copies) == copies_at_start[0]
+        assert_samples_own_arrays(samples)
 
     def test_rejects_divergent_data(self):
         g = make_grid(2, 16)

@@ -14,7 +14,6 @@ from hypns.spectral import (
     inverse_transform,
     l2_inner,
     l2_norm,
-    lambda_power,
     leray_project,
     linf_norm,
     make_grid,
@@ -123,23 +122,6 @@ class TestTransform:
 
 
 class TestMultipliers:
-    def test_lambda_power_single_mode(self):
-        g = make_grid(2, 16)
-        f = single_mode_field(g, (3, 0), (0.0, 1.0))
-        g2 = lambda_power(f, 2.0)
-        assert np.allclose(g2.coeffs, 9.0 * f.coeffs)
-
-    def test_lambda_power_identity(self):
-        g = make_grid(2, 16)
-        f = random_divergence_free_field(g, 3)
-        assert lambda_power(f, 0.0) is f
-
-    def test_lambda_power_inverse(self):
-        g = make_grid(2, 16)
-        f = random_divergence_free_field(g, 4)
-        back = lambda_power(lambda_power(f, 1.0), -1.0)
-        assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
-
     def test_sobolev_single_mode(self):
         g = make_grid(2, 16)
         f = single_mode_field(g, (3, 0), (0.0, 1.0))
