@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -29,6 +29,18 @@ from .initial_data import (
 from .ns import NsState, SolverFailure, default_dt, dt_v, ns_solve
 from .nlw import nlw_solve
 from .spectral import SpectralField, base_sigma, hs_inner, l2_norm, make_grid
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first access (PEP 562).
+
+    Only ``jobs > 1`` runs a pool, and importing ``concurrent.futures.process``
+    loads ``multiprocessing``, which a single-process run never uses."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfigError(ValueError):
@@ -379,7 +391,10 @@ def _run_eps_list(cfg: ExperimentConfig, jobs: int, with_reference: bool, force:
         # workers than tasks
         shared = (cfg, v0, dt, ref, force)
         workers = min(jobs, len(cfg.eps_list))
-        with ProcessPoolExecutor(max_workers=workers, initializer=_hold_shared, initargs=shared) as ex:
+        # looked up on the module, so that a pool class set there (a
+        # wrapper or a test double) is the one used
+        pool = sys.modules[__name__].ProcessPoolExecutor
+        with pool(max_workers=workers, initializer=_hold_shared, initargs=shared) as ex:
             rows = list(ex.map(_wave_run_shared, cfg.eps_list))
     rows.sort(key=lambda r: -r.eps)
     return dt, rows

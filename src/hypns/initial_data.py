@@ -129,12 +129,13 @@ def random_divergence_free_field(
     c = np.fft.rfftn(noise, axes=axes)
     if slope != 0.0:
         c = c * grid.k2_power(-slope / 2.0)
+    kvec = grid.k
     if band is not None:
         keep = np.ones(grid.spec_shape, dtype=bool)
-        for k in grid.k:
+        for k in kvec:
             keep &= np.abs(k) <= band
         c = c * keep
-    for k in grid.k:
+    for k in kvec:
         c[:, np.abs(k) == grid.n // 2] = 0.0
     f = SpectralField(grid, _leray_coeffs(grid, c))
     size = l2_norm(f)

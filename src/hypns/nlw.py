@@ -140,13 +140,14 @@ class _WaveTables:
         self.p11, self.p12, self.p21, self.p22 = _propagator_entries(eps, k2, dt)
 
     def apply(self, u: np.ndarray, w: np.ndarray):
-        """New arrays P11 u + P12 w and P21 u + P22 w, through one temporary."""
+        """New arrays P11 u + P12 w and P21 u + P22 w, through a temporary
+        of one component."""
         uo = self.p11 * u
-        tmp = self.p12 * w
-        uo += tmp
         wo = self.p21 * u
-        np.multiply(self.p22, w, out=tmp)
-        wo += tmp
+        tmp = np.empty(u.shape[1:], dtype=uo.dtype)
+        for i in range(len(u)):
+            uo[i] += np.multiply(self.p12, w[i], out=tmp)
+            wo[i] += np.multiply(self.p22, w[i], out=tmp)
         return uo, wo
 
 
@@ -178,9 +179,8 @@ class _NlwStepper:
     def __init__(self, grid: Grid, eps: float, dt: float):
         self.grid = grid
         self.to_end = _WaveTables(grid.k2, eps, dt)
-        mid_p11, mid_p12, _, _ = _propagator_entries(eps, grid.k2, dt / 2.0)
-        self.mid_p11, self.mid_p12 = box_gather(grid, mid_p11), box_gather(grid, mid_p12)
         k2 = box_gather(grid, grid.k2)
+        self.mid_p11, self.mid_p12, _, _ = _propagator_entries(eps, k2, dt / 2.0)
         self.mid_cu, _ = _duhamel_weights(self.mid_p11, self.mid_p12, k2, eps)
         self.end_cu, self.end_cw = _duhamel_weights(
             box_gather(grid, self.to_end.p11), box_gather(grid, self.to_end.p12), k2, eps

@@ -33,14 +33,17 @@ The inverse transform of the box gets a buffer of the last-axis columns
 0..c only, which ``irfftn(..., s=grid.shape)`` zero-pads to n/2+1, so its
 c2c passes over the first axes skip the all-zero columns c+1..n/2.
 
-Full half-spectrum tables: ``k``, ``k2``, ``kmag``, ``keff``,
-``k2eff_safe``, ``dealias_mask``, ``mult`` and the ``weight`` cache
-(``ik`` is computed from ``keff`` on access).  Compact box tables, built
-once per grid: ``box_ik``, ``box_keff`` and ``box_k2eff_safe``.
+A grid stores only what the steps read: the full half-spectrum table
+``k2``, the compact box tables ``box_ik``, ``box_keff`` and
+``box_k2eff_safe``, and the ``weight`` cache, one table per sigma.  The
+other full tables, ``k``, ``kmag``, ``keff``, ``ik``, ``k2eff_safe``,
+``mult`` and ``dealias_mask``, are computed on access; they serve set-up,
+validation and tests, not the steps.
 
 A ``SpectralField`` owns its coefficients, which are read-only.  The
 constructor copies what it is given; ``_adopt`` wraps, without the copy, an
 array that its caller has just made and will not write again.
+``zero_field`` wraps a read-only zero-stride array, which takes no memory.
 """
 
 from __future__ import annotations
@@ -66,11 +69,15 @@ class Grid:
         period is fixed at 2*pi per axis, so wavenumbers are integers.
 
     ``shape`` is the collocation shape (n, ..., n); ``spec_shape`` the
-    half-spectrum shape (n, ..., n, n//2+1) of the tables ``k``, ``k2``,
-    ``kmag``, ``keff``, ``k2eff_safe``, ``dealias_mask`` and ``mult``.
-    Along the last axis ``k`` runs over 0..n/2.  ``box_shape`` is the shape
-    of the compact 2/3-rule box and of the tables ``box_ik``, ``box_keff``
-    and ``box_k2eff_safe`` (see the module docstring).
+    half-spectrum shape (n, ..., n, n//2+1) of the full tables.  Along the
+    last axis ``k`` runs over 0..n/2.  ``box_shape`` is the shape of the
+    compact 2/3-rule box (see the module docstring).
+
+    Stored: the full table ``k2``, the compact box tables ``box_keff``,
+    ``box_ik`` and ``box_k2eff_safe``, and the ``weight`` cache.  Computed
+    on access, as new arrays: the full tables ``k``, ``kmag``, ``keff``,
+    ``ik``, ``k2eff_safe``, ``mult`` and ``dealias_mask``; a caller binds
+    one once rather than reading it inside a loop.
     """
 
     dim: int
@@ -82,44 +89,20 @@ class Grid:
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError(f"n must be even and >= 8, got {self.n}")
 
-        k1 = np.fft.fftfreq(self.n, 1.0 / self.n)  # integer lattice as floats
-        k_last = np.fft.rfftfreq(self.n, 1.0 / self.n)
-        kvec = np.meshgrid(*([k1] * (self.dim - 1) + [k_last]), indexing="ij")
-        k2 = np.zeros_like(kvec[0])
-        for k in kvec:
+        object.__setattr__(self, "shape", (self.n,) * self.dim)
+        object.__setattr__(self, "spec_shape", self.shape[:-1] + (self.n // 2 + 1,))
+        object.__setattr__(self, "cell_volume", (TWO_PI / self.n) ** self.dim)
+        # unitary convention: coeffs = rfftn(values) * fwd_scale
+        object.__setattr__(self, "fwd_scale", TWO_PI ** (self.dim / 2) / self.n**self.dim)
+        k2 = np.zeros(self.spec_shape)
+        for k in self.k:
             k2 += k * k
-        kmag = np.sqrt(k2)
+        object.__setattr__(self, "k2", k2)
 
-        # 2/3-rule mask; (n-1)//3 keeps quadratic products of masked fields
-        # alias-free on even grids.
+        # 2/3-rule box; (n-1)//3 keeps quadratic products of masked fields
+        # alias-free on even grids.  The box as blocks: (half-spectrum
+        # index, compact index) per block.
         cutoff = (self.n - 1) // 3
-        dealias = np.ones(kvec[0].shape, dtype=bool)
-        for k in kvec:
-            dealias &= np.abs(k) <= cutoff
-
-        # Odd-order derivative symbols must vanish on the unpaired Nyquist
-        # row to keep real fields real; the Leray projector uses the same
-        # effective wavenumber so divergence(projection) is exactly zero.
-        keff = []
-        for k in kvec:
-            kd = k.copy()
-            kd[np.abs(k) == self.n // 2] = 0.0
-            keff.append(kd)
-        k2eff = np.zeros_like(keff[0])
-        for kd in keff:
-            k2eff += kd * kd
-        # Leray divisor: k2eff vanishes where every component is 0 or n/2,
-        # and so does keff, so replacing those zeros by 1 changes nothing
-        k2eff_safe = np.where(k2eff > 0, k2eff, 1.0)
-
-        # modes on the planes k_last = 0 and n/2 have their conjugate
-        # partners stored in the same plane; every other stored mode also
-        # stands for its unstored partner
-        mult = np.full(kvec[0].shape, 2.0)
-        mult[..., 0] = 1.0
-        mult[..., -1] = 1.0
-
-        # the box as blocks: (half-spectrum index, compact index) per block
         low = (slice(0, cutoff + 1), slice(0, cutoff + 1))
         high = (slice(self.n - cutoff, self.n), slice(cutoff + 1, 2 * cutoff + 1))
         blocks = []
@@ -127,31 +110,68 @@ class Grid:
             full = (Ellipsis,) + tuple(r[0] for r in ranges) + (low[0],)
             box = (Ellipsis,) + tuple(r[1] for r in ranges) + (low[1],)
             blocks.append((full, box))
+        object.__setattr__(self, "dealias_cutoff", cutoff)
         object.__setattr__(self, "box_blocks", tuple(blocks))
         object.__setattr__(self, "box_shape", (2 * cutoff + 1,) * (self.dim - 1) + (cutoff + 1,))
-        box_keff = tuple(box_gather(self, kd) for kd in keff)
+        box_keff = tuple(box_gather(self, kd) for kd in self.keff)
         object.__setattr__(self, "box_keff", box_keff)
         object.__setattr__(self, "box_ik", tuple(1j * kd for kd in box_keff))
-        object.__setattr__(self, "box_k2eff_safe", box_gather(self, k2eff_safe))
-
-        object.__setattr__(self, "k2eff_safe", k2eff_safe)
-        object.__setattr__(self, "k", tuple(kvec))
-        object.__setattr__(self, "keff", tuple(keff))
-        object.__setattr__(self, "k2", k2)
-        object.__setattr__(self, "kmag", kmag)
-        object.__setattr__(self, "mult", mult)
-        object.__setattr__(self, "dealias_mask", dealias)
-        object.__setattr__(self, "dealias_cutoff", cutoff)
-        object.__setattr__(self, "shape", (self.n,) * self.dim)
-        object.__setattr__(self, "spec_shape", kvec[0].shape)
-        object.__setattr__(self, "cell_volume", (TWO_PI / self.n) ** self.dim)
-        # unitary convention: coeffs = rfftn(values) * fwd_scale
-        object.__setattr__(self, "fwd_scale", TWO_PI ** (self.dim / 2) / self.n**self.dim)
+        object.__setattr__(self, "box_k2eff_safe", box_gather(self, self.k2eff_safe))
         object.__setattr__(self, "_weights", {})
 
     @property
+    def k(self) -> tuple:
+        """Integer wavenumbers as floats, one full table per axis."""
+        k1 = np.fft.fftfreq(self.n, 1.0 / self.n)
+        k_last = np.fft.rfftfreq(self.n, 1.0 / self.n)
+        return tuple(np.meshgrid(*([k1] * (self.dim - 1) + [k_last]), indexing="ij"))
+
+    @property
+    def kmag(self) -> np.ndarray:
+        return np.sqrt(self.k2)
+
+    @property
+    def keff(self) -> tuple:
+        """Effective wavenumbers: ``k`` with the unpaired Nyquist rows set
+        to 0.  Odd-order derivative symbols must vanish there to keep real
+        fields real; the Leray projector uses the same effective
+        wavenumber so divergence(projection) is exactly zero."""
+        keff = []
+        for k in self.k:
+            k[np.abs(k) == self.n // 2] = 0.0
+            keff.append(k)
+        return tuple(keff)
+
+    @property
+    def k2eff_safe(self) -> np.ndarray:
+        """Leray divisor |keff|^2 with its zeros replaced by 1: it vanishes
+        where every component is 0 or n/2, and so does keff, so the
+        replacement changes nothing."""
+        keff = self.keff
+        k2eff = np.zeros_like(keff[0])
+        for kd in keff:
+            k2eff += kd * kd
+        return np.where(k2eff > 0, k2eff, 1.0)
+
+    @property
+    def mult(self) -> np.ndarray:
+        """Multiplicity of a stored mode in full-spectrum sums (see the
+        module docstring): 1 on the planes k_last = 0 and n/2, else 2."""
+        mult = np.full(self.spec_shape, 2.0)
+        mult[..., 0] = mult[..., -1] = 1.0
+        return mult
+
+    @property
+    def dealias_mask(self) -> np.ndarray:
+        """The 2/3-rule box |k_i| <= ``dealias_cutoff`` as a boolean table."""
+        mask = np.ones(self.spec_shape, dtype=bool)
+        for k in self.k:
+            mask &= np.abs(k) <= self.dealias_cutoff
+        return mask
+
+    @property
     def ik(self) -> tuple:
-        """Derivative symbols i keff, one full table per axis, built on access."""
+        """Derivative symbols i keff, one full table per axis."""
         return tuple(1j * kd for kd in self.keff)
 
     @property
@@ -178,7 +198,8 @@ class Grid:
         once per sigma and kept on the grid."""
         w = self._weights.get(sigma)
         if w is None:
-            w = self.k2_power(sigma) * self.mult
+            w = self.k2_power(sigma)
+            w *= self.mult
             w.flags.writeable = False
             self._weights[sigma] = w
         return w
@@ -263,21 +284,31 @@ class SpectralField:
         return SpectralField(self.grid, -self.coeffs)
 
 
-def _adopt(grid: Grid, c: np.ndarray) -> SpectralField:
-    """Wrap the new half-spectrum array ``c`` as a field without the
-    constructor's copy: its zero mode is set to 0 and it is marked
-    read-only, in place.  The caller must not write ``c`` afterwards."""
-    c[_zero_mode_index(grid.dim)] = 0.0
-    c.flags.writeable = False
+def _wrap(grid: Grid, c: np.ndarray) -> SpectralField:
+    """Wrap ``c``, already read-only with a zero mode of 0, as a field."""
     f = object.__new__(SpectralField)
     object.__setattr__(f, "grid", grid)
     object.__setattr__(f, "coeffs", c)
     return f
 
 
+def _adopt(grid: Grid, c: np.ndarray) -> SpectralField:
+    """Wrap the new half-spectrum array ``c`` as a field without the
+    constructor's copy: its zero mode is set to 0 and it is marked
+    read-only, in place.  The caller must not write ``c`` afterwards."""
+    c[_zero_mode_index(grid.dim)] = 0.0
+    c.flags.writeable = False
+    return _wrap(grid, c)
+
+
 def zero_field(grid: Grid, ncomp: int | None = None) -> SpectralField:
+    """The zero field with ``ncomp`` components (default: one per axis).
+
+    Its coefficients are a read-only zero-stride array, a broadcast of one
+    complex zero, so the field takes no memory however large the grid."""
     ncomp = grid.dim if ncomp is None else ncomp
-    return SpectralField(grid, np.zeros((ncomp,) + grid.spec_shape, dtype=np.complex128))
+    zeros = np.broadcast_to(np.zeros((), dtype=np.complex128), (ncomp,) + grid.spec_shape)
+    return _wrap(grid, zeros)
 
 
 def transform(grid: Grid, values: np.ndarray):
@@ -370,9 +401,10 @@ def leray_project(f: SpectralField) -> SpectralField:
 
 
 def _divergence_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
-    d = grid.keff[0] * c[0]
+    keff = grid.keff
+    d = keff[0] * c[0]
     for i in range(1, grid.dim):
-        d += grid.keff[i] * c[i]
+        d += keff[i] * c[i]
     d *= 1j
     return d
 

@@ -12,12 +12,13 @@ program stays byte-identical.
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hypns.experiments import ExperimentConfig, run_convergence
 from hypns.initial_data import random_divergence_free_field
-from hypns.nlw import _NlwStepper, _WaveTables
+from hypns.nlw import _NlwStepper, _propagator_entries, _WaveTables
 from hypns.ns import NsState, _NsStepper, dt_v
 from hypns.spectral import (
     _box_convection,
@@ -184,11 +185,33 @@ class TestExactEquivalence:
         want = full_nlw_step(g, eps, dt, f.coeffs, h.coeffs)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
+    # The stepper evaluates its mid-step entries on the box's wavenumbers
+    # only; numpy's exp, sin and cos must give the same bits there as on the
+    # whole half spectrum.  eps from 1 to 2.5e-4 and dt from 5e-5 to 5e-3
+    # reach the series, oscillating and real-root branches.
+    @pytest.mark.parametrize("dim,n", [(2, 16), (2, 128), (3, 8), (3, 32)])
+    def test_box_propagator_matches_gathered_full_table(self, dim, n):
+        g = make_grid(dim, n)
+        k2 = box_gather(g, g.k2)
+        branches = set()
+        for eps in (1.0, 0.1, 1e-2, 1e-3, 2.5e-4):
+            for dt in (5e-5, 1e-4, 1e-3, 2.5e-3, 5e-3):
+                z2 = (1.0 - 4.0 * eps * k2) * (dt / (2.0 * eps)) ** 2
+                branches.update(np.where(np.abs(z2) <= 1e-4, 0, np.sign(z2)).ravel().tolist())
+                box = _propagator_entries(eps, k2, dt)
+                for whole, part in zip(_propagator_entries(eps, g.k2, dt), box):
+                    assert np.array_equal(box_gather(g, whole), part)
+        assert branches == {-1, 0, 1}
+
 
 # Peak traced allocation of one step on 3D n=16, in units of one
 # (dim, *spec_shape) complex array, measured on the full-array steppers
 # these replace (stepper tables built beforehand and excluded).
 FULL_ARRAY_PEAK_UNITS = {"ns": 9.19, "nlw": 7.02}
+# The same for the wave step as it is: measured 3.65; 4.65 while the end
+# propagation accumulated through a temporary of the whole field rather
+# than of one component.
+NLW_STEP_PEAK_UNITS = 3.8
 
 
 def step_peak_units(step, arg, unit_bytes):
@@ -211,16 +234,19 @@ def test_step_allocation_peak_not_above_full_array_steppers():
     nlw = step_peak_units(_NlwStepper(g, 0.01, 1e-3).step, (c, 0.5 * c), c.nbytes)
     assert ns <= FULL_ARRAY_PEAK_UNITS["ns"]
     assert nlw <= FULL_ARRAY_PEAK_UNITS["nlw"]
+    assert nlw <= NLW_STEP_PEAK_UNITS
 
 
 # Peak traced allocation of a warm ``run_convergence`` on the converge_3d
 # workload's config at n=16 and T=0.2 (3 eps, dt=5e-3, stride 10, five
-# samples per solve), in the same units.  Measured 17.81; 20.15 while the
-# solves held the last sample over the steps to the next, and 20.47 when
-# sample states also copied the step arrays, ``dt_v`` scattered the
-# convection over a full array and the kernel's inverse transform buffer
-# spanned the half spectrum.
-RUN_PEAK_UNITS = 18.3
+# samples per solve), in the same units.  Measured 14.27; 17.79 while the
+# grid stored every full spectral table, the zero ``u1`` of the wave data
+# was a materialised array and the end propagation accumulated through a
+# full-field temporary; 20.15 while the solves also held the last sample
+# over the steps to the next, and 20.47 when sample states also copied the
+# step arrays, ``dt_v`` scattered the convection over a full array and the
+# kernel's inverse transform buffer spanned the half spectrum.
+RUN_PEAK_UNITS = 14.8
 
 
 def test_convergence_run_allocation_peak():

@@ -1,6 +1,9 @@
 import math
 import os
 import pickle
+import subprocess
+import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +266,25 @@ class TestRunConvergence:
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
         entry(golden_config(T=0.02), jobs=8)
         assert workers == [len(golden_config().eps_list)]
+
+    def test_single_process_run_loads_no_pool(self):
+        # a fresh interpreter: this one has loaded the pool for the tests above
+        code = (
+            "import sys\n"
+            "import hypns\n"
+            "from hypns import experiments\n"
+            f"experiments.run_convergence(experiments.ExperimentConfig(**{asdict(golden_config(T=0.02))!r}), jobs=1)\n"
+            "assert 'multiprocessing' not in sys.modules\n"
+            "print(experiments.ProcessPoolExecutor.__name__)\n"
+            "assert 'multiprocessing' in sys.modules\n"
+        )
+        src = str(Path(experiments.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["ProcessPoolExecutor"]
+        with pytest.raises(AttributeError, match="no_such_name"):
+            experiments.__getattr__("no_such_name")
 
     @pytest.mark.parametrize("entry", [run_convergence, run_existence_probe])
     def test_one_grid_per_run(self, monkeypatch, entry):

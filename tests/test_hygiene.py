@@ -22,6 +22,12 @@ squares.
 
 ``ctypes`` may be imported only in ``ns.py``, whose ``_keep_heap`` is the
 one platform-specific call into the C library (the allocator policy).
+
+No module may import ``multiprocessing`` or ``concurrent.futures`` at module
+level.  Only a ``jobs > 1`` run uses the process pool; while ``import hypns``
+loaded ``concurrent.futures.process`` it took 191 ms instead of 148 ms and
+1.4 MiB more RSS (medians of 15 fresh interpreters, 2-vCPU VM), so the pool
+class is imported on first use (``experiments.__getattr__``).
 """
 
 import ast
@@ -115,6 +121,29 @@ def imported_modules(path):
     return found
 
 
+def module_level_imports(path):
+    """Dotted names of the modules a file imports outside function bodies;
+    ``from a import b`` gives both ``a`` and ``a.b``."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend(alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.append(child.module)
+                found.extend(f"{child.module}.{alias.name}" for alias in child.names)
+            visit(child)
+
+    visit(parse(path))
+    return found
+
+
+POOL_MODULES = ("multiprocessing", "concurrent.futures")
+
+
 def unused_imports(path):
     tree = parse(path)
     used = referenced_names(tree)
@@ -158,6 +187,17 @@ def test_fft_transforms_only_where_counted():
     assert fft_transform_calls(PACKAGE / "spectral.py") != []  # the rule sees the calls it governs
     others = [p for p in sorted(PACKAGE.glob("*.py")) if p.name not in FFT_MODULES]
     assert [f for path in others for f in fft_transform_calls(path)] == []
+
+
+def test_pool_modules_not_imported_at_module_level():
+    assert "numpy" in module_level_imports(PACKAGE / "spectral.py")  # the rule sees imports
+    eager = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in module_level_imports(path)
+        if any(name == m or name.startswith(m + ".") for m in POOL_MODULES)
+    ]
+    assert eager == []
 
 
 def test_ctypes_only_in_ns():

@@ -201,6 +201,21 @@ class TestNlwSolve:
         assert len(samples) == 2 * 5 and len(copies) == copies_at_start[0]
         assert_samples_own_arrays(samples)
 
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_zero_stride_u1_matches_materialised_zeros(self, dim, n):
+        g = make_grid(dim, n)
+        u0 = random_divergence_free_field(g, 15, band=3)
+        dense = SpectralField(g, np.zeros((dim,) + g.spec_shape, dtype=np.complex128))
+        runs = []
+        for u1 in (zero_field(g), dense):
+            seen = []
+            nlw_solve(u0, u1, 0.05, 0.1, dt=5e-3, stride=4,
+                      observer=lambda st: seen.append((st.t, st.u.coeffs, st.ut.coeffs)))
+            runs.append(seen)
+        assert len(runs[0]) == len(runs[1]) == 6
+        for (t, u, ut), (t_d, u_d, ut_d) in zip(*runs):
+            assert t == t_d and np.array_equal(u, u_d) and np.array_equal(ut, ut_d)
+
     @pytest.mark.parametrize("inside_box", [True, False])
     @pytest.mark.parametrize("slot", ["u0", "u1"])
     def test_rejects_non_finite_data(self, slot, inside_box):

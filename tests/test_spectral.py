@@ -363,16 +363,41 @@ class TestHalfSpectrum:
             full = FullSpectrum(g)
             nh = g.n // 2 + 1
             assert g.spec_shape == g.shape[:-1] + (nh,)
+            k2eff = sum(k * k for k in full.keff)
             pairs = [(g.k2, full.k2), (g.kmag, np.sqrt(full.k2)), (g.dealias_mask, full.mask)]
             pairs += list(zip(g.keff, full.keff)) + [(ik, 1j * k) for ik, k in zip(g.ik, full.keff)]
-            pairs += list(zip(g.k[:-1], full.k[:-1]))
+            pairs += list(zip(g.k[:-1], full.k[:-1])) + [(g.k2eff_safe, np.where(k2eff > 0, k2eff, 1.0))]
             for table, want in pairs:
                 assert table.shape == g.spec_shape
                 assert np.array_equal(table, full.half(want))
             # along the last axis the wavenumbers run over 0..n/2
-            assert np.array_equal(g.k[-1][(0,) * (g.dim - 1)], np.arange(nh))
+            assert np.array_equal(g.k[-1], np.broadcast_to(np.arange(nh), g.spec_shape))
             mult = np.full(g.spec_shape, 2.0)
             mult[..., 0] = mult[..., -1] = 1.0
             assert np.array_equal(g.mult, mult)
             assert g.weight(0.0)[(0,) * g.dim] == 0.0
             assert g.weight(0.5) is g.weight(0.5)
+            assert np.array_equal(g.weight(0.5), g.k2_power(0.5) * mult)
+            # a table computed on access is the caller's own: writing it
+            # leaves the grid's next one unchanged
+            g.keff[0][...] = 7.0
+            assert np.array_equal(g.keff[0], full.half(full.keff[0]))
+
+    def test_grid_holds_only_k2_and_box_tables(self):
+        def nbytes(value):
+            if isinstance(value, np.ndarray):
+                return value.nbytes
+            return sum(map(nbytes, value)) if isinstance(value, tuple) else 0
+
+        for g in (make_grid(2, 16), make_grid(3, 8)):
+            g.weight(0.5)  # the weight cache is not counted
+            held = sum(nbytes(v) for name, v in vars(g).items() if name != "_weights")
+            box = nbytes(g.box_keff) + nbytes(g.box_ik) + g.box_k2eff_safe.nbytes
+            assert held <= g.k2.nbytes + box
+
+    def test_zero_field_takes_no_memory(self):
+        for g, ncomp in ((make_grid(2, 16), None), (make_grid(3, 8), 1)):
+            c = zero_field(g, ncomp).coeffs
+            assert c.shape == (ncomp or g.dim,) + g.spec_shape and c.dtype == np.complex128
+            assert not c.flags.writeable and set(c.strides) == {0}
+            assert not c.any()
