@@ -7,7 +7,6 @@ from .diagnostics import (
     dafermos_energy,
     energy,
     energy_decay_audit,
-    epsilon_dt_cross_term,
     interpolation_ratios,
     linf_threshold,
     make_energy_report,
@@ -40,17 +39,14 @@ from .nlw import (
     WaveState,
     linear_propagate,
     nlw_solve,
-    nlw_step,
     propagate_mode,
-    rescale,
 )
-from .ns import NsState, SolverFailure, dt_v, heat_propagate, ns_solve, ns_step
+from .ns import NsState, SolverFailure, dt_v, ns_solve
 from .reporting import emit_report
 from .spectral import (
     Grid,
     SpectralField,
     convection_term,
-    divergence,
     inverse_transform,
     l2_norm,
     leray_project,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ns import NsState, dt_v
+from .ns import NsState
 from .nlw import WaveState, energy
 from .spectral import (
     SpectralField,
@@ -337,19 +337,3 @@ def cross_term_quadrature(eps: float, times, vals) -> float:
     """eps times the trapezoidal integral of ``vals`` over ``times`` (0 for one sample)."""
     return float(eps * np.trapezoid(vals, times))
 
-
-def epsilon_dt_cross_term(wave_traj, ns_traj) -> float:
-    """Trapezoidal quadrature of eps int u_t . v_t over the common sample
-    times (with half-derivative weights on each factor in 3D)."""
-    if len(wave_traj) != len(ns_traj):
-        raise ValueError("misaligned sampling: trajectory lengths differ")
-    if len(wave_traj) < 2:
-        raise ValueError("need at least two samples")
-    times = np.array([st.t for st in wave_traj])
-    ns_times = np.array([st.t for st in ns_traj])
-    if np.max(np.abs(times - ns_times)) > 1e-9 * max(times[-1], 1e-300):
-        raise ValueError("misaligned sampling: sample times differ")
-
-    sigma0 = base_sigma(wave_traj[0].u.grid.dim)
-    vals = np.array([hs_inner(w.ut, dt_v(v), sigma0) for w, v in zip(wave_traj, ns_traj)])
-    return cross_term_quadrature(wave_traj[0].eps, times, vals)

@@ -235,14 +235,11 @@ def fit_rate(pairs) -> RateFit | None:
 # ---------------------------------------------------------------------------
 
 
-def save_field(path, f: SpectralField):
-    np.savez(path, dim=f.grid.dim, n=f.grid.n, coeffs=np.asarray(f.coeffs))
-
-
 def load_field(path, grid) -> SpectralField:
-    """Read a field written by ``save_field``.  Files that hold the full
-    spectrum (last axis n long, the layout before half-spectrum storage)
-    are cut to their half spectrum."""
+    """Read a field from an ``.npz`` file with the keys ``dim``, ``n`` and
+    ``coeffs``: unitary coefficients of shape (ncomp, n, ..., n, m) on the
+    half spectrum (m = n//2+1) or, as written before half-spectrum storage,
+    on the full spectrum (m = n), which is cut to its half."""
     data = np.load(path)
     if int(data["dim"]) != grid.dim or int(data["n"]) != grid.n:
         raise ValueError(

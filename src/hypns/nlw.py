@@ -9,13 +9,12 @@ two-stage exponential midpoint rule (second order in dt).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .ns import _check_finite, default_dt, march
+from .ns import default_dt, march
 from .spectral import (
     Grid,
     SpectralField,
@@ -205,15 +204,6 @@ class _NlwStepper:
         return u_end, w_end
 
 
-def nlw_step(state: WaveState, dt: float) -> WaveState:
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    g = state.u.grid
-    uc, wc = _NlwStepper(g, state.eps, dt).step((state.u.coeffs, state.ut.coeffs))
-    _check_finite(uc, state.t + dt)
-    return WaveState(_adopt(g, uc), _adopt(g, wc), state.eps, state.t + dt)
-
-
 @dataclass
 class WaveSolveResult:
     """Outcome of a wave solve; blow-up is a recorded verdict, not an error,
@@ -263,88 +253,3 @@ def nlw_solve(
             del state, uc, wc
     return WaveSolveResult(state)
 
-
-def rescale(state: WaveState, direction: str, eps: float | None = None) -> WaveState:
-    """Change of variables between the eps-problem and its unit-parameter
-    normal form: u_eps(tau, y) corresponds to eps^(-1/2) u(tau/eps, y/sqrt(eps)).
-
-    Only eps = 1/m^2 with integer m maps the integer mode lattice to
-    itself.  ``to_unit`` requires the state's mode support to sit on the
-    m-divisible sublattice; ``from_unit`` requires the dilated modes to
-    stay within the grid's wavenumber range.
-    """
-    if direction not in ("to_unit", "from_unit"):
-        raise ValueError("direction must be 'to_unit' or 'from_unit'")
-    grid = state.u.grid
-    half = grid.n // 2
-
-    if direction == "to_unit":
-        m = _lattice_factor(state.eps)
-        if m == 1:
-            return state
-        # Nyquist content is rejected: the sign of k = n/2 is undefined, so
-        # it has no well-defined image
-        uc, wc = _remap_modes(
-            state, lambda k: (k % m == 0) & (np.abs(k) < half), lambda k: k // m,
-            "state has mode content off the m-divisible sublattice or at the Nyquist wavenumber; "
-            "cannot rescale to_unit",
-        )
-        root = math.sqrt(state.eps)
-        return WaveState(
-            SpectralField(grid, uc * root),
-            SpectralField(grid, wc * root * state.eps),
-            1.0,
-            state.t / state.eps,
-        )
-
-    if abs(state.eps - 1.0) > 1e-12:
-        raise ValueError("from_unit expects a state with eps = 1")
-    if eps is None:
-        raise ValueError("from_unit needs the target eps")
-    m = _lattice_factor(eps)
-    if m == 1:
-        return state
-    uc, wc = _remap_modes(
-        state, lambda k: np.abs(k * m) <= half - 1, lambda k: k * m,
-        "dilated wavenumbers exceed the grid range; cannot rescale from_unit",
-    )
-    return WaveState(
-        SpectralField(grid, uc * m),
-        SpectralField(grid, wc * m**3),
-        eps,
-        state.t * eps,
-    )
-
-
-def _lattice_factor(eps: float) -> int:
-    m = round(eps**-0.5)
-    if m < 1 or abs(m * m * eps - 1.0) > 1e-9:
-        raise ValueError(
-            f"eps={eps!r} is lattice-incompatible: the scaling dilates modes by "
-            "1/sqrt(eps), which must be a positive integer (eps = 1/m^2)"
-        )
-    return m
-
-
-def _remap_modes(state: WaveState, keep, image, error: str):
-    """The coefficients of u and u_t, each moved from mode k to mode
-    ``image(k)`` on the modes where ``keep`` holds on every axis.
-
-    ``keep`` and ``image`` act on one axis's integer wavenumbers.  Content
-    outside the kept modes raises ValueError with the message ``error``."""
-    grid = state.u.grid
-    n = grid.n
-    # integer wavenumbers; taken modulo n they index the coefficient array,
-    # the last axis (0..n/2) included
-    kidx = [k.astype(np.int64) for k in grid.k]
-    kept = np.logical_and.reduce([keep(k) for k in kidx])
-    src = tuple(k[kept] % n for k in kidx)
-    dst = tuple(image(k[kept]) % n for k in kidx)
-    out = []
-    for c in (state.u.coeffs, state.ut.coeffs):
-        if np.max(np.abs(c[:, ~kept])) > 1e-13 * max(np.max(np.abs(c)), 1e-300):
-            raise ValueError(error)
-        moved = np.zeros_like(c)
-        moved[(slice(None),) + dst] = c[(slice(None),) + src]
-        out.append(moved)
-    return out

@@ -40,15 +40,6 @@ class NsState:
     t: float = 0.0
 
 
-def heat_propagate(f: SpectralField, tau: float) -> SpectralField:
-    """Exact heat semigroup: multiply mode k by exp(-|k|^2 tau)."""
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    if tau == 0.0:
-        return f
-    return SpectralField(f.grid, f.coeffs * np.exp(-f.grid.k2 * tau))
-
-
 def default_dt(v0: SpectralField) -> float:
     """Advective CFL with safety 0.5 on the grid of ``v0``; the linear part
     is exact."""
@@ -95,16 +86,6 @@ class _NsStepper:
         g = self.rhs(e * cb + dt * (e2 * d))
         box = e * cb + (dt / 6.0) * (e * a + 2.0 * e2 * (b + d) + g)
         return box_scatter(self.grid, box, into=self.e_full * c)
-
-
-def ns_step(state: NsState, dt: float) -> NsState:
-    """One integrating-factor RK4 step."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    grid = state.v.grid
-    c = _NsStepper(grid, dt).step(state.v.coeffs)
-    _check_finite(c, state.t + dt)
-    return NsState(_adopt(grid, c), state.t + dt)
 
 
 def plan_steps(T: float, dt: float):

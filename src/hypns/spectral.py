@@ -44,6 +44,8 @@ A ``SpectralField`` owns its coefficients, which are read-only.  The
 constructor copies what it is given; ``_adopt`` wraps, without the copy, an
 array that its caller has just made and will not write again.
 ``zero_field`` wraps a read-only zero-stride array, which takes no memory.
+A pickled grid is its (dim, n), a zero-stride field its grid and ncomp,
+and any other field its grid and coefficients, loaded through ``_wrap``.
 """
 
 from __future__ import annotations
@@ -178,6 +180,9 @@ class Grid:
     def npoints(self) -> int:
         return self.n**self.dim
 
+    def __reduce__(self):
+        return Grid, (self.dim, self.n)
+
     def axes(self):
         """Collocation coordinates along one axis (same for every axis)."""
         return np.arange(self.n) * (TWO_PI / self.n)
@@ -283,9 +288,15 @@ class SpectralField:
     def __neg__(self) -> "SpectralField":
         return SpectralField(self.grid, -self.coeffs)
 
+    def __reduce__(self):
+        if not any(self.coeffs.strides):
+            return zero_field, (self.grid, self.ncomp)
+        return _wrap, (self.grid, self.coeffs)
+
 
 def _wrap(grid: Grid, c: np.ndarray) -> SpectralField:
-    """Wrap ``c``, already read-only with a zero mode of 0, as a field."""
+    """Wrap ``c``, whose zero mode is 0, as a field and mark it read-only."""
+    c.flags.writeable = False
     f = object.__new__(SpectralField)
     object.__setattr__(f, "grid", grid)
     object.__setattr__(f, "coeffs", c)
@@ -297,7 +308,6 @@ def _adopt(grid: Grid, c: np.ndarray) -> SpectralField:
     constructor's copy: its zero mode is set to 0 and it is marked
     read-only, in place.  The caller must not write ``c`` afterwards."""
     c[_zero_mode_index(grid.dim)] = 0.0
-    c.flags.writeable = False
     return _wrap(grid, c)
 
 
@@ -366,11 +376,6 @@ def hs_inner(f: SpectralField, g: SpectralField, sigma: float) -> float:
     return float(np.sum((np.conj(f.coeffs) * g.coeffs).real * f.grid.weight(sigma)))
 
 
-def l2_inner(f: SpectralField, g: SpectralField) -> float:
-    """L^2 inner product of two real fields, computed spectrally."""
-    return hs_inner(f, g, 0.0)
-
-
 def linf_norm(f: SpectralField) -> float:
     """Max over collocation points of the pointwise Euclidean magnitude."""
     v = inverse_transform(f)
@@ -407,13 +412,6 @@ def _divergence_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
         d += keff[i] * c[i]
     d *= 1j
     return d
-
-
-def divergence(f: SpectralField) -> SpectralField:
-    """Spectral divergence, returned as a single-component field."""
-    if f.ncomp != f.grid.dim:
-        raise ValueError("divergence needs one component per spatial axis")
-    return SpectralField(f.grid, _divergence_coeffs(f.grid, f.coeffs)[None])
 
 
 def divergence_l2(grid: Grid, c: np.ndarray) -> float:

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from hypns import make_grid
 from hypns.initial_data import random_divergence_free_field
-from hypns.spectral import transform
+from hypns.nlw import WaveState
+from hypns.spectral import SpectralField, transform
 
 mp.mp.dps = 50
 
@@ -31,6 +33,21 @@ def oracle_mode(eps, k2, dt, u0, u1):
     u = a * mp.e ** (lp * dt) + b * mp.e ** (lm * dt)
     ut = a * lp * mp.e ** (lp * dt) + b * lm * mp.e ** (lm * dt)
     return complex(u), complex(ut)
+
+
+def taylor_green_cross_term(eps, T):
+    """Closed form of the cross term eps int_0^T <u_t, dv/dt> dt for Taylor-Green
+    data, at 50 digits.
+
+    v is the heat-decaying vortex (k2 = 2, ||v||^2 = 2 pi^2 at t = 0), and
+    the wave solution with u(0) = v(0), u_t(0) = 0 is v(0) times the damped
+    oscillator amplitude of its mode."""
+    e, k2 = mp.mpf(eps), mp.mpf(2)
+    sq = mp.sqrt(1 - 4 * e * k2)
+    lp, lm = (-1 + sq) / (2 * e), (-1 - sq) / (2 * e)
+    a, b = -lm / (lp - lm), lp / (lp - lm)
+    phip = lambda t: a * lp * mp.e ** (lp * t) + b * lm * mp.e ** (lm * t)
+    return float(e * mp.quad(lambda t: phip(t) * (-2 * mp.e ** (-2 * t)) * 2 * mp.pi**2, [0, T]))
 
 
 # 2D with every even n in [8, 64], 3D with n in {8, 16}
@@ -73,8 +90,6 @@ def single_mode_field(grid, k, component_dir, amp=1.0):
     wavenumber in 0..n/2) are written; the other is implied by conjugate
     symmetry.
     """
-    from hypns.spectral import SpectralField
-
     c = np.zeros((grid.dim,) + grid.spec_shape, dtype=np.complex128)
     for sign in (1, -1):
         idx = tuple((sign * ki) % grid.n for ki in k)
@@ -87,8 +102,6 @@ def single_mode_field(grid, k, component_dir, amp=1.0):
 def with_nan(f, inside_box):
     """Copy of ``f`` with one coefficient set to NaN, inside the 2/3-rule
     box or outside it."""
-    from hypns.spectral import SpectralField
-
     c = f.coeffs.copy()
     k = 1 if inside_box else f.grid.dealias_cutoff + 1
     c[(0, k) + (1,) * (f.grid.dim - 1)] = np.nan
@@ -98,8 +111,6 @@ def with_nan(f, inside_box):
 def count_field_copies(monkeypatch):
     """Record every ``SpectralField`` the constructor builds (each one a
     copy of the array it is given) in the returned list."""
-    from hypns.spectral import SpectralField
-
     built = []
     post_init = SpectralField.__post_init__
 
@@ -143,3 +154,89 @@ def poison_from_step(monkeypatch, cls, name, calls_per_step, k):
 POISON = SimpleNamespace(
     T=0.1, dt=0.01, stride=3, step=5, clean_times=[0.0, 3 * (0.1 / 10)], fail_t=6 * (0.1 / 10)
 )
+
+
+def rescale(state: WaveState, direction: str, eps: float | None = None) -> WaveState:
+    """Change of variables between the eps-problem and its unit-parameter
+    normal form: u_eps(tau, y) corresponds to eps^(-1/2) u(tau/eps, y/sqrt(eps)).
+
+    Only eps = 1/m^2 with integer m maps the integer mode lattice to
+    itself.  ``to_unit`` requires the state's mode support to sit on the
+    m-divisible sublattice; ``from_unit`` requires the dilated modes to
+    stay within the grid's wavenumber range.
+    """
+    if direction not in ("to_unit", "from_unit"):
+        raise ValueError("direction must be 'to_unit' or 'from_unit'")
+    grid = state.u.grid
+    half = grid.n // 2
+
+    if direction == "to_unit":
+        m = _lattice_factor(state.eps)
+        if m == 1:
+            return state
+        # Nyquist content is rejected: the sign of k = n/2 is undefined, so
+        # it has no well-defined image
+        uc, wc = _remap_modes(
+            state, lambda k: (k % m == 0) & (np.abs(k) < half), lambda k: k // m,
+            "state has mode content off the m-divisible sublattice or at the Nyquist wavenumber; "
+            "cannot rescale to_unit",
+        )
+        root = math.sqrt(state.eps)
+        return WaveState(
+            SpectralField(grid, uc * root),
+            SpectralField(grid, wc * root * state.eps),
+            1.0,
+            state.t / state.eps,
+        )
+
+    if abs(state.eps - 1.0) > 1e-12:
+        raise ValueError("from_unit expects a state with eps = 1")
+    if eps is None:
+        raise ValueError("from_unit needs the target eps")
+    m = _lattice_factor(eps)
+    if m == 1:
+        return state
+    uc, wc = _remap_modes(
+        state, lambda k: np.abs(k * m) <= half - 1, lambda k: k * m,
+        "dilated wavenumbers exceed the grid range; cannot rescale from_unit",
+    )
+    return WaveState(
+        SpectralField(grid, uc * m),
+        SpectralField(grid, wc * m**3),
+        eps,
+        state.t * eps,
+    )
+
+
+def _lattice_factor(eps: float) -> int:
+    m = round(eps**-0.5)
+    if m < 1 or abs(m * m * eps - 1.0) > 1e-9:
+        raise ValueError(
+            f"eps={eps!r} is lattice-incompatible: the scaling dilates modes by "
+            "1/sqrt(eps), which must be a positive integer (eps = 1/m^2)"
+        )
+    return m
+
+
+def _remap_modes(state: WaveState, keep, image, error: str):
+    """The coefficients of u and u_t, each moved from mode k to mode
+    ``image(k)`` on the modes where ``keep`` holds on every axis.
+
+    ``keep`` and ``image`` act on one axis's integer wavenumbers.  Content
+    outside the kept modes raises ValueError with the message ``error``."""
+    grid = state.u.grid
+    n = grid.n
+    # integer wavenumbers; taken modulo n they index the coefficient array,
+    # the last axis (0..n/2) included
+    kidx = [k.astype(np.int64) for k in grid.k]
+    kept = np.logical_and.reduce([keep(k) for k in kidx])
+    src = tuple(k[kept] % n for k in kidx)
+    dst = tuple(image(k[kept]) % n for k in kidx)
+    out = []
+    for c in (state.u.coeffs, state.ut.coeffs):
+        if np.max(np.abs(c[:, ~kept])) > 1e-13 * max(np.max(np.abs(c)), 1e-300):
+            raise ValueError(error)
+        moved = np.zeros_like(c)
+        moved[(slice(None),) + dst] = c[(slice(None),) + src]
+        out.append(moved)
+    return out

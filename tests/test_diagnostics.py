@@ -1,6 +1,5 @@
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -10,7 +9,6 @@ from hypns.diagnostics import (
     dafermos_energy,
     energy,
     energy_decay_audit,
-    epsilon_dt_cross_term,
     interpolation_ratios,
     linf_threshold,
     make_energy_report,
@@ -21,7 +19,6 @@ from hypns.initial_data import random_divergence_free_field, taylor_green
 from hypns.nlw import WaveState, nlw_solve
 from hypns.ns import ns_solve
 from hypns.spectral import (
-    SpectralField,
     l2_norm,
     make_grid,
     sobolev_norm,
@@ -301,44 +298,6 @@ class TestDecayAudit:
         assert smallest_monotone_exponent([1.0, 1.1], [1.0, 0.5]) == 1
         assert smallest_monotone_exponent([1.0, 0.9], [1.0, 1.0]) == 0
         assert smallest_monotone_exponent([1.0, 1.1], [1.0, 1.5]) is None
-
-
-class TestCrossTerm:
-    def test_zero_ut(self):
-        g = make_grid(2, 16)
-        z = zero_field(g)
-        v0 = random_divergence_free_field(g, 1)
-        waves, nss = [], []
-        ns_solve(v0, 0.02, dt=1e-3, observer=nss.append, stride=1)
-        waves = [WaveState(z, z, 0.1, s.t) for s in nss]
-        assert epsilon_dt_cross_term(waves, nss) == 0.0
-
-    def test_taylor_green_closed_form(self):
-        g = make_grid(2, 16)
-        tg = taylor_green(g)
-        eps, T, dt = 0.05, 0.5, 2.5e-4
-        waves, nss = [], []
-        nlw_solve(tg, 0.0 * tg, eps, T, dt=dt, observer=waves.append, stride=1)
-        ns_solve(tg, T, dt=dt, observer=nss.append, stride=1)
-        val = epsilon_dt_cross_term(waves, nss)
-
-        e, k2 = mp.mpf(eps), mp.mpf(2)
-        sq = mp.sqrt(1 - 4 * e * k2)
-        lp, lm = (-1 + sq) / (2 * e), (-1 - sq) / (2 * e)
-        a, b = -lm / (lp - lm), lp / (lp - lm)
-        phip = lambda t: a * lp * mp.e ** (lp * t) + b * lm * mp.e ** (lm * t)
-        oracle = float(e * mp.quad(lambda t: phip(t) * (-2 * mp.e ** (-2 * t)) * 2 * mp.pi**2, [0, T]))
-        assert abs(val - oracle) <= 1e-6 * abs(oracle)
-
-    def test_misaligned_rejected(self):
-        g = make_grid(2, 16)
-        z = zero_field(g)
-        waves = [WaveState(z, z, 0.1, t) for t in (0.0, 0.01)]
-        from hypns.ns import NsState
-
-        nss = [NsState(z, t) for t in (0.0, 0.02)]
-        with pytest.raises(ValueError, match="misaligned"):
-            epsilon_dt_cross_term(waves, nss)
 
 
 class TestEnergyReport:

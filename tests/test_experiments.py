@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -25,7 +26,6 @@ from hypns.experiments import (
     run_convergence,
     run_existence_probe,
     run_inequality_audit,
-    save_field,
 )
 from hypns.diagnostics import make_energy_report
 from hypns.initial_data import HypothesisReport
@@ -35,7 +35,7 @@ from hypns.reporting import emit_report
 from hypns.spectral import inverse_transform, make_grid
 from hypns import cli, experiments, spectral
 
-from conftest import POISON, poison_from_step
+from conftest import POISON, poison_from_step, taylor_green_cross_term
 
 DATA = Path(__file__).parent / "data"
 
@@ -190,7 +190,7 @@ class TestDataSources:
         cfg = golden_config()
         v0 = build_reference_field(cfg, g)
         path = tmp_path / "field.npz"
-        save_field(path, v0)
+        np.savez(path, dim=2, n=16, coeffs=v0.coeffs)
         back = load_field(path, g)
         assert np.array_equal(back.coeffs, v0.coeffs)
         cfg2 = golden_config(data_source="file", data_file=str(path))
@@ -204,7 +204,8 @@ class TestDataSources:
 
     def test_file_dimension_mismatch(self, tmp_path):
         g = make_grid(2, 16)
-        save_field(tmp_path / "f.npz", build_reference_field(golden_config(), g))
+        v0 = build_reference_field(golden_config(), g)
+        np.savez(tmp_path / "f.npz", dim=2, n=16, coeffs=v0.coeffs)
         with pytest.raises(ValueError):
             load_field(tmp_path / "f.npz", make_grid(2, 32))
 
@@ -236,6 +237,21 @@ class TestRunConvergence:
         for ra, rb in zip(a.rows, b.rows):
             assert ra.sup_err_sq == rb.sup_err_sq
             assert ra.cross_term == rb.cross_term
+
+    def test_spawned_pool_writes_the_same_csv(self, monkeypatch, tmp_path):
+        # a spawned worker gets v0 and the reference samples by pickle
+        # alone, as under the forkserver default of Python 3.14
+        spawn = multiprocessing.get_context("spawn")
+
+        class SpawnPool(experiments.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                super().__init__(max_workers=max_workers, mp_context=spawn, **kwargs)
+
+        cfg = golden_config(T=0.02)
+        emit_report(run_convergence(cfg, jobs=1), tmp_path / "one")
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SpawnPool)
+        emit_report(run_convergence(cfg, jobs=2), tmp_path / "two")
+        assert (tmp_path / "two" / "sweep.csv").read_bytes() == (tmp_path / "one" / "sweep.csv").read_bytes()
 
     def test_pool_task_payload_independent_of_reference_length(self, monkeypatch):
         sizes = []  # pickled size of each submitted task, one list per run
@@ -320,6 +336,33 @@ class TestRunConvergence:
         assert len(stored) == 11  # t = 0, 0.01, ..., 0.1: every 5th step of dt 2e-3
         assert len(passed) == len(cfg.eps_list) * len(stored)
         assert all(p is s for p, s in zip(passed, stored * len(cfg.eps_list), strict=True))
+
+    def test_cross_term_taylor_green_closed_form(self):
+        # every step sampled, so the trapezoidal quadrature of the sweep's
+        # cross term resolves the initial layer of width eps
+        cfg = ExperimentConfig(
+            dim=2, n=16, eps_list=[0.05], T=0.5, dt=2.5e-4, data_source="taylor_green", sample_stride=1,
+        )
+        got = run_convergence(cfg).rows[0].cross_term
+        want = taylor_green_cross_term(0.05, 0.5)
+        assert abs(got - want) <= 1e-6 * abs(want)
+
+    def test_cross_term_zero_for_zero_data(self):
+        res = run_convergence(golden_config(amplitude=0.0, T=0.05))
+        assert [r.cross_term for r in res.rows] == [0.0] * len(res.rows)
+
+    @pytest.mark.parametrize("misalign", ["shifted", "short"])
+    def test_misaligned_reference_rejected(self, misalign):
+        cfg = golden_config(T=0.02)
+        v0 = build_reference_field(cfg, make_grid(cfg.dim, cfg.n))
+        ref = []
+        ns_solve(v0, cfg.T, dt=cfg.dt, observer=lambda st: ref.append((st.t, st.v)), stride=cfg.sample_stride)
+        if misalign == "shifted":
+            ref = [(t + cfg.dt / 2, v) for t, v in ref]
+        else:
+            ref = ref[:-1]
+        with pytest.raises(RuntimeError, match="drifted out of alignment"):
+            experiments._wave_run(cfg, cfg.eps_list[0], v0, cfg.dt, ref, True)
 
     def test_cross_term_decays_with_eps(self):
         cfg = golden_config(n=32, eps_list=[1e-1, 1e-2, 1e-3], T=0.25)

@@ -247,3 +247,81 @@ def test_bench_microbenchmark_targets_exist():
     targets = microbenchmark_targets(BENCH / "worker.py")
     assert {m for m, _ in targets} == {"spectral", "nlw"}  # the rule sees the calls it governs
     assert missing_attributes(targets) == []
+
+
+# A public name in ``src/hypns`` must serve a run: something in ``src/``
+# other than its own definition (the ``__init__.py`` re-export does not
+# count), the benchmark under ``bench/`` or the acceptance criteria
+# (``tests/test_acceptance.py``) must reference it.  Oracles and helpers
+# that only their own tests call belong in ``tests/``.  The names that
+# ``bench/`` wraps or times by string count as references.
+
+
+def defined_names(node):
+    """Names a module-level statement binds by ``def``, ``class`` or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        return {t.id for t in node.targets if isinstance(t, ast.Name)}
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return {node.target.id}
+    return set()
+
+
+def unreferenced_public_names(sources, outside):
+    """``file: name`` of each public module-level name defined in ``sources``
+    (file name to source text) that no statement of ``sources`` references
+    outside its own definition and that ``outside`` does not hold."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = set(outside)
+    for tree in trees.values():
+        for node in tree.body:
+            used |= referenced_names(node) - defined_names(node)
+    return [
+        f"{name}: {defined}"
+        for name, tree in trees.items()
+        for node in tree.body
+        for defined in sorted(defined_names(node))
+        if not defined.startswith("_") and defined not in used
+    ]
+
+
+def run_path_references():
+    """Names referenced by ``bench/`` (its string tables included) and by
+    the acceptance criteria."""
+    used = set().union(*(referenced_names(parse(p)) for p in BENCH.glob("*.py")))
+    used |= {name for _, name in microbenchmark_targets(BENCH / "worker.py")}
+    entries = module_constant(BENCH / "tracer.py", "LAYER_ENTRY_POINTS")
+    used |= {attr for _, _, attr in (*entries, module_constant(BENCH / "tracer.py", "POOL_SPAN"))}
+    return used | referenced_names(parse(ROOT / "tests" / "test_acceptance.py"))
+
+
+PLANTED = """
+LIMIT = 3
+
+def entry():
+    return helper() + LIMIT
+
+def helper():
+    return 1
+
+def orphan(k):
+    return orphan(k - 1) if k else 0
+
+def _private():
+    return 0
+
+class Unused:
+    pass
+"""
+
+
+def test_public_name_rule_flags_planted_orphans():
+    found = unreferenced_public_names({"planted.py": PLANTED}, outside={"entry"})
+    assert found == ["planted.py: orphan", "planted.py: Unused"]
+    assert {"linf_norm", "ProcessPoolExecutor", "run_convergence"} <= run_path_references()
+
+
+def test_every_public_name_serves_a_run():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unreferenced_public_names(sources, run_path_references()) == []

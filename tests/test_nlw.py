@@ -12,9 +12,7 @@ from hypns.nlw import (
     _propagator_entries,
     linear_propagate,
     nlw_solve,
-    nlw_step,
     propagate_mode,
-    rescale,
 )
 from hypns.ns import SolverFailure, ns_solve
 from hypns.spectral import SpectralField, inverse_transform, l2_norm, make_grid, sobolev_norm, zero_field
@@ -25,6 +23,7 @@ from conftest import (
     count_field_copies,
     oracle_mode,
     poison_from_step,
+    rescale,
     with_nan,
 )
 
@@ -127,7 +126,7 @@ class TestLinearPropagate:
 class TestNlwStep:
     def test_zero_state(self):
         g = make_grid(2, 16)
-        st = nlw_step(WaveState(zero_field(g), zero_field(g), 0.1, 0.0), 1e-3)
+        st = nlw_solve(zero_field(g), zero_field(g), 0.1, 1e-3, dt=1e-3).state
         assert l2_norm(st.u) == 0.0
 
     def test_taylor_green_follows_linear_modes(self):

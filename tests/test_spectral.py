@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,13 +8,13 @@ from hypothesis import strategies as st
 from hypns.spectral import (
     SpectralField,
     _convection_coeffs,
+    _divergence_coeffs,
     _leray_coeffs,
     _tensor_divergence_coeffs,
     convection_term,
-    divergence,
+    divergence_l2,
     hs_inner,
     inverse_transform,
-    l2_inner,
     l2_norm,
     leray_project,
     linf_norm,
@@ -23,7 +25,14 @@ from hypns.spectral import (
 )
 from hypns.initial_data import random_divergence_free_field, taylor_green
 
-from conftest import grid_shapes, property_settings, random_real_field, single_mode_field, with_nan
+from conftest import (
+    count_field_copies,
+    grid_shapes,
+    property_settings,
+    random_real_field,
+    single_mode_field,
+    with_nan,
+)
 
 def rel_err(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
@@ -67,6 +76,42 @@ class TestGrid:
     def test_bad_dim_rejected(self):
         with pytest.raises(ValueError):
             make_grid(4, 16)
+
+
+# protocol 4 loads a writeable array, protocol 5 a read-only one
+PROTOCOLS = [4, 5]
+
+
+class TestPickle:
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_field_round_trip_read_only_without_copy(self, monkeypatch, protocol):
+        f = random_divergence_free_field(make_grid(2, 16), 1)
+        data = pickle.dumps(f, protocol=protocol)
+        built = count_field_copies(monkeypatch)
+        back = pickle.loads(data)
+        assert built == []
+        assert not back.coeffs.flags.writeable
+        assert np.array_equal(back.coeffs, f.coeffs)
+        assert (back.grid.dim, back.grid.n) == (2, 16)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_zero_field_stays_zero_stride(self, protocol):
+        z = zero_field(make_grid(2, 16))
+        back = pickle.loads(pickle.dumps(z, protocol=protocol))
+        assert back.coeffs.strides == (0, 0, 0)
+        assert back.coeffs.shape == z.coeffs.shape
+        assert not back.coeffs.flags.writeable and not np.any(back.coeffs)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_zero_field_pickles_small(self, protocol):
+        assert len(pickle.dumps(zero_field(make_grid(3, 32)), protocol=protocol)) < 1024
+
+    def test_fields_of_one_pickle_share_a_rebuilt_grid(self):
+        g = make_grid(2, 16)
+        a, b = pickle.loads(pickle.dumps((random_divergence_free_field(g, 1), zero_field(g))))
+        assert a.grid is b.grid
+        assert np.array_equal(a.grid.k2, g.k2)
+        assert all(np.array_equal(x, y) for x, y in zip(a.grid.box_ik, g.box_ik))
 
 
 class TestTransform:
@@ -175,13 +220,12 @@ class TestLeray:
         h, _ = transform(g, rng.standard_normal((2, n, n)))
         pf, ph = leray_project(f), leray_project(h)
         assert np.max(np.abs(leray_project(pf).coeffs - pf.coeffs)) < 1e-12
-        assert abs(l2_inner(pf, h) - l2_inner(f, ph)) < 1e-12 * max(1.0, l2_norm(f) * l2_norm(h))
+        assert abs(hs_inner(pf, h, 0.0) - hs_inner(f, ph, 0.0)) < 1e-12 * max(1.0, l2_norm(f) * l2_norm(h))
 
     def test_divergence_of_projection(self):
         g = make_grid(2, 16)
         f, _ = transform(g, np.random.default_rng(9).standard_normal((2, 16, 16)))
-        d = divergence(leray_project(f))
-        assert l2_norm(d) <= 1e-12 * l2_norm(f)
+        assert divergence_l2(g, leray_project(f).coeffs) <= 1e-12 * l2_norm(f)
 
 
 class TestDivergence:
@@ -189,13 +233,13 @@ class TestDivergence:
         g = make_grid(2, 16)
         x, y = g.meshgrid()
         f, _ = transform(g, np.stack([np.sin(y), np.zeros_like(x)]))
-        assert l2_norm(divergence(f)) < 1e-13
+        assert divergence_l2(g, f.coeffs) < 1e-13
 
     def test_symbolic(self):
         g = make_grid(2, 16)
         x, y = g.meshgrid()
         f, _ = transform(g, np.stack([np.sin(x), np.zeros_like(x)]))
-        d = inverse_transform(divergence(f))[0]
+        d = inverse_transform(SpectralField(g, _divergence_coeffs(g, f.coeffs)[None]))[0]
         assert np.max(np.abs(d - np.cos(x))) < 1e-12
 
 
