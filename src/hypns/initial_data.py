@@ -10,11 +10,14 @@ import numpy as np
 from .spectral import (
     Grid,
     SpectralField,
-    _leray_coeffs,
+    _adopt,
+    _leray_inplace,
     base_sigma,
     l2_norm,
+    mode_mag2,
     sobolev_norm,
     transform,
+    weighted_sum,
     zero_field,
 )
 
@@ -73,9 +76,19 @@ class HypothesisReport:
     passed: bool = False
 
 
-def hs_composite_norm(f: SpectralField, sigma: float) -> float:
-    """Composite Sobolev size: sqrt(L2^2 + homogeneous-sigma^2)."""
-    return float(np.hypot(l2_norm(f), sobolev_norm(f, sigma)))
+def _seeded_spectrum(grid: Grid, seed: int) -> np.ndarray:
+    """New half-spectrum array: the ``rfftn`` of seeded standard normal
+    noise, one component per axis (counter-based generator)."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    noise = rng.standard_normal((grid.dim,) + grid.shape)
+    c = np.empty((grid.dim,) + grid.spec_shape, dtype=np.complex128)
+    return np.fft.rfftn(noise, axes=tuple(range(1, grid.dim + 1)), out=c)
+
+
+def _norm_of(grid: Grid, sigma: float, density: np.ndarray) -> float:
+    """``sobolev_norm`` of a field whose per-mode density is ``density``;
+    the zero mode has weight 0, so a nonzero mean does not count."""
+    return float(np.sqrt(weighted_sum(grid, sigma, density)))
 
 
 def synth_hs_field(recipe: DataRecipe, grid: Grid) -> SpectralField:
@@ -83,33 +96,40 @@ def synth_hs_field(recipe: DataRecipe, grid: Grid) -> SpectralField:
 
     Coefficient moduli follow |k|^-(r + dim/2 + eta) with r the recipe
     regularity and eta the slope margin, times unit-modulus random phases,
-    Leray-projected and rescaled so the composite H^r norm equals
-    ``amplitude``.  Deterministic in the seed (counter-based generator).
+    Leray-projected and rescaled so the composite H^r norm
+    sqrt(L2^2 + homogeneous-r^2) equals ``amplitude``.  Deterministic in
+    the seed (counter-based generator).
+
+    The field is built in one array: the noise is transformed into it, and
+    the phase normalisation, the profile, the projection and the scaling
+    act on it in place.
     """
     if recipe.dim != grid.dim:
         raise ValueError("recipe dimension does not match grid")
     if recipe.amplitude == 0.0:
         return zero_field(grid)
 
-    rng = np.random.Generator(np.random.Philox(recipe.seed))
-    noise = rng.standard_normal((grid.dim,) + grid.shape)
-    axes = tuple(range(1, grid.dim + 1))
-    ph = np.fft.rfftn(noise, axes=axes)
-    mag = np.abs(ph)
-    unit = ph / np.where(mag > 0, mag, 1.0)
+    c = _seeded_spectrum(grid, recipe.seed)
+    mag = np.abs(c)
+    np.putmask(mag, ~(mag > 0), 1.0)
+    c /= mag
+    del mag
 
     slope = recipe.regularity + grid.dim / 2.0 + recipe.spectral_slope_margin
     profile = grid.k2_power(-slope / 2.0)
     # drop the unpaired Nyquist rows so derivative symbols stay clean
     for k in grid.k:
         profile[np.abs(k) == grid.n // 2] = 0.0
+    c *= profile
+    del profile
 
-    c = _leray_coeffs(grid, unit * profile)
-    f = SpectralField(grid, c)
-    size = hs_composite_norm(f, recipe.regularity)
+    _leray_inplace(c, grid.keff, grid.k2eff_safe)
+    density = mode_mag2(c)
+    size = float(np.hypot(_norm_of(grid, 0.0, density), _norm_of(grid, recipe.regularity, density)))
     if size == 0.0:
         return zero_field(grid)
-    return f * (recipe.amplitude / size)
+    c *= recipe.amplitude / size
+    return _adopt(grid, c)
 
 
 def random_divergence_free_field(
@@ -121,27 +141,26 @@ def random_divergence_free_field(
     """Seeded unit-L2 divergence-free field for audits and property tests.
 
     ``band`` limits support to |k_i| <= band; ``slope`` applies an extra
-    |k|^-slope modulus decay.
+    |k|^-slope modulus decay.  Built in one array, as ``synth_hs_field``.
     """
-    rng = np.random.Generator(np.random.Philox(seed))
-    noise = rng.standard_normal((grid.dim,) + grid.shape)
-    axes = tuple(range(1, grid.dim + 1))
-    c = np.fft.rfftn(noise, axes=axes)
+    c = _seeded_spectrum(grid, seed)
     if slope != 0.0:
-        c = c * grid.k2_power(-slope / 2.0)
+        c *= grid.k2_power(-slope / 2.0)
     kvec = grid.k
     if band is not None:
         keep = np.ones(grid.spec_shape, dtype=bool)
         for k in kvec:
             keep &= np.abs(k) <= band
-        c = c * keep
+        c *= keep
     for k in kvec:
         c[:, np.abs(k) == grid.n // 2] = 0.0
-    f = SpectralField(grid, _leray_coeffs(grid, c))
-    size = l2_norm(f)
+    del kvec
+    _leray_inplace(c, grid.keff, grid.k2eff_safe)
+    size = _norm_of(grid, 0.0, mode_mag2(c))
     if size == 0.0:
         return zero_field(grid)
-    return f * (1.0 / size)
+    c *= 1.0 / size
+    return _adopt(grid, c)
 
 
 def truncate_initial_data(v0: SpectralField, eps: float):

@@ -187,7 +187,8 @@ class _NlwStepper:
 
     def nonlinearity(self, u: np.ndarray) -> np.ndarray:
         """Minus the convection, compact box to compact box."""
-        return -_box_convection(self.grid, u, project=True)
+        out = _box_convection(self.grid, u, project=True)
+        return np.negative(out, out=out)
 
     def step(self, uw):
         """Advance the pair (u, u_t) of coefficient arrays by one step."""

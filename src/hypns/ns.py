@@ -75,7 +75,8 @@ class _NsStepper:
 
     def rhs(self, c: np.ndarray) -> np.ndarray:
         """Minus the convection, compact box to compact box."""
-        return -_box_convection(self.grid, c, project=True)
+        out = _box_convection(self.grid, c, project=True)
+        return np.negative(out, out=out)
 
     def step(self, c: np.ndarray) -> np.ndarray:
         dt, e, e2 = self.dt, self.e_box, self.e2_box

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypns import make_grid
 from hypns.initial_data import random_divergence_free_field
 from hypns.nlw import WaveState
-from hypns.spectral import SpectralField, transform
+from hypns.spectral import SpectralField, _leray_coeffs, l2_norm, sobolev_norm, transform, zero_field
 
 mp.mp.dps = 50
 
@@ -240,3 +240,62 @@ def _remap_modes(state: WaveState, keep, image, error: str):
         moved[(slice(None),) + dst] = c[(slice(None),) + src]
         out.append(moved)
     return out
+
+
+# The seeded-data builders as they were before they built in one array:
+# each stage a new array, a constructor copy and a scaled copy.  The
+# in-place builders must reproduce them bit for bit.
+
+
+def hs_composite_norm(f: SpectralField, sigma: float) -> float:
+    """Composite Sobolev size: sqrt(L2^2 + homogeneous-sigma^2)."""
+    return float(np.hypot(l2_norm(f), sobolev_norm(f, sigma)))
+
+
+def synth_hs_field_copying(recipe, grid):
+    if recipe.dim != grid.dim:
+        raise ValueError("recipe dimension does not match grid")
+    if recipe.amplitude == 0.0:
+        return zero_field(grid)
+
+    rng = np.random.Generator(np.random.Philox(recipe.seed))
+    noise = rng.standard_normal((grid.dim,) + grid.shape)
+    axes = tuple(range(1, grid.dim + 1))
+    ph = np.fft.rfftn(noise, axes=axes)
+    mag = np.abs(ph)
+    unit = ph / np.where(mag > 0, mag, 1.0)
+
+    slope = recipe.regularity + grid.dim / 2.0 + recipe.spectral_slope_margin
+    profile = grid.k2_power(-slope / 2.0)
+    # drop the unpaired Nyquist rows so derivative symbols stay clean
+    for k in grid.k:
+        profile[np.abs(k) == grid.n // 2] = 0.0
+
+    c = _leray_coeffs(grid, unit * profile)
+    f = SpectralField(grid, c)
+    size = hs_composite_norm(f, recipe.regularity)
+    if size == 0.0:
+        return zero_field(grid)
+    return f * (recipe.amplitude / size)
+
+
+def random_divergence_free_field_copying(grid, seed, band=None, slope=0.0):
+    rng = np.random.Generator(np.random.Philox(seed))
+    noise = rng.standard_normal((grid.dim,) + grid.shape)
+    axes = tuple(range(1, grid.dim + 1))
+    c = np.fft.rfftn(noise, axes=axes)
+    if slope != 0.0:
+        c = c * grid.k2_power(-slope / 2.0)
+    kvec = grid.k
+    if band is not None:
+        keep = np.ones(grid.spec_shape, dtype=bool)
+        for k in kvec:
+            keep &= np.abs(k) <= band
+        c = c * keep
+    for k in kvec:
+        c[:, np.abs(k) == grid.n // 2] = 0.0
+    f = SpectralField(grid, _leray_coeffs(grid, c))
+    size = l2_norm(f)
+    if size == 0.0:
+        return zero_field(grid)
+    return f * (1.0 / size)

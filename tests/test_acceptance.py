@@ -14,11 +14,10 @@ from hypns.diagnostics import (
     dafermos_derivative_residuals,
     dafermos_energy,
     energy,
-    energy_decay_audit,
     smallest_monotone_exponent,
     trilinear_ratio,
 )
-from hypns.experiments import ExperimentConfig, run_convergence, run_inequality_audit
+from hypns.experiments import ExperimentConfig, run_convergence
 from hypns.initial_data import (
     DataRecipe,
     check_bernstein,
@@ -31,7 +30,7 @@ from hypns.initial_data import (
 from hypns.nlw import WaveState, nlw_solve, propagate_mode
 from hypns.ns import ns_solve
 from hypns.reporting import emit_report
-from hypns.spectral import inverse_transform, l2_norm, make_grid, sobolev_norm
+from hypns.spectral import inverse_transform, make_grid, sobolev_norm
 
 from conftest import oracle_mode
 

@@ -1,9 +1,10 @@
 """Static hygiene of the package source, checked with the stdlib ``ast``.
 
 No linter is a dependency of the project, so this is its lint step: every
-name a module imports must be used in that module, and every module-level
-private (``_name``) function or class must be referenced somewhere in
-``src/`` or ``tests/``.  ``__init__.py`` is exempt: it re-exports.
+name a module or a test file (``conftest.py`` included) imports must be
+used in that file, and every module-level private (``_name``) function or
+class must be referenced somewhere in ``src/`` or ``tests/``.
+``__init__.py`` is exempt: it re-exports.
 
 No module may call a BLAS-backed product (``vdot``, ``dot``, ``inner``,
 ``matmul``, ``tensordot`` or the ``@`` operator) or reach LAPACK
@@ -172,7 +173,9 @@ def unreferenced_private_defs():
 
 
 def test_every_import_is_used():
-    assert [f for path in MODULES for f in unused_imports(path)] == []
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert ROOT / "tests" / "conftest.py" in tests
+    assert [f for path in [*MODULES, *tests] for f in unused_imports(path)] == []
 
 
 def test_every_private_definition_is_referenced():
