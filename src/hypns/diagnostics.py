@@ -8,12 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ns import NsState
 from .nlw import WaveState, energy
 from .spectral import (
     SpectralField,
-    _convection_coeffs,
-    _tensor_divergence_coeffs,
+    _convection,
     base_sigma,
     hs_inner,
     linf_norm,
@@ -48,16 +46,10 @@ def composite_scalar(e_delta: float, e_base: float, n: int) -> float:
         return float(np.exp(np.log(e_delta) + n * np.log1p(e_base)))
 
 
-def _modulated_energy(state: WaveState, diff: np.ndarray, sigma0: float) -> float:
-    """``dafermos_energy`` from the coefficients ``diff`` of u - v."""
-    density = 0.5 * mode_mag2(diff + state.eps * state.ut.coeffs) + state.shared_density
-    return weighted_sum(state.u.grid, sigma0, density)
-
-
 def dafermos_energy(state: WaveState, v: SpectralField, sigma0: float) -> float:
     """Modulated wave energy measuring distance to a reference field v:
     int 1/2 |L^s (u - v + eps u_t)|^2 + eps^2/2 |L^s u_t|^2 + eps |L^(s+1) u|^2."""
-    return _modulated_energy(state, state.u.coeffs - v.coeffs, sigma0)
+    return weighted_sum(state.u.grid, sigma0, state.modulated_density(state.u.coeffs - v.coeffs))
 
 
 @dataclass
@@ -96,7 +88,7 @@ def make_energy_report(state: WaveState, delta: float, *, v: SpectralField | Non
     )
     if v is not None:
         diff = state.u.coeffs - v.coeffs
-        rep.dafermos = _modulated_energy(state, diff, s0)
+        rep.dafermos = weighted_sum(state.u.grid, s0, state.modulated_density(diff))
         rep.err_sq = weighted_sum(state.u.grid, s0, mode_mag2(diff))
     return rep
 
@@ -123,16 +115,6 @@ class DafermosResidualRecord:
     ns_term: float
 
 
-def _projected_tensor_div(f: SpectralField) -> SpectralField:
-    g = f.grid
-    return SpectralField(g, _convection_coeffs(g, f.coeffs))
-
-
-def _tensor_div(f: SpectralField) -> SpectralField:
-    g = f.grid
-    return SpectralField(g, _tensor_divergence_coeffs(g, f.coeffs))
-
-
 def _laplacian(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, -f.grid.k2 * f.coeffs)
 
@@ -154,18 +136,17 @@ def dafermos_derivative_residuals(wave_traj, v_traj, sigma0: float):
     if h <= 0 or np.max(np.abs(np.diff(times) - h)) > 1e-9 * max(h, 1e-300):
         raise ValueError("samples must be uniformly spaced")
 
-    vfields = [v.v if isinstance(v, NsState) else v for v in v_traj]
     eps = wave_traj[0].eps
-    energies = [dafermos_energy(st, v, sigma0) for st, v in zip(wave_traj, vfields)]
+    energies = [dafermos_energy(st, v, sigma0) for st, v in zip(wave_traj, v_traj)]
 
     out = []
     for j in range(1, len(wave_traj) - 1):
         st = wave_traj[j]
-        u, ut, v = st.u, st.ut, vfields[j]
+        u, ut, v = st.u, st.ut, v_traj[j]
         w = u - v
-        dtv = (vfields[j + 1] - vfields[j - 1]) * (1.0 / (2.0 * h))
-        gu_p = _projected_tensor_div(u)
-        gv_p = _projected_tensor_div(v)
+        dtv = (v_traj[j + 1] - v_traj[j - 1]) * (1.0 / (2.0 * h))
+        gu_p = _convection(u, project=True)
+        gv_p = _convection(v, project=True)
         transport = hs_inner(w, gv_p - gu_p, sigma0)
         defect = -eps * sobolev_norm(ut + gu_p, sigma0) ** 2
         cross = -eps * hs_inner(dtv, ut, sigma0)
@@ -196,7 +177,7 @@ def trilinear_ratio(f: SpectralField) -> float:
     denom = sobolev_norm(f, 0.5) * sobolev_norm(f, 1.5) ** 2
     if denom == 0.0:
         return 0.0
-    num = abs(hs_inner(f, _tensor_div(f), 0.5))
+    num = abs(hs_inner(f, _convection(f, project=False), 0.5))
     return num / denom
 
 

@@ -26,7 +26,7 @@ from .initial_data import (
     taylor_green,
     truncate_initial_data,
 )
-from .ns import NsState, SolverFailure, default_dt, dt_v, ns_solve
+from .ns import SolverFailure, default_dt, dt_v, ns_solve
 from .nlw import nlw_solve
 from .spectral import SpectralField, base_sigma, hs_inner, l2_norm, make_grid
 
@@ -338,7 +338,7 @@ def _wave_run(cfg: ExperimentConfig, eps: float, v0: SpectralField, dt: float, r
             v = ref[i][1]
         reports.append(make_energy_report(state, cfg.delta, v=v))
         if v is not None:
-            cross_vals.append(hs_inner(state.ut, dt_v(NsState(v, state.t)), sigma0))
+            cross_vals.append(hs_inner(state.ut, dt_v(v), sigma0))
 
     try:
         result = nlw_solve(u0, u1, eps, cfg.T, dt=dt, observer=observer, stride=cfg.sample_stride)

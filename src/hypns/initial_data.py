@@ -11,7 +11,7 @@ from .spectral import (
     Grid,
     SpectralField,
     _adopt,
-    _leray_inplace,
+    _leray_full,
     base_sigma,
     l2_norm,
     mode_mag2,
@@ -123,7 +123,7 @@ def synth_hs_field(recipe: DataRecipe, grid: Grid) -> SpectralField:
     c *= profile
     del profile
 
-    _leray_inplace(c, grid.keff, grid.k2eff_safe)
+    _leray_full(grid, c)
     density = mode_mag2(c)
     size = float(np.hypot(_norm_of(grid, 0.0, density), _norm_of(grid, recipe.regularity, density)))
     if size == 0.0:
@@ -155,7 +155,7 @@ def random_divergence_free_field(
     for k in kvec:
         c[:, np.abs(k) == grid.n // 2] = 0.0
     del kvec
-    _leray_inplace(c, grid.keff, grid.k2eff_safe)
+    _leray_full(grid, c)
     size = _norm_of(grid, 0.0, mode_mag2(c))
     if size == 0.0:
         return zero_field(grid)

@@ -19,8 +19,9 @@ from .spectral import (
     Grid,
     SpectralField,
     _adopt,
-    _box_convection,
+    _box_forcing,
     base_sigma,
+    box_add,
     box_gather,
     mode_mag2,
     require_divergence_free,
@@ -53,10 +54,16 @@ class WaveState:
         eps = self.eps
         return 0.5 * eps * eps * mode_mag2(self.ut.coeffs) + eps * self.u.grid.k2 * mode_mag2(self.u.coeffs)
 
+    def modulated_density(self, w: np.ndarray) -> np.ndarray:
+        """Per-mode 1/2 |w + eps u_t|^2 plus ``shared_density``: the energy
+        density for the coefficients w of u (``energy_density``), the
+        modulated one for those of u - v."""
+        return 0.5 * mode_mag2(w + self.eps * self.ut.coeffs) + self.shared_density
+
     @cached_property
     def energy_density(self) -> np.ndarray:
-        """Per-mode 1/2 |u + eps u_t|^2 plus ``shared_density``."""
-        return 0.5 * mode_mag2(self.u.coeffs + self.eps * self.ut.coeffs) + self.shared_density
+        """``modulated_density`` of u, kept on the state."""
+        return self.modulated_density(self.u.coeffs)
 
 
 def energy(state: WaveState, sigma: float) -> float:
@@ -185,24 +192,17 @@ class _NlwStepper:
             box_gather(grid, self.to_end.p11), box_gather(grid, self.to_end.p12), k2, eps
         )
 
-    def nonlinearity(self, u: np.ndarray) -> np.ndarray:
-        """Minus the convection, compact box to compact box."""
-        out = _box_convection(self.grid, u, project=True)
-        return np.negative(out, out=out)
-
     def step(self, uw):
         """Advance the pair (u, u_t) of coefficient arrays by one step."""
+        grid = self.grid
         u, w = uw
-        ub, wb = box_gather(self.grid, u), box_gather(self.grid, w)
-        n0 = self.nonlinearity(ub)
+        ub, wb = box_gather(grid, u), box_gather(grid, w)
+        n0 = _box_forcing(grid, ub)
         u_mid = self.mid_p11 * ub + self.mid_p12 * wb + self.mid_cu * n0
         del ub, wb, n0
-        n_mid = self.nonlinearity(u_mid)
+        n_mid = _box_forcing(grid, u_mid)
         u_end, w_end = self.to_end.apply(u, w)
-        for full, box in self.grid.box_blocks:
-            u_end[full] += self.end_cu[box] * n_mid[box]
-            w_end[full] += self.end_cw[box] * n_mid[box]
-        return u_end, w_end
+        return box_add(grid, u_end, n_mid, self.end_cu), box_add(grid, w_end, n_mid, self.end_cw)
 
 
 @dataclass

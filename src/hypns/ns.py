@@ -17,7 +17,8 @@ from .spectral import (
     Grid,
     SpectralField,
     _adopt,
-    _box_convection,
+    _box_forcing,
+    box_add,
     box_gather,
     box_scatter,
     linf_norm,
@@ -73,20 +74,15 @@ class _NsStepper:
         self.e_box = box_gather(grid, self.e_full)
         self.e2_box = box_gather(grid, np.exp(-grid.k2 * (dt / 2.0)))
 
-    def rhs(self, c: np.ndarray) -> np.ndarray:
-        """Minus the convection, compact box to compact box."""
-        out = _box_convection(self.grid, c, project=True)
-        return np.negative(out, out=out)
-
     def step(self, c: np.ndarray) -> np.ndarray:
-        dt, e, e2 = self.dt, self.e_box, self.e2_box
-        cb = box_gather(self.grid, c)
-        a = self.rhs(cb)
-        b = self.rhs(e2 * (cb + (dt / 2.0) * a))
-        d = self.rhs(e2 * cb + (dt / 2.0) * b)
-        g = self.rhs(e * cb + dt * (e2 * d))
+        grid, dt, e, e2 = self.grid, self.dt, self.e_box, self.e2_box
+        cb = box_gather(grid, c)
+        a = _box_forcing(grid, cb)
+        b = _box_forcing(grid, e2 * (cb + (dt / 2.0) * a))
+        d = _box_forcing(grid, e2 * cb + (dt / 2.0) * b)
+        g = _box_forcing(grid, e * cb + dt * (e2 * d))
         box = e * cb + (dt / 6.0) * (e * a + 2.0 * e2 * (b + d) + g)
-        return box_scatter(self.grid, box, into=self.e_full * c)
+        return box_scatter(grid, box, into=self.e_full * c)
 
 
 def plan_steps(T: float, dt: float):
@@ -188,13 +184,9 @@ def ns_solve(
     return state
 
 
-def dt_v(state: NsState) -> SpectralField:
-    """Time derivative Lap v - P nabla:(v (x) v), evaluated spectrally; the
-    convection is subtracted on its 2/3-rule box only."""
-    g = state.v.grid
-    c = state.v.coeffs
-    b = _box_convection(g, box_gather(g, c), project=True)
-    out = -g.k2 * c
-    for full, box in g.box_blocks:
-        out[full] -= b[box]
-    return _adopt(g, out)
+def dt_v(v: SpectralField) -> SpectralField:
+    """Time derivative Lap v - P nabla:(v (x) v) of the field v, evaluated
+    spectrally; the forcing is added on its 2/3-rule box only."""
+    g = v.grid
+    b = _box_forcing(g, box_gather(g, v.coeffs))
+    return _adopt(g, box_add(g, -g.k2 * v.coeffs, b))

@@ -26,8 +26,11 @@ keeps the wavenumbers 0..c and then -c..-1, the ``fftfreq`` order of a
 is 2^(dim-1) rectangular blocks, one per choice of the low (0..c) or high
 (n-c..n-1) index range on each of the first dim-1 axes: ``Grid.box_blocks``
 pairs each block's index in the half spectrum with its index in the
-compact array, and ``box_gather`` and ``box_scatter`` move coefficients
-between the two layouts.
+compact array.  Only this module reads the blocks: ``box_gather``,
+``box_scatter`` and ``box_add`` move coefficients between the two layouts,
+``_box_forcing`` is the solvers' forcing -P nabla:(u (x) u) from box to
+box, and ``_convection`` and ``_leray_full`` give the convection and the
+Leray projection of half-spectrum coefficients.
 
 The inverse transform of the box gets a buffer of the last-axis columns
 0..c only, which ``irfftn(..., s=grid.shape)`` zero-pads to n/2+1, so its
@@ -38,9 +41,8 @@ buffers that it reuses within a call; it keeps no buffer between calls.
 A grid stores only what the steps read: the full half-spectrum table
 ``k2``, the compact box tables ``box_ik``, ``box_keff`` and
 ``box_k2eff_safe``, and the ``weight`` cache, one table per sigma.  The
-other full tables, ``k``, ``kmag``, ``keff``, ``ik``, ``k2eff_safe``,
-``mult`` and ``dealias_mask``, are computed on access; they serve set-up,
-validation and tests, not the steps.
+other full tables, ``k``, ``kmag``, ``keff`` and ``mult``, are computed on
+access; they serve set-up and validation, not the steps.
 
 A ``SpectralField`` owns its coefficients, which are read-only.  The
 constructor copies what it is given; ``_adopt`` wraps, without the copy, an
@@ -79,9 +81,8 @@ class Grid:
 
     Stored: the full table ``k2``, the compact box tables ``box_keff``,
     ``box_ik`` and ``box_k2eff_safe``, and the ``weight`` cache.  Computed
-    on access, as new arrays: the full tables ``k``, ``kmag``, ``keff``,
-    ``ik``, ``k2eff_safe``, ``mult`` and ``dealias_mask``; a caller binds
-    one once rather than reading it inside a loop.
+    on access, as new arrays: the full tables ``k``, ``kmag``, ``keff`` and
+    ``mult``; a caller binds one once rather than reading it inside a loop.
     """
 
     dim: int
@@ -95,7 +96,6 @@ class Grid:
 
         object.__setattr__(self, "shape", (self.n,) * self.dim)
         object.__setattr__(self, "spec_shape", self.shape[:-1] + (self.n // 2 + 1,))
-        object.__setattr__(self, "cell_volume", (TWO_PI / self.n) ** self.dim)
         # unitary convention: coeffs = rfftn(values) * fwd_scale
         object.__setattr__(self, "fwd_scale", TWO_PI ** (self.dim / 2) / self.n**self.dim)
         k2 = np.zeros(self.spec_shape)
@@ -120,7 +120,7 @@ class Grid:
         box_keff = tuple(box_gather(self, kd) for kd in self.keff)
         object.__setattr__(self, "box_keff", box_keff)
         object.__setattr__(self, "box_ik", tuple(1j * kd for kd in box_keff))
-        object.__setattr__(self, "box_k2eff_safe", box_gather(self, self.k2eff_safe))
+        object.__setattr__(self, "box_k2eff_safe", _k2_safe(box_keff))
         object.__setattr__(self, "_weights", {})
 
     @property
@@ -147,36 +147,12 @@ class Grid:
         return tuple(keff)
 
     @property
-    def k2eff_safe(self) -> np.ndarray:
-        """Leray divisor |keff|^2 with its zeros replaced by 1: it vanishes
-        where every component is 0 or n/2, and so does keff, so the
-        replacement changes nothing."""
-        keff = self.keff
-        k2eff = np.zeros_like(keff[0])
-        for kd in keff:
-            k2eff += kd * kd
-        return np.where(k2eff > 0, k2eff, 1.0)
-
-    @property
     def mult(self) -> np.ndarray:
         """Multiplicity of a stored mode in full-spectrum sums (see the
         module docstring): 1 on the planes k_last = 0 and n/2, else 2."""
         mult = np.full(self.spec_shape, 2.0)
         mult[..., 0] = mult[..., -1] = 1.0
         return mult
-
-    @property
-    def dealias_mask(self) -> np.ndarray:
-        """The 2/3-rule box |k_i| <= ``dealias_cutoff`` as a boolean table."""
-        mask = np.ones(self.spec_shape, dtype=bool)
-        for k in self.k:
-            mask &= np.abs(k) <= self.dealias_cutoff
-        return mask
-
-    @property
-    def ik(self) -> tuple:
-        """Derivative symbols i keff, one full table per axis."""
-        return tuple(1j * kd for kd in self.keff)
 
     @property
     def npoints(self) -> int:
@@ -228,6 +204,15 @@ def box_scatter(grid: Grid, b: np.ndarray, into: np.ndarray | None = None) -> np
         into = np.zeros(b.shape[: b.ndim - grid.dim] + grid.spec_shape, dtype=b.dtype)
     for full, box in grid.box_blocks:
         into[full] = b[box]
+    return into
+
+
+def box_add(grid: Grid, into: np.ndarray, b: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
+    """Add the compact box ``b``, times the compact table ``weight`` if
+    given, to the box of the half-spectrum array ``into`` in place and
+    return it."""
+    for full, box in grid.box_blocks:
+        into[full] += b[box] if weight is None else weight[box] * b[box]
     return into
 
 
@@ -396,15 +381,27 @@ def _leray_inplace(c: np.ndarray, keff, k2eff_safe: np.ndarray) -> np.ndarray:
     return c
 
 
-def _leray_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
-    return _leray_inplace(c.copy(), grid.keff, grid.k2eff_safe)
+def _k2_safe(keff) -> np.ndarray:
+    """Leray divisor |keff|^2 with its zeros replaced by 1: it vanishes
+    where every component is 0 or n/2, and so does keff, so the
+    replacement changes nothing."""
+    k2eff = keff[0] * keff[0]
+    for kd in keff[1:]:
+        k2eff += kd * kd
+    return np.where(k2eff > 0, k2eff, 1.0)
+
+
+def _leray_full(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """Leray-project the half-spectrum array ``c`` in place and return it."""
+    keff = grid.keff
+    return _leray_inplace(c, keff, _k2_safe(keff))
 
 
 def leray_project(f: SpectralField) -> SpectralField:
     """Projection onto divergence-free fields: c(k) -= k (k.c(k)) / |k|^2."""
     if f.ncomp != f.grid.dim:
         raise ValueError("Leray projection needs one component per spatial axis")
-    return SpectralField(f.grid, _leray_coeffs(f.grid, f.coeffs))
+    return SpectralField(f.grid, _leray_full(f.grid, f.coeffs.copy()))
 
 
 def _divergence_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
@@ -474,14 +471,17 @@ def _box_convection(grid: Grid, b: np.ndarray, project: bool) -> np.ndarray:
     return out
 
 
-def _tensor_divergence_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
-    """Dealiased nabla : (u (x) u) on half-spectrum coefficients."""
-    return box_scatter(grid, _box_convection(grid, box_gather(grid, c), project=False))
+def _box_forcing(grid: Grid, b: np.ndarray) -> np.ndarray:
+    """The forcing -P nabla:(u (x) u) of both solvers, compact box to
+    compact box."""
+    out = _box_convection(grid, b, project=True)
+    return np.negative(out, out=out)
 
 
-def _convection_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
-    """P nabla : (u (x) u) on half-spectrum coefficients."""
-    return box_scatter(grid, _box_convection(grid, box_gather(grid, c), project=True))
+def _convection(f: SpectralField, project: bool) -> SpectralField:
+    """Dealiased nabla : (u (x) u) of ``f``, Leray-projected if ``project``."""
+    g = f.grid
+    return SpectralField(g, box_scatter(g, _box_convection(g, box_gather(g, f.coeffs), project)))
 
 
 def convection_term(f: SpectralField) -> SpectralField:
@@ -494,4 +494,4 @@ def convection_term(f: SpectralField) -> SpectralField:
     if f.ncomp != g.dim:
         raise ValueError("convection_term needs one component per spatial axis")
     require_divergence_free("convection_term", [f])
-    return SpectralField(g, _convection_coeffs(g, f.coeffs))
+    return _convection(f, project=True)

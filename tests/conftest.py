@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypns import make_grid
 from hypns.initial_data import random_divergence_free_field
 from hypns.nlw import WaveState
-from hypns.spectral import SpectralField, _leray_coeffs, l2_norm, sobolev_norm, transform, zero_field
+from hypns.spectral import TWO_PI, SpectralField, _leray_full, l2_norm, sobolev_norm, transform, zero_field
 
 mp.mp.dps = 50
 
@@ -66,6 +66,27 @@ def random_real_field(dim, n, seed):
     vals = rng.standard_normal((dim,) + g.shape) * rng.uniform(0.1, 10.0)
     f, _ = transform(g, vals)
     return g, f, vals
+
+
+# Full tables of a grid that only tests read; the program reads the box.
+
+
+def dealias_mask(grid):
+    """The 2/3-rule box |k_i| <= ``dealias_cutoff`` as a boolean table."""
+    mask = np.ones(grid.spec_shape, dtype=bool)
+    for k in grid.k:
+        mask &= np.abs(k) <= grid.dealias_cutoff
+    return mask
+
+
+def grid_ik(grid):
+    """Derivative symbols i keff, one full table per axis."""
+    return tuple(1j * kd for kd in grid.keff)
+
+
+def cell_volume(grid):
+    """Volume of one collocation cell, the quadrature weight of a point."""
+    return (TWO_PI / grid.n) ** grid.dim
 
 
 @pytest.fixture(scope="session")
@@ -132,21 +153,22 @@ def assert_samples_own_arrays(samples):
     assert len({id(c) for c in arrays}) == len(arrays)
 
 
-def poison_from_step(monkeypatch, cls, name, calls_per_step, k):
-    """Make ``cls.name`` return NaN from solver step ``k`` (1-based) on.
+def poison_from_step(monkeypatch, module, calls_per_step, k):
+    """Make the forcing ``_box_forcing`` that the solver module ``module``
+    calls return NaN from solver step ``k`` (1-based) on.
 
-    The method is called ``calls_per_step`` times per step, so the call
+    The forcing is called ``calls_per_step`` times per step, so the call
     count tells the step."""
-    fn = getattr(cls, name)
+    fn = module._box_forcing
     calls = [0]
 
-    def poisoned(self, *args):
+    def poisoned(*args):
         step = calls[0] // calls_per_step + 1
         calls[0] += 1
-        out = fn(self, *args)
+        out = fn(*args)
         return out * np.nan if step >= k else out
 
-    monkeypatch.setattr(cls, name, poisoned)
+    monkeypatch.setattr(module, "_box_forcing", poisoned)
 
 
 # ten steps of 0.01 over T=0.1, sampled every third step, NaN from step 5 on:
@@ -271,7 +293,7 @@ def synth_hs_field_copying(recipe, grid):
     for k in grid.k:
         profile[np.abs(k) == grid.n // 2] = 0.0
 
-    c = _leray_coeffs(grid, unit * profile)
+    c = _leray_full(grid, unit * profile)
     f = SpectralField(grid, c)
     size = hs_composite_norm(f, recipe.regularity)
     if size == 0.0:
@@ -294,7 +316,7 @@ def random_divergence_free_field_copying(grid, seed, band=None, slope=0.0):
         c = c * keep
     for k in kvec:
         c[:, np.abs(k) == grid.n // 2] = 0.0
-    f = SpectralField(grid, _leray_coeffs(grid, c))
+    f = SpectralField(grid, _leray_full(grid, c))
     size = l2_norm(f)
     if size == 0.0:
         return zero_field(grid)

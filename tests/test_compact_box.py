@@ -19,28 +19,28 @@ from hypothesis import strategies as st
 from hypns.experiments import ExperimentConfig, run_convergence
 from hypns.initial_data import random_divergence_free_field
 from hypns.nlw import _NlwStepper, _propagator_entries, _WaveTables
-from hypns.ns import NsState, _NsStepper, dt_v
+from hypns.ns import _NsStepper, dt_v
 from hypns.spectral import (
     _box_convection,
-    _convection_coeffs,
-    _leray_coeffs,
-    _tensor_divergence_coeffs,
+    _convection,
+    _leray_full,
+    box_add,
     box_gather,
     box_scatter,
     make_grid,
 )
 
-from conftest import grid_shapes, property_settings, random_real_field
+from conftest import dealias_mask, grid_ik, grid_shapes, property_settings, random_real_field
 
 
 def full_tensor_divergence(g, c):
     """Masked input, one batched inverse transform, one forward transform
     per product, derivatives over the whole half spectrum, masked output."""
     axes = tuple(range(1, g.dim + 1))
-    masked = c * g.dealias_mask
+    masked = c * dealias_mask(g)
     masked /= g.fwd_scale
     vals = np.fft.irfftn(masked, s=g.shape, axes=axes)
-    ik = g.ik
+    ik = grid_ik(g)
     out = np.zeros_like(c)
     for i in range(g.dim):
         for j in range(i, g.dim):
@@ -49,7 +49,7 @@ def full_tensor_divergence(g, c):
             out[i] += ik[j] * tij
             if j != i:
                 out[j] += ik[i] * tij
-    out *= g.dealias_mask
+    out *= dealias_mask(g)
     return out
 
 
@@ -73,10 +73,11 @@ def full_buffer_box_convection(g, b, project):
 
 def full_leray(g, c):
     c = c.copy()
+    k2eff = sum(k * k for k in g.keff)
     kdotc = g.keff[0] * c[0]
     for i in range(1, g.dim):
         kdotc += g.keff[i] * c[i]
-    kdotc /= g.k2eff_safe
+    kdotc /= np.where(k2eff > 0, k2eff, 1.0)
     for i in range(g.dim):
         c[i] -= g.keff[i] * kdotc
     return c
@@ -121,7 +122,7 @@ class TestBoxLayout:
         g, f, _ = random_real_field(*shape, seed)
         b = box_gather(g, f.coeffs)
         assert b.shape == (g.dim,) + g.box_shape
-        assert np.array_equal(box_scatter(g, b), f.coeffs * g.dealias_mask)
+        assert np.array_equal(box_scatter(g, b), f.coeffs * dealias_mask(g))
 
     def test_compact_layout(self):
         for g in (make_grid(2, 8), make_grid(2, 64), make_grid(3, 8), make_grid(3, 16)):
@@ -135,15 +136,26 @@ class TestBoxLayout:
                 assert np.array_equal(line, want)
 
 
+    @pytest.mark.parametrize("dim,n", [(2, 16), (2, 128), (3, 8), (3, 32)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_box_add_matches_scatter_then_add(self, dim, n, weighted):
+        g, f, _ = random_real_field(dim, n, 5)
+        _, h, _ = random_real_field(dim, n, 6)
+        b = box_gather(g, h.coeffs)
+        weight = box_gather(g, np.exp(-g.k2 * 1e-2)) if weighted else None
+        want = f.coeffs + box_scatter(g, b if weight is None else weight * b)
+        assert np.array_equal(box_add(g, f.coeffs.copy(), b, weight), want)
+
+
 class TestExactEquivalence:
     @property_settings
     @given(shape=grid_shapes, seed=st.integers(0, 2**32 - 1))
     def test_kernels_match_full_mask_formulas(self, shape, seed):
         g, f, _ = random_real_field(*shape, seed)
         td = full_tensor_divergence(g, f.coeffs)
-        assert np.array_equal(_tensor_divergence_coeffs(g, f.coeffs), td)
-        assert np.array_equal(_leray_coeffs(g, td), full_leray(g, td))
-        assert np.array_equal(_convection_coeffs(g, f.coeffs), full_convection(g, f.coeffs))
+        assert np.array_equal(_convection(f, project=False).coeffs, td)
+        assert np.array_equal(_leray_full(g, td.copy()), full_leray(g, td))
+        assert np.array_equal(_convection(f, project=True).coeffs, full_convection(g, f.coeffs))
 
     # n = 8 has box columns 0..2 of the half spectrum's 0..4
     @property_settings
@@ -161,9 +173,9 @@ class TestExactEquivalence:
     @example(shape=(3, 8), seed=0)
     def test_dt_v_matches_full_subtraction(self, shape, seed):
         g, f, _ = random_real_field(*shape, seed)
-        got = dt_v(NsState(f, 0.0)).coeffs
+        got = dt_v(f).coeffs
         assert not got.flags.writeable
-        assert np.array_equal(got, -g.k2 * f.coeffs - _convection_coeffs(g, f.coeffs))
+        assert np.array_equal(got, -g.k2 * f.coeffs - _convection(f, project=True).coeffs)
 
     @property_settings
     @given(shape=grid_shapes, seed=st.integers(0, 2**32 - 1), dt=st.floats(1e-4, 2e-2))

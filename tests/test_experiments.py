@@ -29,11 +29,10 @@ from hypns.experiments import (
 )
 from hypns.diagnostics import make_energy_report
 from hypns.initial_data import HypothesisReport
-from hypns.nlw import _NlwStepper
 from hypns.ns import ns_solve
 from hypns.reporting import emit_report
 from hypns.spectral import inverse_transform, make_grid
-from hypns import cli, experiments, spectral
+from hypns import cli, experiments, nlw, spectral
 
 from conftest import POISON, poison_from_step, taylor_green_cross_term
 
@@ -404,7 +403,7 @@ class TestExistenceProbe:
         assert len(a.rows) == 3 and all(r.reports for r in a.rows)
 
     def test_solver_failure_recorded_as_blowup(self, monkeypatch):
-        poison_from_step(monkeypatch, _NlwStepper, "nonlinearity", 2, POISON.step)
+        poison_from_step(monkeypatch, nlw, 2, POISON.step)
         cfg = golden_config(eps_list=[0.1], T=POISON.T, dt=POISON.dt, sample_stride=POISON.stride)
         row = run_existence_probe(cfg, force=True).rows[0]
         assert row.blowup and row.blowup_t == POISON.fail_t

@@ -21,6 +21,12 @@ squares.
 ``initial_data.py``, where the transform counts of the benchmark arithmetic
 (``bench/workloads.expected_counts``) are documented.
 
+The 2/3-rule box layout is ``spectral.py``'s own: no other module may
+reference ``box_blocks``, the box kernel ``_box_convection`` or the table
+form of the projection ``_leray_inplace``.  The solvers reach the box
+through ``box_gather``, ``box_scatter``, ``box_add`` and ``_box_forcing``,
+the seeded data through ``_leray_full``.
+
 ``ctypes`` may be imported only in ``ns.py``, whose ``_keep_heap`` is the
 one platform-specific call into the C library (the allocator policy).
 
@@ -122,6 +128,13 @@ def imported_modules(path):
     return found
 
 
+def imported_names(path):
+    """Names a file imports with ``from ... import``."""
+    return {
+        alias.name for node in ast.walk(parse(path)) if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+
+
 def module_level_imports(path):
     """Dotted names of the modules a file imports outside function bodies;
     ``from a import b`` gives both ``a`` and ``a.b``."""
@@ -201,6 +214,20 @@ def test_pool_modules_not_imported_at_module_level():
         if any(name == m or name.startswith(m + ".") for m in POOL_MODULES)
     ]
     assert eager == []
+
+
+BOX_INTERNALS = {"box_blocks", "_box_convection", "_leray_inplace"}
+
+
+def test_box_layout_only_in_spectral():
+    assert BOX_INTERNALS <= referenced_names(parse(PACKAGE / "spectral.py"))  # the rule sees the names
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "spectral.py"
+        for name in sorted(BOX_INTERNALS & (referenced_names(parse(path)) | imported_names(path)))
+    ]
+    assert found == []
 
 
 def test_ctypes_only_in_ns():

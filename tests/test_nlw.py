@@ -6,9 +6,9 @@ import pytest
 
 from hypns.diagnostics import energy, linf_threshold
 from hypns.initial_data import random_divergence_free_field, taylor_green
+from hypns import nlw
 from hypns.nlw import (
     WaveState,
-    _NlwStepper,
     _propagator_entries,
     linear_propagate,
     nlw_solve,
@@ -228,7 +228,7 @@ class TestNlwSolve:
         assert seen == []
 
     def test_non_finite_step_raises_at_next_sample(self, monkeypatch):
-        poison_from_step(monkeypatch, _NlwStepper, "nonlinearity", 2, POISON.step)
+        poison_from_step(monkeypatch, nlw, 2, POISON.step)
         u0 = random_divergence_free_field(make_grid(2, 16), 12)
         seen = []
 

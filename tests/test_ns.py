@@ -8,7 +8,7 @@ from scipy.integrate import simpson
 from hypns import ns
 from hypns.initial_data import random_divergence_free_field, taylor_green
 from hypns.nlw import nlw_solve
-from hypns.ns import NsState, SolverFailure, _check_finite, _NsStepper, dt_v, ns_solve
+from hypns.ns import SolverFailure, _check_finite, dt_v, ns_solve
 from hypns.spectral import (
     divergence_l2,
     inverse_transform,
@@ -140,7 +140,7 @@ class TestNsSolve:
         assert seen == []
 
     def test_non_finite_step_raises_at_next_sample(self, monkeypatch):
-        poison_from_step(monkeypatch, _NsStepper, "rhs", 4, POISON.step)
+        poison_from_step(monkeypatch, ns, 4, POISON.step)
         v0 = random_divergence_free_field(make_grid(2, 16), 12)
         seen = []
 
@@ -238,12 +238,12 @@ class TestCheckFinite:
 class TestDtV:
     def test_zero(self):
         g = make_grid(2, 16)
-        assert l2_norm(dt_v(NsState(zero_field(g), 0.0))) == 0.0
+        assert l2_norm(dt_v(zero_field(g))) == 0.0
 
     def test_taylor_green(self):
         g = make_grid(2, 32)
         tg = taylor_green(g)
-        out = dt_v(NsState(tg, 0.0))
+        out = dt_v(tg)
         assert np.max(np.abs(out.coeffs - (-2.0) * tg.coeffs)) < 1e-10
 
     def test_finite_difference_consistency(self):
@@ -255,5 +255,5 @@ class TestDtV:
             lo = ns_solve(v0, 0.05 - h, dt=2.5e-4)
             hi = ns_solve(v0, 0.05 + h, dt=2.5e-4)
             fd = (hi.v - lo.v) * (1.0 / (2.0 * h))
-            errs.append(l2_norm(fd - dt_v(mid)))
+            errs.append(l2_norm(fd - dt_v(mid.v)))
         assert errs[0] / errs[1] > 3.0  # O(h^2): halving h quarters the error

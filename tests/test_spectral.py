@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from hypns.spectral import (
     SpectralField,
-    _convection_coeffs,
+    _convection,
     _divergence_coeffs,
-    _leray_coeffs,
-    _tensor_divergence_coeffs,
+    _leray_full,
+    box_gather,
     convection_term,
     divergence_l2,
     hs_inner,
@@ -26,7 +26,10 @@ from hypns.spectral import (
 from hypns.initial_data import random_divergence_free_field, taylor_green
 
 from conftest import (
+    cell_volume,
     count_field_copies,
+    dealias_mask,
+    grid_ik,
     grid_shapes,
     property_settings,
     random_real_field,
@@ -162,7 +165,7 @@ class TestTransform:
         vals = rng.standard_normal((2, 32, 32))
         vals -= vals.mean(axis=(1, 2), keepdims=True)
         f, _ = transform(g, vals)
-        quad = np.sqrt(np.sum(vals**2) * g.cell_volume)
+        quad = np.sqrt(np.sum(vals**2) * cell_volume(g))
         assert abs(l2_norm(f) - quad) < 1e-12 * quad
 
 
@@ -283,7 +286,7 @@ class TestConvection:
         # the kernel reads only the 2/3-rule box, so the guard above is
         # what rejects such data
         f = with_nan(random_divergence_free_field(make_grid(2, 16), 13), inside_box=False)
-        assert np.isfinite(_convection_coeffs(f.grid, f.coeffs)).all()
+        assert np.isfinite(_convection(f, project=True).coeffs).all()
 
 
 def test_gagliardo_nirenberg_lattice():
@@ -369,10 +372,11 @@ class TestHalfSpectrum:
         g, f, vals = random_real_field(*shape, seed)
         full = FullSpectrum(g)
         oracle = full.tensor_divergence(full.coeffs(vals))
-        assert rel_err(_tensor_divergence_coeffs(g, f.coeffs), full.half(oracle)) <= 1e-13
+        td = _convection(f, project=False).coeffs
+        assert rel_err(td, full.half(oracle)) <= 1e-13
         projected = full.half(full.leray(oracle))
-        assert rel_err(_leray_coeffs(g, _tensor_divergence_coeffs(g, f.coeffs)), projected) <= 1e-13
-        assert rel_err(_convection_coeffs(g, f.coeffs), projected) <= 1e-13
+        assert rel_err(_leray_full(g, td.copy()), projected) <= 1e-13
+        assert rel_err(_convection(f, project=True).coeffs, projected) <= 1e-13
 
     @property_settings
     @given(shape=grid_shapes, seed=st.integers(0, 2**32 - 1))
@@ -380,7 +384,7 @@ class TestHalfSpectrum:
         g, f, _ = random_real_field(*shape, seed)
         vals = inverse_transform(f)
         assert vals.shape == (g.dim,) + g.shape and vals.dtype == np.float64
-        quad = np.sum(vals**2) * g.cell_volume
+        quad = np.sum(vals**2) * cell_volume(g)
         assert abs(quad - l2_norm(f) ** 2) <= 1e-12 * quad
         back, mean = transform(g, vals)
         assert np.max(np.abs(mean)) <= 1e-12 * np.max(np.abs(vals))
@@ -408,12 +412,14 @@ class TestHalfSpectrum:
             nh = g.n // 2 + 1
             assert g.spec_shape == g.shape[:-1] + (nh,)
             k2eff = sum(k * k for k in full.keff)
-            pairs = [(g.k2, full.k2), (g.kmag, np.sqrt(full.k2)), (g.dealias_mask, full.mask)]
-            pairs += list(zip(g.keff, full.keff)) + [(ik, 1j * k) for ik, k in zip(g.ik, full.keff)]
-            pairs += list(zip(g.k[:-1], full.k[:-1])) + [(g.k2eff_safe, np.where(k2eff > 0, k2eff, 1.0))]
+            pairs = [(g.k2, full.k2), (g.kmag, np.sqrt(full.k2)), (dealias_mask(g), full.mask)]
+            pairs += list(zip(g.keff, full.keff)) + [(ik, 1j * k) for ik, k in zip(grid_ik(g), full.keff)]
+            pairs += list(zip(g.k[:-1], full.k[:-1]))
             for table, want in pairs:
                 assert table.shape == g.spec_shape
                 assert np.array_equal(table, full.half(want))
+            want = box_gather(g, full.half(np.where(k2eff > 0, k2eff, 1.0)))
+            assert np.array_equal(g.box_k2eff_safe, want)
             # along the last axis the wavenumbers run over 0..n/2
             assert np.array_equal(g.k[-1], np.broadcast_to(np.arange(nh), g.spec_shape))
             mult = np.full(g.spec_shape, 2.0)
