@@ -35,7 +35,6 @@ from .initial_data import (
     truncate_initial_data,
 )
 from .nlw import (
-    WaveSolveResult,
     WaveState,
     linear_propagate,
     nlw_solve,

@@ -129,10 +129,10 @@ def _cmd_taylor_green(args) -> int:
 
     # wave-side regression: per-mode damped oscillator
     eps, Tw = 0.05, 1.0
-    res = nlw_solve(tg, 0.0 * tg, eps, Tw, dt=dt)
+    final_w = nlw_solve(tg, 0.0 * tg, eps, Tw, dt=dt)
     amp, _ = propagate_mode(eps, 2.0, Tw, 1.0, 0.0)
     exact_w = amp.real * inverse_transform(tg)
-    nlw_err = float(np.max(np.abs(inverse_transform(res.state.u) - exact_w)))
+    nlw_err = float(np.max(np.abs(inverse_transform(final_w.u) - exact_w)))
     print(f"damped-wave taylor-green max pointwise error at T={Tw}, eps={eps}: {nlw_err:.3e}")
 
     ok = ns_err <= 1e-8 and nlw_err <= 1e-8

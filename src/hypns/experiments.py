@@ -239,13 +239,16 @@ def load_field(path, grid) -> SpectralField:
     """Read a field from an ``.npz`` file with the keys ``dim``, ``n`` and
     ``coeffs``: unitary coefficients of shape (ncomp, n, ..., n, m) on the
     half spectrum (m = n//2+1) or, as written before half-spectrum storage,
-    on the full spectrum (m = n), which is cut to its half."""
-    data = np.load(path)
-    if int(data["dim"]) != grid.dim or int(data["n"]) != grid.n:
-        raise ValueError(
-            f"field file is {int(data['dim'])}D n={int(data['n'])}, expected {grid.dim}D n={grid.n}"
-        )
-    c = data["coeffs"]
+    on the full spectrum (m = n), which is cut to its half.  A file without
+    those keys, a plain ``.npy`` among them, raises ValueError."""
+    with open(path, "rb") as fh:
+        data = np.load(fh)
+        missing = [k for k in ("dim", "n", "coeffs") if k not in getattr(data, "files", ())]
+        if missing:
+            raise ValueError(f"field file {path} lacks the keys {', '.join(missing)}")
+        dim, n, c = int(data["dim"]), int(data["n"]), data["coeffs"]
+    if dim != grid.dim or n != grid.n:
+        raise ValueError(f"field file is {dim}D n={n}, expected {grid.dim}D n={grid.n}")
     if c.shape[-1] == grid.n:
         c = c[..., : grid.spec_shape[-1]]
     return SpectralField(grid, c)
@@ -340,11 +343,11 @@ def _wave_run(cfg: ExperimentConfig, eps: float, v0: SpectralField, dt: float, r
         if v is not None:
             cross_vals.append(hs_inner(state.ut, dt_v(v), sigma0))
 
+    blowup_t = None
     try:
-        result = nlw_solve(u0, u1, eps, cfg.T, dt=dt, observer=observer, stride=cfg.sample_stride)
-        blowup, blowup_t = result.blew_up, result.blowup_t
+        nlw_solve(u0, u1, eps, cfg.T, dt=dt, observer=observer, stride=cfg.sample_stride)
     except SolverFailure as exc:
-        blowup, blowup_t = True, exc.t
+        blowup_t = exc.t
 
     audit = energy_decay_audit(reports, eps, cfg.delta, u0_l2=l2_norm(u0))
     return SweepRow(
@@ -353,7 +356,7 @@ def _wave_run(cfg: ExperimentConfig, eps: float, v0: SpectralField, dt: float, r
         sup_dafermos=max(r.dafermos for r in reports),
         sup_eps_delta_e=audit.sup_eps_delta_e,
         cross_term=math.nan if ref is None else cross_term_quadrature(eps, [r.t for r in reports], cross_vals),
-        blowup=blowup,
+        blowup=blowup_t is not None,
         blowup_t=blowup_t,
         first_threshold_violation_t=audit.first_threshold_violation_t,
         n_star=audit.n_star,

@@ -9,12 +9,12 @@ two-stage exponential midpoint rule (second order in dt).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .ns import default_dt, march
+from .ns import SolverFailure, default_dt, march
 from .spectral import (
     Grid,
     SpectralField,
@@ -32,6 +32,10 @@ from .spectral import (
 # evaluated by series to dodge the cancellation at the double-root locus
 _SERIES_Z2 = 1e-4
 
+# a sample whose wave energy exceeds this many times the initial energy
+# ends the solve as a blow-up
+BLOWUP_FACTOR = 1e6
+
 
 @dataclass(frozen=True, eq=False)
 class WaveState:
@@ -39,9 +43,6 @@ class WaveState:
     ut: SpectralField
     eps: float
     t: float = 0.0
-    # energy(state, sigma) by sigma; the blow-up monitor and the energy
-    # report of one sample share it
-    _energies: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.eps <= 0:
@@ -68,13 +69,8 @@ class WaveState:
 
 def energy(state: WaveState, sigma: float) -> float:
     """Wave energy at regularity sigma:
-    int 1/2 |L^s (u + eps u_t)|^2 + eps^2/2 |L^s u_t|^2 + eps |L^(s+1) u|^2.
-
-    Computed once per state and sigma."""
-    cache = state._energies
-    if sigma not in cache:
-        cache[sigma] = weighted_sum(state.u.grid, sigma, state.energy_density)
-    return cache[sigma]
+    int 1/2 |L^s (u + eps u_t)|^2 + eps^2/2 |L^s u_t|^2 + eps |L^(s+1) u|^2."""
+    return weighted_sum(state.u.grid, sigma, state.energy_density)
 
 
 def _propagator_entries(eps: float, k2: np.ndarray, dt: float):
@@ -205,16 +201,6 @@ class _NlwStepper:
         return box_add(grid, u_end, n_mid, self.end_cu), box_add(grid, w_end, n_mid, self.end_cw)
 
 
-@dataclass
-class WaveSolveResult:
-    """Outcome of a wave solve; blow-up is a recorded verdict, not an error,
-    because global existence is one of the claims under test."""
-
-    state: WaveState
-    blew_up: bool = False
-    blowup_t: float | None = None
-
-
 def nlw_solve(
     u0: SpectralField,
     u1: SpectralField,
@@ -223,17 +209,16 @@ def nlw_solve(
     dt: float | None = None,
     observer=None,
     stride: int = 1,
-    blowup_factor: float = 1e6,
-) -> WaveSolveResult:
-    """Integrate the damped wave system to time T.
+) -> WaveState:
+    """Integrate the damped wave system to time T and return the final state.
 
     ``observer(state)`` fires at exact sample times.  When the wave energy
-    ``energy(state, base_sigma(dim))`` of a sample exceeds ``blowup_factor``
-    times its initial value the run stops, before that sample is observed,
-    and the result carries the blow-up flag.  That energy is the energy
-    report's ``e_base``, so the monitor and the report of one sample share
-    it through the state's cache.  Non-finite or divergent initial data is
-    rejected with ValueError.
+    ``energy(state, base_sigma(dim))`` of a sample exceeds ``BLOWUP_FACTOR``
+    times its initial value, the solve raises SolverFailure("energy
+    blow-up", t) before that sample is observed, as ``march`` does for
+    non-finite coefficients.  That energy is the energy report's
+    ``e_base``.  Non-finite or divergent initial data is rejected with
+    ValueError.
     """
     grid = u0.grid
     require_divergence_free("nlw_solve", [u0, u1])
@@ -242,15 +227,14 @@ def nlw_solve(
 
     sigma0 = base_sigma(grid.dim)
     state = WaveState(u0, u1, eps, 0.0)
-    ceiling = blowup_factor * max(energy(state, sigma0), 1e-300)
+    ceiling = BLOWUP_FACTOR * max(energy(state, sigma0), 1e-300)
     for t, (uc, wc) in march(lambda h: _NlwStepper(grid, eps, h).step, (u0.coeffs, u1.coeffs), T, dt, stride):
         if t > 0.0:
             state = WaveState(_adopt(grid, uc), _adopt(grid, wc), eps, t)
             if energy(state, sigma0) > ceiling:
-                return WaveSolveResult(state, blew_up=True, blowup_t=t)
+                raise SolverFailure("energy blow-up", t)
         if observer is not None:
             observer(state)
         if t < T:  # the steps to the next sample need not hold this one
             del state, uc, wc
-    return WaveSolveResult(state)
-
+    return state

@@ -20,7 +20,6 @@ from .spectral import (
     _box_forcing,
     box_add,
     box_gather,
-    box_scatter,
     linf_norm,
     mode_mag2,
     require_divergence_free,
@@ -81,8 +80,7 @@ class _NsStepper:
         b = _box_forcing(grid, e2 * (cb + (dt / 2.0) * a))
         d = _box_forcing(grid, e2 * cb + (dt / 2.0) * b)
         g = _box_forcing(grid, e * cb + dt * (e2 * d))
-        box = e * cb + (dt / 6.0) * (e * a + 2.0 * e2 * (b + d) + g)
-        return box_scatter(grid, box, into=self.e_full * c)
+        return box_add(grid, self.e_full * c, (dt / 6.0) * (e * a + 2.0 * e2 * (b + d) + g))
 
 
 def plan_steps(T: float, dt: float):

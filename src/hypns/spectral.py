@@ -26,11 +26,11 @@ keeps the wavenumbers 0..c and then -c..-1, the ``fftfreq`` order of a
 is 2^(dim-1) rectangular blocks, one per choice of the low (0..c) or high
 (n-c..n-1) index range on each of the first dim-1 axes: ``Grid.box_blocks``
 pairs each block's index in the half spectrum with its index in the
-compact array.  Only this module reads the blocks: ``box_gather``,
-``box_scatter`` and ``box_add`` move coefficients between the two layouts,
-``_box_forcing`` is the solvers' forcing -P nabla:(u (x) u) from box to
-box, and ``_convection`` and ``_leray_full`` give the convection and the
-Leray projection of half-spectrum coefficients.
+compact array.  Only this module reads the blocks: ``box_gather`` copies
+the box out of a half-spectrum array and ``box_add`` adds a compact box
+into one, ``_box_forcing`` is the solvers' forcing -P nabla:(u (x) u)
+from box to box, and ``_convection`` and ``_leray_full`` give the
+convection and the Leray projection of half-spectrum coefficients.
 
 The inverse transform of the box gets a buffer of the last-axis columns
 0..c only, which ``irfftn(..., s=grid.shape)`` zero-pads to n/2+1, so its
@@ -195,16 +195,6 @@ def box_gather(grid: Grid, c: np.ndarray) -> np.ndarray:
     for full, box in grid.box_blocks:
         out[box] = c[full]
     return out
-
-
-def box_scatter(grid: Grid, b: np.ndarray, into: np.ndarray | None = None) -> np.ndarray:
-    """Write the compact box ``b`` into the box of the half-spectrum array
-    ``into`` and return it; by default ``into`` is a new zero array."""
-    if into is None:
-        into = np.zeros(b.shape[: b.ndim - grid.dim] + grid.spec_shape, dtype=b.dtype)
-    for full, box in grid.box_blocks:
-        into[full] = b[box]
-    return into
 
 
 def box_add(grid: Grid, into: np.ndarray, b: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
@@ -481,7 +471,8 @@ def _box_forcing(grid: Grid, b: np.ndarray) -> np.ndarray:
 def _convection(f: SpectralField, project: bool) -> SpectralField:
     """Dealiased nabla : (u (x) u) of ``f``, Leray-projected if ``project``."""
     g = f.grid
-    return SpectralField(g, box_scatter(g, _box_convection(g, box_gather(g, f.coeffs), project)))
+    out = np.zeros(f.coeffs.shape, dtype=np.complex128)
+    return _adopt(g, box_add(g, out, _box_convection(g, box_gather(g, f.coeffs), project)))
 
 
 def convection_term(f: SpectralField) -> SpectralField:

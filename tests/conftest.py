@@ -79,6 +79,15 @@ def dealias_mask(grid):
     return mask
 
 
+def box_scatter(grid, b):
+    """The compact box ``b`` written into the box of a new zero
+    half-spectrum array: the inverse of ``box_gather`` on the box."""
+    out = np.zeros(b.shape[: b.ndim - grid.dim] + grid.spec_shape, dtype=b.dtype)
+    for full, box in grid.box_blocks:
+        out[full] = b[box]
+    return out
+
+
 def grid_ik(grid):
     """Derivative symbols i keff, one full table per axis."""
     return tuple(1j * kd for kd in grid.keff)

@@ -76,7 +76,7 @@ def test_criterion_2_per_mode_wave_oracle():
     eps, T, dt = 0.05, 1.0, 1e-3
     res = nlw_solve(tg, 0.0 * tg, eps, T, dt=dt)
     amp, _ = oracle_mode(eps, 2.0, T, 1.0, 0.0)
-    err = float(np.max(np.abs(inverse_transform(res.state.u) - amp.real * inverse_transform(tg))))
+    err = float(np.max(np.abs(inverse_transform(res.u) - amp.real * inverse_transform(tg))))
 
     rng = np.random.default_rng(1234)
     worst = 0.0

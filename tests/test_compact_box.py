@@ -26,11 +26,10 @@ from hypns.spectral import (
     _leray_full,
     box_add,
     box_gather,
-    box_scatter,
     make_grid,
 )
 
-from conftest import dealias_mask, grid_ik, grid_shapes, property_settings, random_real_field
+from conftest import box_scatter, dealias_mask, grid_ik, grid_shapes, property_settings, random_real_field
 
 
 def full_tensor_divergence(g, c):

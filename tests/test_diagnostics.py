@@ -340,22 +340,29 @@ class TestEnergyReport:
         assert close(rep.dafermos, 0.5 * sobolev_norm(st.u - v + eps * st.ut, s0) ** 2 + tail[0])
 
     @pytest.mark.parametrize("dim, n, s0", [(2, 16, 0.0), (3, 8, 0.5)])
-    def test_monitor_and_report_share_base_energy(self, monkeypatch, dim, n, s0):
-        # the blow-up monitor's energy is the report's e_base: each sample
-        # evaluates it once, and e_delta once
+    def test_monitor_and_report_share_energy_density(self, monkeypatch, dim, n, s0):
+        # the blow-up monitor and the report of one sample build the state's
+        # energy density once; each sums it at sigma0, the report also at
+        # sigma0 + delta
         import hypns.nlw as nlw
 
-        sigmas = []
-        real = nlw.weighted_sum
+        sigmas, densities = [], []
+        real_sum, real_density = nlw.weighted_sum, WaveState.modulated_density
 
-        def counted(grid, sigma, density):
+        def counted_sum(grid, sigma, density):
             sigmas.append(sigma)
-            return real(grid, sigma, density)
+            return real_sum(grid, sigma, density)
 
-        monkeypatch.setattr(nlw, "weighted_sum", counted)
+        def counted_density(self, w):
+            densities.append(self.t)
+            return real_density(self, w)
+
+        monkeypatch.setattr(nlw, "weighted_sum", counted_sum)
+        monkeypatch.setattr(WaveState, "modulated_density", counted_density)
         g = make_grid(dim, n)
         st = wave_state(g, 3, 0.1, ut_scale=0.0)
         reports = []
         nlw_solve(st.u, st.ut, st.eps, 0.01, dt=2e-3, observer=lambda s: reports.append(make_energy_report(s, 0.5)))
         assert len(reports) == 6
-        assert sorted(sigmas) == [s0] * 6 + [s0 + 0.5] * 6
+        assert densities == [r.t for r in reports]
+        assert sorted(sigmas) == [s0] * 12 + [s0 + 0.5] * 6

@@ -208,6 +208,15 @@ class TestDataSources:
         with pytest.raises(ValueError):
             load_field(tmp_path / "f.npz", make_grid(2, 32))
 
+    def test_file_missing_keys_named(self, tmp_path):
+        g = make_grid(2, 16)
+        np.savez(tmp_path / "f.npz", dim=2, n=16)
+        with pytest.raises(ValueError, match="lacks the keys coeffs$"):
+            load_field(tmp_path / "f.npz", g)
+        np.save(tmp_path / "f.npy", np.zeros((2,) + g.spec_shape, dtype=np.complex128))
+        with pytest.raises(ValueError, match="lacks the keys dim, n, coeffs$"):
+            load_field(tmp_path / "f.npy", g)
+
     def test_taylor_green_requires_2d(self):
         cfg = golden_config(dim=3, n=8, data_source="taylor_green")
         assert any("taylor_green" in v for v in cfg.validate())
@@ -409,6 +418,14 @@ class TestExistenceProbe:
         assert row.blowup and row.blowup_t == POISON.fail_t
         assert [r.t for r in row.reports] == POISON.clean_times
 
+    def test_energy_blowup_recorded_as_blowup(self, monkeypatch):
+        # a ceiling below the initial energy trips at the first sample after 0
+        monkeypatch.setattr(nlw, "BLOWUP_FACTOR", 0.5)
+        cfg = golden_config(eps_list=[0.1], T=0.1, dt=0.01, sample_stride=3)
+        row = run_existence_probe(cfg, force=True).rows[0]
+        assert row.blowup and row.blowup_t == 3 * (0.1 / 10)
+        assert [r.t for r in row.reports] == [0.0]
+
     def test_probe_and_sweep_run_the_same_wave_solve(self):
         cfg = golden_config()
         probe = run_existence_probe(cfg, force=True)
@@ -540,6 +557,20 @@ class TestCli:
         rc = cli.main(["exist", "--config", str(p), "--out", str(tmp_path / "o2"), "--force"])
         out = capsys.readouterr().out
         assert "skipped" not in out.splitlines()[-3]
+
+    @pytest.mark.parametrize("command", ["converge", "exist"])
+    @pytest.mark.parametrize("suffix", [".npz", ".npy"])
+    def test_malformed_data_file_exit_one(self, tmp_path, capsys, command, suffix):
+        # an .npz without coeffs, or a plain .npy array, is an error, not a traceback
+        path = tmp_path / f"field{suffix}"
+        if suffix == ".npz":
+            np.savez(path, dim=2, n=16)
+        else:
+            np.save(path, np.zeros((2, 16, 9), dtype=np.complex128))
+        p = self._write_cfg(tmp_path, data_source="file", data_file=str(path))
+        assert cli.main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: field file") and "lacks the keys" in err and "coeffs" in err
 
     @pytest.mark.parametrize("argv", [
         ["audit", "--config", "c.cfg", "--jobs", "2"],

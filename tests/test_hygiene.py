@@ -24,8 +24,8 @@ squares.
 The 2/3-rule box layout is ``spectral.py``'s own: no other module may
 reference ``box_blocks``, the box kernel ``_box_convection`` or the table
 form of the projection ``_leray_inplace``.  The solvers reach the box
-through ``box_gather``, ``box_scatter``, ``box_add`` and ``_box_forcing``,
-the seeded data through ``_leray_full``.
+through ``box_gather``, ``box_add`` and ``_box_forcing``, the seeded data
+through ``_leray_full``.
 
 ``ctypes`` may be imported only in ``ns.py``, whose ``_keep_heap`` is the
 one platform-specific call into the C library (the allocator policy).

@@ -126,23 +126,23 @@ class TestLinearPropagate:
 class TestNlwStep:
     def test_zero_state(self):
         g = make_grid(2, 16)
-        st = nlw_solve(zero_field(g), zero_field(g), 0.1, 1e-3, dt=1e-3).state
+        st = nlw_solve(zero_field(g), zero_field(g), 0.1, 1e-3, dt=1e-3)
         assert l2_norm(st.u) == 0.0
 
     def test_taylor_green_follows_linear_modes(self):
         g = make_grid(2, 32)
         tg = taylor_green(g)
         eps, T, dt = 0.05, 1.0, 1e-3
-        res = nlw_solve(tg, 0.0 * tg, eps, T, dt=dt)
+        st = nlw_solve(tg, 0.0 * tg, eps, T, dt=dt)
         amp, ampt = oracle_mode(eps, 2.0, T, 1.0, 0.0)
-        assert np.max(np.abs(res.state.u.coeffs - amp.real * tg.coeffs)) <= 1e-8
-        assert np.max(np.abs(res.state.ut.coeffs - ampt.real * tg.coeffs)) <= 1e-8
+        assert np.max(np.abs(st.u.coeffs - amp.real * tg.coeffs)) <= 1e-8
+        assert np.max(np.abs(st.ut.coeffs - ampt.real * tg.coeffs)) <= 1e-8
 
     def test_self_convergence_order(self):
         g = make_grid(2, 32)
         u0 = random_divergence_free_field(g, 42, band=8) * 0.8
         T, eps = 0.1, 1e-3
-        sols = [nlw_solve(u0, 0.0 * u0, eps, T, dt=T / m).state for m in (16, 32, 64)]
+        sols = [nlw_solve(u0, 0.0 * u0, eps, T, dt=T / m) for m in (16, 32, 64)]
         e1 = l2_norm(sols[0].u - sols[1].u)
         e2 = l2_norm(sols[1].u - sols[2].u)
         assert np.log2(e1 / e2) >= 1.8
@@ -152,9 +152,8 @@ class TestNlwSolve:
     def test_zero_horizon(self):
         g = make_grid(2, 16)
         u0 = random_divergence_free_field(g, 1)
-        res = nlw_solve(u0, zero_field(g), 0.1, 0.0, dt=1e-3)
-        assert res.state.t == 0.0
-        assert not res.blew_up
+        st = nlw_solve(u0, zero_field(g), 0.1, 0.0, dt=1e-3)
+        assert st.t == 0.0 and st.u is u0
 
     def test_eps_consistency_with_ns(self):
         g = make_grid(2, 32)
@@ -163,26 +162,24 @@ class TestNlwSolve:
         errs = []
         for eps in (1e-1, 1e-2, 1e-3):
             u0 = v0
-            res = nlw_solve(u0, 0.0 * u0, eps, 0.5, dt=1e-3)
-            errs.append(l2_norm(res.state.u - vT.v))
+            st = nlw_solve(u0, 0.0 * u0, eps, 0.5, dt=1e-3)
+            errs.append(l2_norm(st.u - vT.v))
         assert errs[0] > errs[1] > errs[2]
 
-    def test_blowup_flagged_not_raised(self):
+    def test_blowup_raises_solver_failure(self, monkeypatch):
         g = make_grid(2, 16)
         u0 = random_divergence_free_field(g, 4)
-        res = nlw_solve(u0, zero_field(g), 0.1, 0.5, dt=1e-2, blowup_factor=1.0 + 1e-12)
+        monkeypatch.setattr(nlw, "BLOWUP_FACTOR", 1.0 + 1e-12)
         # energy decays, so an absurdly tight ceiling never fires ...
-        assert not res.blew_up
-        # ... but a ceiling below the initial energy does, as a verdict rather than an error
+        assert nlw_solve(u0, zero_field(g), 0.1, 0.5, dt=1e-2).t == 0.5
+        # ... but a ceiling below the initial energy does, at the first sample after 0
+        monkeypatch.setattr(nlw, "BLOWUP_FACTOR", 0.5)
         seen = []
-        res = nlw_solve(
-            u0, zero_field(g), 0.1, 0.5, dt=1e-2, observer=lambda st: seen.append(st.t),
-            blowup_factor=0.5,
-        )
-        assert res.blew_up
-        assert res.blowup_t is not None
+        with pytest.raises(SolverFailure, match="energy blow-up") as exc:
+            nlw_solve(u0, zero_field(g), 0.1, 0.5, dt=1e-2, observer=lambda st: seen.append(st.t))
+        assert exc.value.t == 1e-2
         # the sample that trips the monitor is not observed
-        assert seen == [0.0] and res.blowup_t > 0.0
+        assert seen == [0.0]
 
     def test_samples_hold_the_step_arrays(self, monkeypatch):
         g = make_grid(2, 16)
@@ -289,7 +286,7 @@ class TestSpatialConvergence:
         ends = {}
         for n in (32, 48, 64, 128):
             g = make_grid(2, n)
-            u = nlw_solve(embed(f, g), zero_field(g), 0.05, 0.5, dt=1e-3).state.u.coeffs
+            u = nlw_solve(embed(f, g), zero_field(g), 0.05, 0.5, dt=1e-3).u.coeffs
             ends[n] = u[:, low % n, : band + 1]
         diffs = {n: float(np.max(np.abs(ends[n] - ends[128]))) for n in (32, 48, 64)}
         assert diffs[32] > diffs[48] > diffs[64]
@@ -375,9 +372,9 @@ class TestRescale:
         eps = 0.25
         down = rescale(unit, "from_unit", eps=eps)
         T, dt = 0.2, 1e-3
-        direct = nlw_solve(down.u, down.ut, eps, T, dt=dt).state
+        direct = nlw_solve(down.u, down.ut, eps, T, dt=dt)
         lifted = rescale(direct, "to_unit")
-        ref = nlw_solve(unit.u, unit.ut, 1.0, T / eps, dt=dt / eps).state
+        ref = nlw_solve(unit.u, unit.ut, 1.0, T / eps, dt=dt / eps)
         assert np.max(np.abs(lifted.u.coeffs - ref.u.coeffs)) < 1e-6
         assert np.max(np.abs(lifted.ut.coeffs - ref.ut.coeffs)) < 1e-6
         assert abs(lifted.t - ref.t) < 1e-12
