@@ -8,7 +8,6 @@ from .diagnostics import (
     energy,
     energy_decay_audit,
     interpolation_ratios,
-    linf_threshold,
     make_energy_report,
     trilinear_ratio,
 )

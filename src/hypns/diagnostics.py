@@ -52,39 +52,22 @@ def dafermos_energy(state: WaveState, v: SpectralField, sigma0: float) -> float:
     return weighted_sum(state.u.grid, sigma0, state.modulated_density(state.u.coeffs - v.coeffs))
 
 
-@dataclass
-class ThresholdCheck:
-    value: float
-    bound: float
-    ok: bool
-
-
-def linf_threshold(state: WaveState, c: float) -> ThresholdCheck:
-    """Compare ||u||_inf against 1/(c sqrt(eps))."""
-    if c <= 0:
-        raise ValueError("threshold constant must be > 0")
-    value = linf_norm(state.u)
-    bound = 1.0 / (c * math.sqrt(state.eps))
-    return ThresholdCheck(value, bound, value < bound)
-
-
 def make_energy_report(state: WaveState, delta: float, *, v: SpectralField | None = None) -> EnergyReport:
     """Energies at sigma0 and sigma0 + ``delta``, the sup norm against the
-    threshold 1/sqrt(eps) (``linf_threshold`` with c = 1) and, given the
-    reference field v, the modulated energy and the squared error
-    ||u - v||^2 at sigma0, all from one set of per-mode densities of the
-    state's coefficients.
+    threshold 1/sqrt(eps) and, given the reference field v, the modulated
+    energy and the squared error ||u - v||^2 at sigma0, all from one set of
+    per-mode densities of the state's coefficients.
 
     sigma0 is ``base_sigma`` of the state's grid dimension.  ``composite``
     stays NaN: ``energy_decay_audit`` fills it once the exponent is known."""
     s0 = base_sigma(state.u.grid.dim)
-    check = linf_threshold(state, 1.0)
+    linf = linf_norm(state.u)
     rep = EnergyReport(
         t=state.t,
         e_base=energy(state, s0),
         e_delta=energy(state, s0 + delta),
-        linf=check.value,
-        threshold_ok=check.ok,
+        linf=linf,
+        threshold_ok=linf < 1.0 / math.sqrt(state.eps),
     )
     if v is not None:
         diff = state.u.coeffs - v.coeffs
@@ -217,19 +200,6 @@ def interpolation_ratios(f: SpectralField, delta: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DecayAudit:
-    """Summary of the energy-decay claims over one wave trajectory."""
-
-    n_star: int | None
-    used_n: int
-    composite_monotone: bool
-    violation_times: list
-    sup_eps_delta_e: float
-    growth_bound_ok: bool
-    first_threshold_violation_t: float | None
-
-
 # relative slack under which a step of an energy series still counts as
 # non-increasing
 MONOTONE_REL_TOL = 1e-7
@@ -266,52 +236,20 @@ def smallest_monotone_exponent(e_delta, e_base) -> int | None:
     return n
 
 
-def _monotone_violations(times, series):
-    bad = []
-    for j in range(len(series) - 1):
-        if series[j + 1] > series[j] * (1.0 + MONOTONE_REL_TOL) + 1e-300:
-            bad.append(float(times[j + 1]))
-    return bad
+def energy_decay_audit(reports):
+    """Fill each report's ``composite`` E_delta (1 + E_base)^N and return
+    ``(n_star, composite_monotone)``.
 
-
-def energy_decay_audit(reports, eps: float, delta: float, u0_l2: float) -> DecayAudit:
-    """Check the decay and boundedness claims on an energy-report series.
-
-    The composite E_delta (1 + E_base)^N is taken with N the smallest
-    exponent that makes it monotone, ``n_star`` (0 if none does), and is
-    written to each report's ``composite``."""
+    N is ``n_star``, the smallest exponent that makes the composite
+    monotone, or 0 if none does."""
     if not reports:
         raise ValueError("empty trajectory")
-    times = [r.t for r in reports]
-    e_base = [r.e_base for r in reports]
-    e_delta = [r.e_delta for r in reports]
-
-    n_star = smallest_monotone_exponent(e_delta, e_base)
-    used_n = n_star if n_star is not None else 0
-    composite = [composite_scalar(d, b, used_n) for d, b in zip(e_delta, e_base)]
-    for r, c in zip(reports, composite):
-        r.composite = c
-    violations = _monotone_violations(times, composite)
-
-    sup_eps_delta_e = eps**delta * max(e_delta)
-    growth_cap = e_delta[0] * (2.0 * u0_l2**2 + 1.0) ** used_n
-    growth_bound_ok = max(e_delta) <= growth_cap * (1.0 + 1e-9)
-
-    first_violation = None
+    n_star = smallest_monotone_exponent([r.e_delta for r in reports], [r.e_base for r in reports])
     for r in reports:
-        if not r.threshold_ok:
-            first_violation = r.t
-            break
-
-    return DecayAudit(
-        n_star=n_star,
-        used_n=used_n,
-        composite_monotone=not violations,
-        violation_times=violations,
-        sup_eps_delta_e=sup_eps_delta_e,
-        growth_bound_ok=growth_bound_ok,
-        first_threshold_violation_t=first_violation,
-    )
+        r.composite = composite_scalar(r.e_delta, r.e_base, n_star or 0)
+    # monotone unless a step rises by more than MONOTONE_REL_TOL; a NaN never counts as a rise
+    c = [r.composite for r in reports]
+    return n_star, not any(b > a * (1.0 + MONOTONE_REL_TOL) + 1e-300 for a, b in zip(c, c[1:]))
 
 
 def cross_term_quadrature(eps: float, times, vals) -> float:

@@ -28,7 +28,7 @@ from .initial_data import (
 )
 from .ns import SolverFailure, default_dt, dt_v, ns_solve
 from .nlw import nlw_solve
-from .spectral import SpectralField, base_sigma, hs_inner, l2_norm, make_grid
+from .spectral import SpectralField, base_sigma, hs_inner, make_grid
 
 
 def __getattr__(name: str):
@@ -237,10 +237,9 @@ def fit_rate(pairs) -> RateFit | None:
 
 def load_field(path, grid) -> SpectralField:
     """Read a field from an ``.npz`` file with the keys ``dim``, ``n`` and
-    ``coeffs``: unitary coefficients of shape (ncomp, n, ..., n, m) on the
-    half spectrum (m = n//2+1) or, as written before half-spectrum storage,
-    on the full spectrum (m = n), which is cut to its half.  A file without
-    those keys, a plain ``.npy`` among them, raises ValueError."""
+    ``coeffs``: unitary coefficients of shape (ncomp, n, ..., n, n//2+1) on
+    the half spectrum.  A file without those keys, a plain ``.npy`` among
+    them, or with coefficients of another shape raises ValueError."""
     with open(path, "rb") as fh:
         data = np.load(fh)
         missing = [k for k in ("dim", "n", "coeffs") if k not in getattr(data, "files", ())]
@@ -249,8 +248,6 @@ def load_field(path, grid) -> SpectralField:
         dim, n, c = int(data["dim"]), int(data["n"]), data["coeffs"]
     if dim != grid.dim or n != grid.n:
         raise ValueError(f"field file is {dim}D n={n}, expected {grid.dim}D n={grid.n}")
-    if c.shape[-1] == grid.n:
-        c = c[..., : grid.spec_shape[-1]]
     return SpectralField(grid, c)
 
 
@@ -349,21 +346,21 @@ def _wave_run(cfg: ExperimentConfig, eps: float, v0: SpectralField, dt: float, r
     except SolverFailure as exc:
         blowup_t = exc.t
 
-    audit = energy_decay_audit(reports, eps, cfg.delta, u0_l2=l2_norm(u0))
+    n_star, composite_monotone = energy_decay_audit(reports)
     return SweepRow(
         eps=eps,
         sup_err_sq=max(r.err_sq for r in reports),
         sup_dafermos=max(r.dafermos for r in reports),
-        sup_eps_delta_e=audit.sup_eps_delta_e,
+        sup_eps_delta_e=eps**cfg.delta * max(r.e_delta for r in reports),
         cross_term=math.nan if ref is None else cross_term_quadrature(eps, [r.t for r in reports], cross_vals),
         blowup=blowup_t is not None,
         blowup_t=blowup_t,
-        first_threshold_violation_t=audit.first_threshold_violation_t,
-        n_star=audit.n_star,
+        first_threshold_violation_t=next((r.t for r in reports if not r.threshold_ok), None),
+        n_star=n_star,
         hypothesis=hyp,
         reports=reports,
         initial_eps_delta_e=eps**cfg.delta * reports[0].e_delta,
-        composite_monotone=audit.composite_monotone,
+        composite_monotone=composite_monotone,
     )
 
 

@@ -61,17 +61,11 @@ class HypothesisReport:
     Each named ratio is the corresponding norm combination divided by
     eps^(s/2) times the reference homogeneous norm, so the truncation
     family lands at ratios <= 1 exactly and the data pass when every
-    ratio is at most 1.  ``o1_value`` is the raw
-    eps^(1 + delta/2) derivative-data term; ``smallness`` carries the 3D
-    critical-norm check (None in 2D).
+    ratio is at most 1.  ``smallness`` carries the 3D critical-norm check
+    (None in 2D).
     """
 
-    eps: float
-    s: float
-    delta: float
-    dim: int
     ratios: dict = field(default_factory=dict)
-    o1_value: float = 0.0
     smallness: float | None = None
     passed: bool = False
 
@@ -172,7 +166,7 @@ def truncate_initial_data(v0: SpectralField, eps: float):
         raise ValueError("eps must be > 0")
     cutoff = eps**-0.5
     keep = v0.grid.kmag < cutoff
-    u0 = SpectralField(v0.grid, v0.coeffs * keep)
+    u0 = _adopt(v0.grid, v0.coeffs * keep)
     return u0, zero_field(v0.grid, v0.ncomp)
 
 
@@ -225,22 +219,12 @@ def check_hypotheses(
         "u0_high": eps ** ((1.0 + delta) / 2.0) * sobolev_norm(u0, sig0 + 1.0 + delta) / denom,
         "u0_mid": eps ** (delta / 2.0) * sobolev_norm(u0, sig0 + delta) / denom,
     }
-    o1_value = eps ** (1.0 + delta / 2.0) * sobolev_norm(u1, sig0 + delta)
     smallness = sobolev_norm(u0, 0.5) if dim == 3 else None
 
     passed = all(r <= 1.0 for r in ratios.values())
     if dim == 3:
         passed = passed and smallness < 1.0 / 16.0
-    return HypothesisReport(
-        eps=eps,
-        s=s,
-        delta=delta,
-        dim=dim,
-        ratios=ratios,
-        o1_value=o1_value,
-        smallness=smallness,
-        passed=passed,
-    )
+    return HypothesisReport(ratios, smallness, passed)
 
 
 def taylor_green(grid: Grid) -> SpectralField:

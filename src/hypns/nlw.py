@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ns import SolverFailure, default_dt, march
+from .ns import SolverFailure, march
 from .spectral import (
     Grid,
     SpectralField,
@@ -206,7 +206,7 @@ def nlw_solve(
     u1: SpectralField,
     eps: float,
     T: float,
-    dt: float | None = None,
+    dt: float,
     observer=None,
     stride: int = 1,
 ) -> WaveState:
@@ -222,8 +222,6 @@ def nlw_solve(
     """
     grid = u0.grid
     require_divergence_free("nlw_solve", [u0, u1])
-    if dt is None:
-        dt = default_dt(u0)
 
     sigma0 = base_sigma(grid.dim)
     state = WaveState(u0, u1, eps, 0.0)

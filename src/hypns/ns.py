@@ -159,7 +159,7 @@ def march(make_stepper, coeffs, T: float, dt: float, stride: int):
 def ns_solve(
     v0: SpectralField,
     T: float,
-    dt: float | None = None,
+    dt: float,
     observer=None,
     stride: int = 1,
 ) -> NsState:
@@ -168,8 +168,6 @@ def ns_solve(
     or divergent initial data with ValueError."""
     grid = v0.grid
     require_divergence_free("ns_solve", [v0])
-    if dt is None:
-        dt = default_dt(v0)
 
     state = NsState(v0, 0.0)
     for t, c in march(lambda h: _NsStepper(grid, h).step, v0.coeffs, T, dt, stride):

@@ -194,12 +194,14 @@ class TestDataSources:
         assert np.array_equal(back.coeffs, v0.coeffs)
         cfg2 = golden_config(data_source="file", data_file=str(path))
         assert np.array_equal(build_reference_field(cfg2, g).coeffs, v0.coeffs)
-        # a file written before half-spectrum storage holds the full spectrum
+        # the full-spectrum layout of files written before half-spectrum
+        # storage is not read
         full = np.fft.fftn(inverse_transform(v0), axes=(1, 2)) * g.fwd_scale
         old = tmp_path / "full.npz"
         np.savez(old, dim=2, n=16, coeffs=full)
         assert full.shape == (2, 16, 16)
-        assert np.max(np.abs(load_field(old, g).coeffs - v0.coeffs)) <= 1e-14 * np.max(np.abs(v0.coeffs))
+        with pytest.raises(ValueError, match="does not match the half spectrum"):
+            load_field(old, g)
 
     def test_file_dimension_mismatch(self, tmp_path):
         g = make_grid(2, 16)
@@ -344,6 +346,25 @@ class TestRunConvergence:
         assert len(stored) == 11  # t = 0, 0.01, ..., 0.1: every 5th step of dt 2e-3
         assert len(passed) == len(cfg.eps_list) * len(stored)
         assert all(p is s for p, s in zip(passed, stored * len(cfg.eps_list), strict=True))
+
+    def test_row_threshold_time_and_sup_energy(self, monkeypatch, tmp_path):
+        # the sup-norm threshold fails from t = 0.05 on: the row records the
+        # first failing sample, and sweep.csv prints it
+        def failing_from(state, delta, *, v=None):
+            rep = make_energy_report(state, delta, v=v)
+            rep.threshold_ok = state.t < 0.05 - 1e-12
+            return rep
+
+        monkeypatch.setattr(experiments, "make_energy_report", failing_from)
+        cfg = golden_config()
+        res = run_convergence(cfg)
+        for row in res.rows:
+            assert row.first_threshold_violation_t == 0.05
+            assert row.sup_eps_delta_e == row.eps**cfg.delta * max(r.e_delta for r in row.reports)
+        emit_report(res, tmp_path)
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        col = lines[0].split(",").index("first_threshold_violation_t")
+        assert [line.split(",")[col] for line in lines[1:]] == ["0.05", "0.05"]
 
     def test_cross_term_taylor_green_closed_form(self):
         # every step sampled, so the trapezoidal quadrature of the sweep's
@@ -533,7 +554,7 @@ class TestCli:
         cfg = parse_config(p)
         rows = [
             SweepRow(eps, sup_err_sq=eps**2.3,
-                     hypothesis=HypothesisReport(eps, cfg.s, cfg.delta, dim, smallness=smallness))
+                     hypothesis=HypothesisReport(smallness=smallness))
             for eps in cfg.eps_list
         ]
         canned = SweepResult(cfg, 2e-3, rows, RateFit(2.3, 0.0, r2, len(rows)))
