@@ -13,7 +13,6 @@ from .diagnostics import (
 )
 from .experiments import (
     ConfigError,
-    DataRecipe,
     ExperimentConfig,
     RateFit,
     SweepResult,
@@ -46,7 +45,6 @@ from .spectral import (
     SpectralField,
     convection_term,
     inverse_transform,
-    l2_norm,
     leray_project,
     linf_norm,
     make_grid,

@@ -154,12 +154,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         if needs_config:
             sp.add_argument("--config", required=True, help="experiment config file")
-        sp.add_argument("--out", default=None, help="output directory (overrides HYPNS_OUT and config)")
         sp.set_defaults(handler=fn)
         return sp
 
     for name, fn in (("converge", _cmd_converge), ("exist", _cmd_exist)):
-        add(name, fn).add_argument("--jobs", type=int, default=1, help="parallel workers across eps values")
+        sp = add(name, fn)
+        sp.add_argument("--out", default=None, help="output directory (overrides HYPNS_OUT and config)")
+        sp.add_argument("--jobs", type=int, default=1, help="parallel workers across eps values")
     sub.choices["exist"].add_argument("--force", action="store_true", help="proceed past failed admissibility checks")
     add("audit", _cmd_audit)
     add("taylor-green", _cmd_taylor_green, needs_config=False)

@@ -16,7 +16,6 @@ from .diagnostics import (
     trilinear_ratio,
 )
 from .initial_data import (
-    DataRecipe,
     HypothesisReport,
     check_bernstein,
     check_hypotheses,
@@ -28,7 +27,7 @@ from .initial_data import (
 )
 from .ns import SolverFailure, default_dt, dt_v, ns_solve
 from .nlw import nlw_solve
-from .spectral import SpectralField, base_sigma, hs_inner, make_grid
+from .spectral import SpectralField, base_sigma, hs_inner, make_grid, zero_field
 
 
 def __getattr__(name: str):
@@ -92,6 +91,8 @@ class ExperimentConfig:
             bad.append(f"T: must be >= 0, got {self.T}")
         if self.dt is not None and self.dt <= 0:
             bad.append(f"dt: must be > 0 when given, got {self.dt}")
+        if self.seed < 0:
+            bad.append(f"seed: must be >= 0, got {self.seed}")
         if self.amplitude < 0:
             bad.append(f"amplitude: must be >= 0, got {self.amplitude}")
         if self.data_source not in ("synthetic", "taylor_green", "file"):
@@ -256,14 +257,14 @@ def build_reference_field(cfg: ExperimentConfig, grid) -> SpectralField:
         return cfg.amplitude * taylor_green(grid)
     if cfg.data_source == "file":
         return load_field(cfg.data_file, grid)
-    recipe = DataRecipe(cfg.seed, cfg.s, cfg.dim, cfg.amplitude, cfg.eta)
-    return synth_hs_field(recipe, grid)
+    return synth_hs_field(grid, cfg.seed, cfg.s, cfg.amplitude, cfg.eta)
 
 
 def build_wave_data(v0: SpectralField, eps: float):
     """The relaxed system's data (u0, u1) for one eps: ``v0`` truncated at
-    the eps-dependent cutoff, and a zero initial velocity."""
-    return truncate_initial_data(v0, eps)
+    the cutoff eps^(-1/2), and the zero initial velocity.  Every run starts
+    from rest, and this is the one place its zero u1 is made."""
+    return truncate_initial_data(v0, eps), zero_field(v0.grid, v0.ncomp)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +282,6 @@ class SweepRow:
     sup_dafermos: float = math.nan
     sup_eps_delta_e: float = math.nan
     cross_term: float = math.nan
-    blowup: bool = False
     blowup_t: float | None = None
     first_threshold_violation_t: float | None = None
     n_star: int | None = None
@@ -292,6 +292,11 @@ class SweepRow:
     skipped: bool = False
     skip_reason: str = ""
 
+    @property
+    def blowup(self) -> bool:
+        """True when the solve failed, at ``blowup_t``."""
+        return self.blowup_t is not None
+
 
 @dataclass
 class SweepResult:
@@ -299,7 +304,10 @@ class SweepResult:
     dt_used: float
     rows: list
     fit: RateFit | None
-    fit_note: str = ""
+
+
+# what ``fit.txt`` and the rate gate say of a sweep whose fit is None
+FIT_UNDEFINED = "fit undefined: need at least two usable rows"
 
 
 @dataclass
@@ -318,7 +326,7 @@ def _wave_run(cfg: ExperimentConfig, eps: float, v0: SpectralField, dt: float, r
     run as a list of ``(t, SpectralField)`` samples on that grid, or None.
     Data that fail admissibility are skipped unless ``force`` is set."""
     u0, u1 = build_wave_data(v0, eps)
-    hyp = check_hypotheses(u0, u1, v0, eps, cfg.s, cfg.delta)
+    hyp = check_hypotheses(u0, v0, eps, cfg.s, cfg.delta)
     if not hyp.passed and not force:
         return SweepRow(
             eps, hypothesis=hyp, skipped=True,
@@ -353,7 +361,6 @@ def _wave_run(cfg: ExperimentConfig, eps: float, v0: SpectralField, dt: float, r
         sup_dafermos=max(r.dafermos for r in reports),
         sup_eps_delta_e=eps**cfg.delta * max(r.e_delta for r in reports),
         cross_term=math.nan if ref is None else cross_term_quadrature(eps, [r.t for r in reports], cross_vals),
-        blowup=blowup_t is not None,
         blowup_t=blowup_t,
         first_threshold_violation_t=next((r.t for r in reports if not r.threshold_ok), None),
         n_star=n_star,
@@ -419,8 +426,7 @@ def run_convergence(cfg: ExperimentConfig, jobs: int = 1) -> SweepResult:
     once, when they start; each task carries only its eps."""
     dt, rows = _run_eps_list(cfg, jobs, with_reference=True, force=True)
     fit = fit_rate([(r.eps, r.sup_err_sq) for r in rows])
-    note = "" if fit is not None else "fit undefined: need at least two usable rows"
-    return SweepResult(config=cfg, dt_used=dt, rows=rows, fit=fit, fit_note=note)
+    return SweepResult(config=cfg, dt_used=dt, rows=rows, fit=fit)
 
 
 # how far below the claimed rate s/2 an acceptable fitted slope may sit
@@ -438,7 +444,7 @@ def rate_failures(result: SweepResult) -> list:
     largest ``hypothesis.smallness``) below 1/16."""
     cfg, fit = result.config, result.fit
     if fit is None:
-        return [result.fit_note or "fit undefined"]
+        return [FIT_UNDEFINED]
     bad = []
     if not fit.slope >= slope_floor(cfg):
         bad.append(f"slope {fit.slope:.4f} below floor {slope_floor(cfg):.4f}")
@@ -512,10 +518,9 @@ def run_inequality_audit(
     bern_max = jack_max = 0.0
     sigmas = (cfg.s, 1.0, 1.0 + cfg.delta)
     for i in range(max(1, n_fields // 4)):
-        recipe = DataRecipe(cfg.seed * 2003 + i, cfg.s, cfg.dim, 1.0, cfg.eta)
-        v0 = synth_hs_field(recipe, grid)
+        v0 = synth_hs_field(grid, cfg.seed * 2003 + i, cfg.s, 1.0, cfg.eta)
         for eps in cfg.eps_list:
-            u0, _ = truncate_initial_data(v0, eps)
+            u0 = truncate_initial_data(v0, eps)
             jack_max = max(jack_max, check_jackson(v0, u0, eps, cfg.s))
             for sig in sigmas:
                 bern_max = max(bern_max, check_bernstein(v0, u0, eps, sig, cfg.s))

@@ -13,7 +13,6 @@ from .spectral import (
     _adopt,
     _leray_full,
     base_sigma,
-    l2_norm,
     mode_mag2,
     sobolev_norm,
     transform,
@@ -22,47 +21,21 @@ from .spectral import (
 )
 
 
-@dataclass(frozen=True)
-class DataRecipe:
-    """Recipe for a seeded rough divergence-free field.
-
-    ``s`` is the convergence-rate exponent in (0, 1).  The generated field
-    sits just inside the Sobolev space the rate theory requires for that
-    exponent: regularity index s in 2D and s + 1/2 in 3D.  ``amplitude``
-    fixes the composite (L^2 + homogeneous) Sobolev norm at that index.
-    """
-
-    seed: int
-    s: float
-    dim: int
-    amplitude: float
-    spectral_slope_margin: float = 0.01
-
-    def __post_init__(self):
-        if not 0.0 < self.s < 1.0:
-            raise ValueError(f"s must lie in (0, 1), got {self.s}")
-        if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be >= 0")
-        if self.spectral_slope_margin <= 0:
-            raise ValueError("spectral_slope_margin must be > 0")
-
-    @property
-    def regularity(self) -> float:
-        """Sobolev index the field is normalized in: s (2D) or s + 1/2 (3D)."""
-        return self.s + (self.dim - 2) / 2.0
-
-
 @dataclass
 class HypothesisReport:
     """Admissibility report for wave initial data against a reference field.
 
-    Each named ratio is the corresponding norm combination divided by
-    eps^(s/2) times the reference homogeneous norm, so the truncation
-    family lands at ratios <= 1 exactly and the data pass when every
-    ratio is at most 1.  ``smallness`` carries the 3D critical-norm check
-    (None in 2D).
+    Each named ratio is a homogeneous norm of the data divided by eps^(s/2)
+    ||v0||_{H^(s + b)}, with b = 0 in 2D and 1/2 in 3D:
+
+    - ``data_gap``: ||u0 - v0||_{H^b};
+    - ``u0_grad``: eps^(1/2) ||u0||_{H^(b + 1)};
+    - ``u0_high``: eps^((1 + delta)/2) ||u0||_{H^(b + 1 + delta)};
+    - ``u0_mid``: eps^(delta/2) ||u0||_{H^(b + delta)}.
+
+    The truncation family lands at ratios <= 1 exactly, and the data pass
+    when every ratio is at most 1.  ``smallness`` carries the 3D
+    critical-norm check ||u0||_{H^(1/2)} < 1/16 (None in 2D).
     """
 
     ratios: dict = field(default_factory=dict)
@@ -85,12 +58,14 @@ def _norm_of(grid: Grid, sigma: float, density: np.ndarray) -> float:
     return float(np.sqrt(weighted_sum(grid, sigma, density)))
 
 
-def synth_hs_field(recipe: DataRecipe, grid: Grid) -> SpectralField:
+def synth_hs_field(grid: Grid, seed: int, s: float, amplitude: float, eta: float = 0.01) -> SpectralField:
     """Seeded divergence-free field with prescribed spectral slope.
 
-    Coefficient moduli follow |k|^-(r + dim/2 + eta) with r the recipe
-    regularity and eta the slope margin, times unit-modulus random phases,
-    Leray-projected and rescaled so the composite H^r norm
+    ``s`` is the convergence-rate exponent in (0, 1).  The field sits just
+    inside the Sobolev space the rate theory requires for that exponent:
+    regularity r = s in 2D and s + 1/2 in 3D.  Coefficient moduli follow
+    |k|^-(r + dim/2 + eta), eta > 0 the slope margin, times unit-modulus
+    random phases, Leray-projected and rescaled so the composite H^r norm
     sqrt(L2^2 + homogeneous-r^2) equals ``amplitude``.  Deterministic in
     the seed (counter-based generator).
 
@@ -98,18 +73,23 @@ def synth_hs_field(recipe: DataRecipe, grid: Grid) -> SpectralField:
     the phase normalisation, the profile, the projection and the scaling
     act on it in place.
     """
-    if recipe.dim != grid.dim:
-        raise ValueError("recipe dimension does not match grid")
-    if recipe.amplitude == 0.0:
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"s must lie in (0, 1), got {s}")
+    if amplitude < 0:
+        raise ValueError("amplitude must be >= 0")
+    if eta <= 0:
+        raise ValueError("eta must be > 0")
+    if amplitude == 0.0:
         return zero_field(grid)
 
-    c = _seeded_spectrum(grid, recipe.seed)
+    c = _seeded_spectrum(grid, seed)
     mag = np.abs(c)
     np.putmask(mag, ~(mag > 0), 1.0)
     c /= mag
     del mag
 
-    slope = recipe.regularity + grid.dim / 2.0 + recipe.spectral_slope_margin
+    regularity = s + (grid.dim - 2) / 2.0
+    slope = regularity + grid.dim / 2.0 + eta
     profile = grid.k2_power(-slope / 2.0)
     # drop the unpaired Nyquist rows so derivative symbols stay clean
     for k in grid.k:
@@ -119,10 +99,10 @@ def synth_hs_field(recipe: DataRecipe, grid: Grid) -> SpectralField:
 
     _leray_full(grid, c)
     density = mode_mag2(c)
-    size = float(np.hypot(_norm_of(grid, 0.0, density), _norm_of(grid, recipe.regularity, density)))
+    size = float(np.hypot(_norm_of(grid, 0.0, density), _norm_of(grid, regularity, density)))
     if size == 0.0:
         return zero_field(grid)
-    c *= recipe.amplitude / size
+    c *= amplitude / size
     return _adopt(grid, c)
 
 
@@ -157,17 +137,13 @@ def random_divergence_free_field(
     return _adopt(grid, c)
 
 
-def truncate_initial_data(v0: SpectralField, eps: float):
-    """Low-pass wave data: keep modes |k| < eps^(-1/2), zero derivative data.
-
-    Returns (u0, u1) with u1 identically zero.
-    """
+def truncate_initial_data(v0: SpectralField, eps: float) -> SpectralField:
+    """Low-pass wave data u0: the modes of ``v0`` with |k| < eps^(-1/2)."""
     if eps <= 0:
         raise ValueError("eps must be > 0")
     cutoff = eps**-0.5
     keep = v0.grid.kmag < cutoff
-    u0 = _adopt(v0.grid, v0.coeffs * keep)
-    return u0, zero_field(v0.grid, v0.ncomp)
+    return _adopt(v0.grid, v0.coeffs * keep)
 
 
 def check_bernstein(v0: SpectralField, u0: SpectralField, eps: float, sigma: float, s: float) -> float:
@@ -187,42 +163,38 @@ def check_bernstein(v0: SpectralField, u0: SpectralField, eps: float, sigma: flo
 
 def check_jackson(v0: SpectralField, u0: SpectralField, eps: float, s: float) -> float:
     """Ratio ||u0 - v0||_{L^2} / (eps^(s/2) ||v0||_{H^s,hom}); <= 1 exactly."""
-    num = l2_norm(u0 - v0)
+    num = _norm_of(v0.grid, 0.0, mode_mag2(u0.coeffs - v0.coeffs))
     if num == 0.0:
         return 0.0
     return num / (eps ** (s / 2.0) * sobolev_norm(v0, s))
 
 
-def check_hypotheses(
-    u0: SpectralField,
-    u1: SpectralField,
-    v0: SpectralField,
-    eps: float,
-    s: float,
-    delta: float,
-) -> HypothesisReport:
+def check_hypotheses(u0: SpectralField, v0: SpectralField, eps: float, s: float, delta: float) -> HypothesisReport:
     """Evaluate the admissibility block in the dimension of the fields' grid.
 
     2D terms are measured from L^2 upward; 3D terms sit half a derivative
     higher and add the critical-norm smallness check ||u0|| < 1/16.  The
     data pass when every ratio is at most 1 (and, in 3D, the check holds).
+    Each field's per-mode density is made once and read at every sigma;
+    the gap's comes first, so its difference array is gone before u0's
+    density is made.
     """
-    dim = u0.grid.dim
-    sig0 = base_sigma(dim)
-    ref = sobolev_norm(v0, s + sig0)
-    denom = eps ** (s / 2.0) * max(ref, 1e-300)
+    grid = u0.grid
+    sig0 = base_sigma(grid.dim)
+    gap = _norm_of(grid, sig0, mode_mag2(u0.coeffs - v0.coeffs))
+    denom = eps ** (s / 2.0) * max(sobolev_norm(v0, s + sig0), 1e-300)
+    density = mode_mag2(u0.coeffs)
 
     ratios = {
-        "data_gap": sobolev_norm(u0 - v0, sig0) / denom,
-        "u1_low": eps * sobolev_norm(u1, sig0) / denom,
-        "u0_grad": eps**0.5 * sobolev_norm(u0, sig0 + 1.0) / denom,
-        "u0_high": eps ** ((1.0 + delta) / 2.0) * sobolev_norm(u0, sig0 + 1.0 + delta) / denom,
-        "u0_mid": eps ** (delta / 2.0) * sobolev_norm(u0, sig0 + delta) / denom,
+        "data_gap": gap / denom,
+        "u0_grad": eps**0.5 * _norm_of(grid, sig0 + 1.0, density) / denom,
+        "u0_high": eps ** ((1.0 + delta) / 2.0) * _norm_of(grid, sig0 + 1.0 + delta, density) / denom,
+        "u0_mid": eps ** (delta / 2.0) * _norm_of(grid, sig0 + delta, density) / denom,
     }
-    smallness = sobolev_norm(u0, 0.5) if dim == 3 else None
+    smallness = _norm_of(grid, 0.5, density) if grid.dim == 3 else None
 
     passed = all(r <= 1.0 for r in ratios.values())
-    if dim == 3:
+    if grid.dim == 3:
         passed = passed and smallness < 1.0 / 16.0
     return HypothesisReport(ratios, smallness, passed)
 
@@ -234,5 +206,4 @@ def taylor_green(grid: Grid) -> SpectralField:
         raise ValueError("taylor_green is a 2D field")
     x, y = grid.meshgrid()
     vals = np.stack([np.cos(x) * np.sin(y), -np.sin(x) * np.cos(y)])
-    f, _ = transform(grid, vals)
-    return f
+    return transform(grid, vals)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 
-from .experiments import ExperimentConfig, RateFit, SweepResult, slope_floor
+from .experiments import FIT_UNDEFINED, ExperimentConfig, RateFit, SweepResult, slope_floor
 
 SWEEP_COLUMNS = (
     "epsilon",
@@ -64,12 +64,11 @@ def write_energy_csv(path, reports):
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def write_fit_txt(path, fit: RateFit | None, cfg: ExperimentConfig, note: str = ""):
+def write_fit_txt(path, fit: RateFit | None, cfg: ExperimentConfig):
     lines = []
     if fit is None:
         lines.append("fit: undefined")
-        if note:
-            lines.append(f"note: {note}")
+        lines.append(f"note: {FIT_UNDEFINED}")
     else:
         lines.append(f"slope = {fit.slope!r}")
         lines.append(f"intercept = {fit.intercept!r}")
@@ -204,7 +203,7 @@ def emit_report(result: SweepResult, out_dir) -> list:
         written.append(path)
 
     path = os.path.join(out_dir, "fit.txt")
-    write_fit_txt(path, result.fit, result.config, result.fit_note)
+    write_fit_txt(path, result.fit, result.config)
     written.append(path)
 
     pts = [(r.eps, r.sup_err_sq) for r in result.rows if r.sup_err_sq > 0 and math.isfinite(r.sup_err_sq)]

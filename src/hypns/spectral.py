@@ -298,12 +298,10 @@ def zero_field(grid: Grid, ncomp: int | None = None) -> SpectralField:
     return _wrap(grid, zeros)
 
 
-def transform(grid: Grid, values: np.ndarray):
-    """Forward transform of real collocation values.
-
-    Returns (field, mean) where ``mean`` is the removed per-component
-    spatial average; the stored zero mode is exactly 0.
-    """
+def transform(grid: Grid, values: np.ndarray) -> SpectralField:
+    """Forward transform of real collocation values.  The field is
+    mean-free: its stored zero mode is exactly 0, whatever the values'
+    spatial average."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim == grid.dim:
         v = v[None]
@@ -311,8 +309,7 @@ def transform(grid: Grid, values: np.ndarray):
         raise ValueError(f"value shape {np.shape(values)} does not match grid {grid.shape}")
     c = np.fft.rfftn(v, axes=tuple(range(1, grid.dim + 1)))
     c *= grid.fwd_scale
-    mean = c[_zero_mode_index(grid.dim)].real / grid.fwd_scale / grid.npoints
-    return _adopt(grid, c), mean
+    return _adopt(grid, c)
 
 
 def inverse_transform(f: SpectralField) -> np.ndarray:
@@ -339,10 +336,6 @@ def weighted_sum(grid: Grid, sigma: float, density: np.ndarray) -> float:
 def sobolev_norm(f: SpectralField, sigma: float) -> float:
     """Homogeneous Sobolev norm: (sum_k |k|^(2 sigma) |f_hat(k)|^2)^(1/2)."""
     return float(np.sqrt(weighted_sum(f.grid, sigma, mode_mag2(f.coeffs))))
-
-
-def l2_norm(f: SpectralField) -> float:
-    return sobolev_norm(f, 0.0)
 
 
 def hs_inner(f: SpectralField, g: SpectralField, sigma: float) -> float:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypns import make_grid
 from hypns.initial_data import random_divergence_free_field
 from hypns.nlw import WaveState
-from hypns.spectral import TWO_PI, SpectralField, _leray_full, l2_norm, sobolev_norm, transform, zero_field
+from hypns.spectral import TWO_PI, SpectralField, _leray_full, sobolev_norm, transform, zero_field
 
 mp.mp.dps = 50
 
@@ -64,7 +64,7 @@ def random_real_field(dim, n, seed):
     g = make_grid(dim, n)
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((dim,) + g.shape) * rng.uniform(0.1, 10.0)
-    f, _ = transform(g, vals)
+    f = transform(g, vals)
     return g, f, vals
 
 
@@ -278,25 +278,29 @@ def _remap_modes(state: WaveState, keep, image, error: str):
 # in-place builders must reproduce them bit for bit.
 
 
+def l2_norm(f: SpectralField) -> float:
+    """The L^2 norm of a mean-free field: ``sobolev_norm`` at sigma = 0."""
+    return sobolev_norm(f, 0.0)
+
+
 def hs_composite_norm(f: SpectralField, sigma: float) -> float:
     """Composite Sobolev size: sqrt(L2^2 + homogeneous-sigma^2)."""
     return float(np.hypot(l2_norm(f), sobolev_norm(f, sigma)))
 
 
-def synth_hs_field_copying(recipe, grid):
-    if recipe.dim != grid.dim:
-        raise ValueError("recipe dimension does not match grid")
-    if recipe.amplitude == 0.0:
+def synth_hs_field_copying(grid, seed, s, amplitude, eta=0.01):
+    if amplitude == 0.0:
         return zero_field(grid)
 
-    rng = np.random.Generator(np.random.Philox(recipe.seed))
+    rng = np.random.Generator(np.random.Philox(seed))
     noise = rng.standard_normal((grid.dim,) + grid.shape)
     axes = tuple(range(1, grid.dim + 1))
     ph = np.fft.rfftn(noise, axes=axes)
     mag = np.abs(ph)
     unit = ph / np.where(mag > 0, mag, 1.0)
 
-    slope = recipe.regularity + grid.dim / 2.0 + recipe.spectral_slope_margin
+    regularity = s + (grid.dim - 2) / 2.0
+    slope = regularity + grid.dim / 2.0 + eta
     profile = grid.k2_power(-slope / 2.0)
     # drop the unpaired Nyquist rows so derivative symbols stay clean
     for k in grid.k:
@@ -304,10 +308,10 @@ def synth_hs_field_copying(recipe, grid):
 
     c = _leray_full(grid, unit * profile)
     f = SpectralField(grid, c)
-    size = hs_composite_norm(f, recipe.regularity)
+    size = hs_composite_norm(f, regularity)
     if size == 0.0:
         return zero_field(grid)
-    return f * (recipe.amplitude / size)
+    return f * (amplitude / size)
 
 
 def random_divergence_free_field_copying(grid, seed, band=None, slope=0.0):

@@ -19,7 +19,6 @@ from hypns.diagnostics import (
 )
 from hypns.experiments import ExperimentConfig, run_convergence
 from hypns.initial_data import (
-    DataRecipe,
     check_bernstein,
     check_jackson,
     random_divergence_free_field,
@@ -184,9 +183,9 @@ def test_criterion_6_exact_algebra_invariants():
     g = make_grid(2, 32)
     for i in range(500):
         s = 0.25 + 0.001 * (i % 500)
-        v0 = synth_hs_field(DataRecipe(i, s, 2, 1.0), g)
+        v0 = synth_hs_field(g, i, s, 1.0)
         eps = 10 ** rng.uniform(-3, -0.5)
-        u0, _ = truncate_initial_data(v0, eps)
+        u0 = truncate_initial_data(v0, eps)
         bj_ok &= check_jackson(v0, u0, eps, s) <= 1.0
         bj_ok &= check_bernstein(v0, u0, eps, min(1.0, s + 0.5), s) <= 1.0
     report(

@@ -1,3 +1,4 @@
+import argparse
 import math
 import multiprocessing
 import os
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypns.experiments import (
+    FIT_UNDEFINED,
     ConfigError,
     ExperimentConfig,
     RateFit,
@@ -23,6 +25,7 @@ from hypns.experiments import (
     load_field,
     normalized_dump,
     parse_config,
+    rate_failures,
     run_convergence,
     run_existence_probe,
     run_inequality_audit,
@@ -114,6 +117,10 @@ class TestConfigParsing:
     def test_validate_rejects_non_finite(self, kw):
         (key,) = kw
         assert [v for v in ExperimentConfig(**kw).validate() if v.startswith(f"{key}:")] != []
+
+    def test_validate_rejects_negative_seed(self):
+        assert ExperimentConfig(seed=-1).validate() == ["seed: must be >= 0, got -1"]
+        assert ExperimentConfig(seed=0).validate() == []
 
     @pytest.mark.parametrize(
         "line", ["u1_scale = 0.5", "threshold_c = 2.0", "composite_n = 3", "energy_ceiling = 1e3",
@@ -230,7 +237,7 @@ class TestRunConvergence:
         res = run_convergence(cfg)
         assert len(res.rows) == 1
         assert res.fit is None
-        assert "undefined" in res.fit_note
+        assert rate_failures(res) == [FIT_UNDEFINED]
 
     def test_taylor_green_family_slope(self):
         cfg = ExperimentConfig(
@@ -472,12 +479,12 @@ class TestEmitReport:
     def test_empty_results_headers_only(self, tmp_path):
         from hypns.experiments import SweepResult
 
-        res = SweepResult(config=golden_config(), dt_used=1e-3, rows=[], fit=None, fit_note="empty")
+        res = SweepResult(config=golden_config(), dt_used=1e-3, rows=[], fit=None)
         paths = emit_report(res, tmp_path)
         sweep = (tmp_path / "sweep.csv").read_text()
         assert sweep.count("\n") == 1 and sweep.startswith("epsilon,")
         assert not (tmp_path / "sweep_rate.svg").exists()
-        assert "undefined" in (tmp_path / "fit.txt").read_text()
+        assert (tmp_path / "fit.txt").read_text() == f"fit: undefined\nnote: {FIT_UNDEFINED}\n"
 
     def test_single_row_no_fit_line(self, tmp_path):
         res = run_convergence(golden_config(eps_list=[0.1], T=0.05))
@@ -606,6 +613,29 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(argv)
         assert exc.value.code == 2
+
+    # each subcommand's options: only those its handler reads
+    OPTIONS = {
+        "converge": {"--config", "--out", "--jobs"},
+        "exist": {"--config", "--out", "--jobs", "--force"},
+        "audit": {"--config"},
+        "taylor-green": set(),
+        "normalize-config": {"--config"},
+    }
+
+    def test_option_sets(self):
+        (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            name: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, sp in sub.choices.items()
+        }
+        assert got == self.OPTIONS
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        p = self._write_cfg(tmp_path, seed=-1)
+        assert cli.main(["converge", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "config error: seed: must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
 
     def test_jobs_and_force_parse_where_read(self):
         parser = cli.build_parser()

@@ -15,12 +15,13 @@ from hypns.nlw import (
     propagate_mode,
 )
 from hypns.ns import SolverFailure, ns_solve
-from hypns.spectral import SpectralField, inverse_transform, l2_norm, linf_norm, make_grid, sobolev_norm, zero_field
+from hypns.spectral import SpectralField, inverse_transform, linf_norm, make_grid, sobolev_norm, zero_field
 
 from conftest import (
     POISON,
     assert_samples_own_arrays,
     count_field_copies,
+    l2_norm,
     oracle_mode,
     poison_from_step,
     rescale,

@@ -12,7 +12,6 @@ from hypns.ns import SolverFailure, _check_finite, dt_v, ns_solve
 from hypns.spectral import (
     divergence_l2,
     inverse_transform,
-    l2_norm,
     make_grid,
     sobolev_norm,
     transform,
@@ -23,6 +22,7 @@ from conftest import (
     POISON,
     assert_samples_own_arrays,
     count_field_copies,
+    l2_norm,
     poison_from_step,
     with_nan,
 )
@@ -126,7 +126,7 @@ class TestNsSolve:
 
     def test_rejects_divergent_data(self):
         g = make_grid(2, 16)
-        f, _ = transform(g, np.random.default_rng(3).standard_normal((2, 16, 16)))
+        f = transform(g, np.random.default_rng(3).standard_normal((2, 16, 16)))
         with pytest.raises(ValueError):
             ns_solve(f, 0.1, dt=1e-3)
 
