@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from .experiments import (
+    SKIP_REASON,
     ConfigError,
     normalized_dump,
     parse_config,
@@ -25,7 +26,7 @@ from .experiments import (
 from .initial_data import taylor_green
 from .nlw import nlw_solve, propagate_mode
 from .ns import ns_solve
-from .reporting import emit_report
+from .reporting import emit_exist_report, emit_report
 from .spectral import inverse_transform, make_grid
 
 PASS, FAIL, ERROR = 0, 2, 1
@@ -68,18 +69,11 @@ def _cmd_converge(args) -> int:
 def _cmd_exist(args) -> int:
     cfg = parse_config(args.config)
     result = run_existence_probe(cfg, jobs=args.jobs, force=args.force)
-    out = _resolve_out(args, cfg)
-    os.makedirs(out, exist_ok=True)
 
     ok = True
-    lines = ["epsilon,skipped,blowup,initial_eps_delta_E,sup_eps_delta_E,n_star,composite_monotone"]
     for row in result.rows:
-        lines.append(
-            f"{row.eps!r},{int(row.skipped)},{int(row.blowup)},{row.initial_eps_delta_e!r},"
-            f"{row.sup_eps_delta_e!r},{row.n_star},{int(row.composite_monotone)}"
-        )
         if row.skipped:
-            print(f"eps={row.eps:g} skipped: {row.skip_reason}")
+            print(f"eps={row.eps:g} skipped: {SKIP_REASON}")
             ok = False
             continue
         print(
@@ -87,10 +81,7 @@ def _cmd_exist(args) -> int:
             f"N*={row.n_star} monotone={row.composite_monotone} blowup={row.blowup}"
         )
         ok &= (not row.blowup) and row.composite_monotone and row.n_star is not None
-    path = os.path.join(out, "exist.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"wrote {path}")
+    print(f"wrote {emit_exist_report(result, _resolve_out(args, cfg))}")
     ok &= result.sup_bound_ok
     print(f"uniform bound sup_t eps^delta E <= 2 max initial: {result.sup_bound_ok}")
     print("exist:", "PASS" if ok else "FAIL")

@@ -16,6 +16,7 @@ from .spectral import (
     hs_inner,
     linf_norm,
     mode_mag2,
+    require_divergence_free,
     sobolev_norm,
     weighted_sum,
 )
@@ -128,8 +129,8 @@ def dafermos_derivative_residuals(wave_traj, v_traj, sigma0: float):
         u, ut, v = st.u, st.ut, v_traj[j]
         w = u - v
         dtv = (v_traj[j + 1] - v_traj[j - 1]) * (1.0 / (2.0 * h))
-        gu_p = _convection(u, project=True)
-        gv_p = _convection(v, project=True)
+        gu_p = _convection(u)
+        gv_p = _convection(v)
         transport = hs_inner(w, gv_p - gu_p, sigma0)
         defect = -eps * sobolev_norm(ut + gu_p, sigma0) ** 2
         cross = -eps * hs_inner(dtv, ut, sigma0)
@@ -154,13 +155,17 @@ TRILINEAR_RATIO_BOUND = 1.3e-3
 
 
 def trilinear_ratio(f: SpectralField) -> float:
-    """Ratio |int L f . (f.grad f)| / (||L^(1/2) f|| ||L^(3/2) f||^2), 3D."""
+    """Ratio |int L f . (f.grad f)| / (||L^(1/2) f|| ||L^(3/2) f||^2) of a
+    divergence-free 3D field: for such f, <f, P g> = <f, g> mode by mode,
+    so the pairing reads the projected convection.  Rejects non-finite and
+    divergent fields as ``convection_term`` does."""
     if f.grid.dim != 3:
         raise ValueError("trilinear_ratio is defined for 3D fields")
+    require_divergence_free("trilinear_ratio", [f])
     denom = sobolev_norm(f, 0.5) * sobolev_norm(f, 1.5) ** 2
     if denom == 0.0:
         return 0.0
-    num = abs(hs_inner(f, _convection(f, project=False), 0.5))
+    num = abs(hs_inner(f, _convection(f), 0.5))
     return num / denom
 
 

@@ -290,7 +290,6 @@ class SweepRow:
     initial_eps_delta_e: float = math.nan
     composite_monotone: bool = False
     skipped: bool = False
-    skip_reason: str = ""
 
     @property
     def blowup(self) -> bool:
@@ -308,6 +307,9 @@ class SweepResult:
 
 # what ``fit.txt`` and the rate gate say of a sweep whose fit is None
 FIT_UNDEFINED = "fit undefined: need at least two usable rows"
+
+# why a probe skips a row (``SweepRow.skipped``)
+SKIP_REASON = "admissibility hypotheses failed (rerun with force to proceed)"
 
 
 @dataclass
@@ -328,10 +330,7 @@ def _wave_run(cfg: ExperimentConfig, eps: float, v0: SpectralField, dt: float, r
     u0, u1 = build_wave_data(v0, eps)
     hyp = check_hypotheses(u0, v0, eps, cfg.s, cfg.delta)
     if not hyp.passed and not force:
-        return SweepRow(
-            eps, hypothesis=hyp, skipped=True,
-            skip_reason="admissibility hypotheses failed (rerun with force to proceed)",
-        )
+        return SweepRow(eps, hypothesis=hyp, skipped=True)
 
     sigma0 = base_sigma(v0.grid.dim)
     reports = []
@@ -429,12 +428,17 @@ def run_convergence(cfg: ExperimentConfig, jobs: int = 1) -> SweepResult:
     return SweepResult(config=cfg, dt_used=dt, rows=rows, fit=fit)
 
 
-# how far below the claimed rate s/2 an acceptable fitted slope may sit
+# how far below the claimed rate an acceptable fitted slope may sit
 SLOPE_TOL = {2: 0.1, 3: 0.15}
 
 
+def reference_slope(cfg: ExperimentConfig) -> float:
+    """The claimed rate s/2 of ``sup_err_sq`` in eps."""
+    return cfg.s / 2.0
+
+
 def slope_floor(cfg: ExperimentConfig) -> float:
-    return cfg.s / 2.0 - SLOPE_TOL[cfg.dim]
+    return reference_slope(cfg) - SLOPE_TOL[cfg.dim]
 
 
 def rate_failures(result: SweepResult) -> list:

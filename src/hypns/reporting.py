@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 import os
 
-from .experiments import FIT_UNDEFINED, ExperimentConfig, RateFit, SweepResult, slope_floor
+from .experiments import (
+    FIT_UNDEFINED, ExistenceResult, ExperimentConfig, RateFit, SweepResult, reference_slope, slope_floor,
+)
 
 SWEEP_COLUMNS = (
     "epsilon",
@@ -24,6 +26,10 @@ SWEEP_COLUMNS = (
 
 ENERGY_COLUMNS = ("t", "e_base", "e_delta", "composite", "dafermos", "linf")
 
+EXIST_COLUMNS = (
+    "epsilon", "skipped", "blowup", "initial_eps_delta_E", "sup_eps_delta_E", "n_star", "composite_monotone"
+)
+
 
 def _fmt(x) -> str:
     if x is None:
@@ -35,32 +41,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_sweep_csv(path, rows):
-    lines = [",".join(SWEEP_COLUMNS)]
-    for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.eps,
-                    r.sup_err_sq,
-                    r.sup_dafermos,
-                    r.sup_eps_delta_e,
-                    r.cross_term,
-                    r.blowup,
-                    r.first_threshold_violation_t,
-                )
-            )
-        )
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def write_energy_csv(path, reports):
-    lines = [",".join(ENERGY_COLUMNS)]
-    for rep in reports:
-        lines.append(
-            ",".join(_fmt(v) for v in (rep.t, rep.e_base, rep.e_delta, rep.composite, rep.dafermos, rep.linf))
-        )
+def _write_csv(path, columns, rows):
+    """A header of ``columns`` and one line per row of values, each
+    rendered by ``_fmt``."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -75,7 +60,7 @@ def write_fit_txt(path, fit: RateFit | None, cfg: ExperimentConfig):
         lines.append(f"r2 = {fit.r2!r}")
         lines.append(f"n_points = {fit.n_points}")
         lines.append(f"excluded = {fit.excluded}")
-        lines.append(f"reference_slope = {cfg.s / 2.0!r}")
+        lines.append(f"reference_slope = {reference_slope(cfg)!r}")
         lines.append(f"slope_floor = {slope_floor(cfg)!r}")
     _write_text(path, "\n".join(lines) + "\n")
 
@@ -194,12 +179,17 @@ def emit_report(result: SweepResult, out_dir) -> list:
     written = []
 
     path = os.path.join(out_dir, "sweep.csv")
-    write_sweep_csv(path, result.rows)
+    rows = [
+        (r.eps, r.sup_err_sq, r.sup_dafermos, r.sup_eps_delta_e, r.cross_term, r.blowup, r.first_threshold_violation_t)
+        for r in result.rows
+    ]
+    _write_csv(path, SWEEP_COLUMNS, rows)
     written.append(path)
 
     for row in result.rows:
         path = os.path.join(out_dir, f"energies_{row.eps!r}.csv")
-        write_energy_csv(path, row.reports)
+        reports = [(r.t, r.e_base, r.e_delta, r.composite, r.dafermos, r.linf) for r in row.reports]
+        _write_csv(path, ENERGY_COLUMNS, reports)
         written.append(path)
 
     path = os.path.join(out_dir, "fit.txt")
@@ -213,7 +203,7 @@ def emit_report(result: SweepResult, out_dir) -> list:
         svg = loglog_svg(
             pts,
             result.fit,
-            result.config.s / 2.0,
+            reference_slope(result.config),
             title="relaxation error vs eps",
             xlabel="eps",
             ylabel=err_label,
@@ -221,3 +211,16 @@ def emit_report(result: SweepResult, out_dir) -> list:
         _write_text(path, svg)
         written.append(path)
     return written
+
+
+def emit_exist_report(result: ExistenceResult, out_dir) -> str:
+    """Write exist.csv, one line per eps, and return its path.  A row's
+    ``n_star`` of None is written ``None``, not ``nan``."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "exist.csv")
+    rows = [
+        (r.eps, r.skipped, r.blowup, r.initial_eps_delta_e, r.sup_eps_delta_e, str(r.n_star), r.composite_monotone)
+        for r in result.rows
+    ]
+    _write_csv(path, EXIST_COLUMNS, rows)
+    return path

@@ -28,9 +28,11 @@ is 2^(dim-1) rectangular blocks, one per choice of the low (0..c) or high
 pairs each block's index in the half spectrum with its index in the
 compact array.  Only this module reads the blocks: ``box_gather`` copies
 the box out of a half-spectrum array and ``box_add`` adds a compact box
-into one, ``_box_forcing`` is the solvers' forcing -P nabla:(u (x) u)
-from box to box, and ``_convection`` and ``_leray_full`` give the
-convection and the Leray projection of half-spectrum coefficients.
+into one.  ``_box_forcing`` is the one nonlinear kernel: the forcing
+-P nabla:(u (x) u) of both solvers and ``dt_v``, from box to box.
+``_convection`` gives its negation, the projected convection, on the half
+spectrum, and ``_leray_full`` the Leray projection of half-spectrum
+coefficients.
 
 The inverse transform of the box gets a buffer of the last-axis columns
 0..c only, which ``irfftn(..., s=grid.shape)`` zero-pads to n/2+1, so its
@@ -154,19 +156,12 @@ class Grid:
         mult[..., 0] = mult[..., -1] = 1.0
         return mult
 
-    @property
-    def npoints(self) -> int:
-        return self.n**self.dim
-
     def __reduce__(self):
         return Grid, (self.dim, self.n)
 
-    def axes(self):
-        """Collocation coordinates along one axis (same for every axis)."""
-        return np.arange(self.n) * (TWO_PI / self.n)
-
     def meshgrid(self):
-        x = self.axes()
+        """Collocation coordinates, one array of ``shape`` per axis."""
+        x = np.arange(self.n) * (TWO_PI / self.n)
         return np.meshgrid(*([x] * self.dim), indexing="ij")
 
     def k2_power(self, p: float) -> np.ndarray:
@@ -246,10 +241,6 @@ class SpectralField:
     @property
     def ncomp(self) -> int:
         return self.coeffs.shape[0]
-
-    def values(self) -> np.ndarray:
-        """Collocation values, shape (ncomp, n, ..., n)."""
-        return inverse_transform(self)
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         return SpectralField(self.grid, self.coeffs + other.coeffs)
@@ -410,26 +401,27 @@ def require_divergence_free(what: str, fields):
     divergence L^2 norm is at most ``DIV_TOL`` times their summed H^1 size.
 
     Non-finite data is rejected first, and the comparison is written so
-    that a NaN fails it."""
-    grid = fields[0].grid
+    that a NaN fails it.  Zero-stride fields are skipped: only ``zero_field``
+    makes them, so they are zero."""
+    fields = [f for f in fields if any(f.coeffs.strides)]
     if not all(np.isfinite(f.coeffs).all() for f in fields):
         raise ValueError(f"{what} requires finite data")
     scale = max(sum(sobolev_norm(f, 1.0) for f in fields), 1e-300)
-    if not sum(divergence_l2(grid, f.coeffs) for f in fields) <= DIV_TOL * scale:
+    if not sum(divergence_l2(f.grid, f.coeffs) for f in fields) <= DIV_TOL * scale:
         raise ValueError(f"{what} requires divergence-free data")
 
 
-def _box_convection(grid: Grid, b: np.ndarray, project: bool) -> np.ndarray:
-    """Dealiased nabla : (u (x) u), Leray-projected if ``project``, from and
+def _box_forcing(grid: Grid, b: np.ndarray) -> np.ndarray:
+    """The forcing -P nabla : (u (x) u) of both solvers, dealiased, from and
     to the compact 2/3-rule box.
 
     The box is the whole dealiased input, products are formed pointwise on
     the collocation grid, and only the box of each product's transform is
     kept, so no aliased content survives below the cutoff.  One batched
     inverse transform of the components and one forward transform per
-    product u_i u_j; the derivatives and the projection act on the box only.
-    Each product and its transform are written into two buffers that the
-    call allocates once and drops on return.
+    product u_i u_j; the derivatives, the projection and the sign act on the
+    box only.  Each product and its transform are written into two buffers
+    that the call allocates once and drops on return.
     """
     spec = np.zeros((grid.dim,) + grid.spec_shape[:-1] + (grid.dealias_cutoff + 1,), dtype=np.complex128)
     for full, box in grid.box_blocks:
@@ -449,23 +441,17 @@ def _box_convection(grid: Grid, b: np.ndarray, project: bool) -> np.ndarray:
             out[i] += grid.box_ik[j] * tij
             if j != i:
                 out[j] += grid.box_ik[i] * tij
-    if project:
-        _leray_inplace(out, grid.box_keff, grid.box_k2eff_safe)
-    return out
-
-
-def _box_forcing(grid: Grid, b: np.ndarray) -> np.ndarray:
-    """The forcing -P nabla:(u (x) u) of both solvers, compact box to
-    compact box."""
-    out = _box_convection(grid, b, project=True)
+    _leray_inplace(out, grid.box_keff, grid.box_k2eff_safe)
     return np.negative(out, out=out)
 
 
-def _convection(f: SpectralField, project: bool) -> SpectralField:
-    """Dealiased nabla : (u (x) u) of ``f``, Leray-projected if ``project``."""
+def _convection(f: SpectralField) -> SpectralField:
+    """Dealiased P nabla : (u (x) u) of ``f`` on the half spectrum: the
+    forcing negated, which is exact."""
     g = f.grid
+    b = _box_forcing(g, box_gather(g, f.coeffs))
     out = np.zeros(f.coeffs.shape, dtype=np.complex128)
-    return _adopt(g, box_add(g, out, _box_convection(g, box_gather(g, f.coeffs), project)))
+    return _adopt(g, box_add(g, out, np.negative(b, out=b)))
 
 
 def convection_term(f: SpectralField) -> SpectralField:
@@ -478,4 +464,4 @@ def convection_term(f: SpectralField) -> SpectralField:
     if f.ncomp != g.dim:
         raise ValueError("convection_term needs one component per spatial axis")
     require_divergence_free("convection_term", [f])
-    return _convection(f, project=True)
+    return _convection(f)

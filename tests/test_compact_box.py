@@ -16,17 +16,21 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from hypns.diagnostics import trilinear_ratio
 from hypns.experiments import ExperimentConfig, run_convergence
 from hypns.initial_data import random_divergence_free_field
 from hypns.nlw import _NlwStepper, _propagator_entries, _WaveTables
 from hypns.ns import _NsStepper, dt_v
 from hypns.spectral import (
-    _box_convection,
+    SpectralField,
+    _box_forcing,
     _convection,
     _leray_full,
     box_add,
     box_gather,
+    hs_inner,
     make_grid,
+    sobolev_norm,
 )
 
 from conftest import box_scatter, dealias_mask, grid_ik, grid_shapes, property_settings, random_real_field
@@ -52,9 +56,10 @@ def full_tensor_divergence(g, c):
     return out
 
 
-def full_buffer_box_convection(g, b, project):
+def full_buffer_box_convection(g, b):
     """The box kernel with its inverse transform on a zero-filled buffer of
-    the whole half spectrum, last-axis columns c+1..n/2 included."""
+    the whole half spectrum, last-axis columns c+1..n/2 included, and the
+    projection over the whole half spectrum."""
     spec = np.zeros((g.dim,) + g.spec_shape, dtype=np.complex128)
     for full, box in g.box_blocks:
         np.divide(b[box], g.fwd_scale, out=spec[full])
@@ -67,7 +72,7 @@ def full_buffer_box_convection(g, b, project):
             out[i] += g.box_ik[j] * tij
             if j != i:
                 out[j] += g.box_ik[i] * tij
-    return full_leray(g, box_scatter(g, out)) if project else box_scatter(g, out)
+    return full_leray(g, box_scatter(g, out))
 
 
 def full_leray(g, c):
@@ -152,19 +157,18 @@ class TestExactEquivalence:
     def test_kernels_match_full_mask_formulas(self, shape, seed):
         g, f, _ = random_real_field(*shape, seed)
         td = full_tensor_divergence(g, f.coeffs)
-        assert np.array_equal(_convection(f, project=False).coeffs, td)
         assert np.array_equal(_leray_full(g, td.copy()), full_leray(g, td))
-        assert np.array_equal(_convection(f, project=True).coeffs, full_convection(g, f.coeffs))
+        assert np.array_equal(_convection(f).coeffs, full_convection(g, f.coeffs))
 
     # n = 8 has box columns 0..2 of the half spectrum's 0..4
     @property_settings
-    @given(shape=grid_shapes, seed=st.integers(0, 2**32 - 1), project=st.booleans())
-    @example(shape=(2, 8), seed=0, project=True)
-    @example(shape=(3, 8), seed=0, project=False)
-    def test_narrow_inverse_buffer_matches_full_buffer(self, shape, seed, project):
+    @given(shape=grid_shapes, seed=st.integers(0, 2**32 - 1))
+    @example(shape=(2, 8), seed=0)
+    @example(shape=(3, 8), seed=0)
+    def test_narrow_inverse_buffer_matches_full_buffer(self, shape, seed):
         g, f, _ = random_real_field(*shape, seed)
-        got = box_scatter(g, _box_convection(g, box_gather(g, f.coeffs), project))
-        assert np.array_equal(got, full_buffer_box_convection(g, box_gather(g, f.coeffs), project))
+        got = box_scatter(g, _box_forcing(g, box_gather(g, f.coeffs)))
+        assert np.array_equal(got, -full_buffer_box_convection(g, box_gather(g, f.coeffs)))
 
     @property_settings
     @given(shape=grid_shapes, seed=st.integers(0, 2**32 - 1))
@@ -174,7 +178,23 @@ class TestExactEquivalence:
         g, f, _ = random_real_field(*shape, seed)
         got = dt_v(f).coeffs
         assert not got.flags.writeable
-        assert np.array_equal(got, -g.k2 * f.coeffs - _convection(f, project=True).coeffs)
+        assert np.array_equal(got, -g.k2 * f.coeffs - _convection(f).coeffs)
+
+    # The trilinear pairing reads the projected kernel: for a divergence-free
+    # f, <f, P g> = <f, g> mode by mode.  The pairing is a sum that cancels
+    # (ratios down to 9.2e-7 here), so its rounding is measured against its
+    # Cauchy-Schwarz bound ||f|| ||g|| at H^(1/2): at most 2.9e-17 of it on
+    # the first 100 fields of criterion 8, though 1.6e-13 of the ratio.
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_trilinear_ratio_matches_unprojected_oracle(self, n):
+        g = make_grid(3, n)
+        for i in range(100):
+            f = random_divergence_free_field(g, 4001 + 1009 * n + i, band=g.dealias_cutoff, slope=3.0)
+            td = SpectralField(g, full_tensor_divergence(g, f.coeffs))
+            denom = sobolev_norm(f, 0.5) * sobolev_norm(f, 1.5) ** 2
+            want = abs(hs_inner(f, td, 0.5)) / denom
+            bound = sobolev_norm(f, 0.5) * sobolev_norm(td, 0.5) / denom
+            assert abs(trilinear_ratio(f) - want) <= 1e-14 * bound
 
     @property_settings
     @given(shape=grid_shapes, seed=st.integers(0, 2**32 - 1), dt=st.floats(1e-4, 2e-2))

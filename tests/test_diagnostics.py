@@ -215,6 +215,14 @@ class TestTrilinear:
         with pytest.raises(ValueError):
             trilinear_ratio(zero_field(g))
 
+    def test_divergent_field_rejected(self):
+        # the ratio reads the projected convection, which is the pairing
+        # only for divergence-free f
+        g = make_grid(3, 16)
+        f = transform(g, np.random.default_rng(3).standard_normal((3,) + g.shape))
+        with pytest.raises(ValueError, match="divergence-free"):
+            trilinear_ratio(f)
+
     def test_bounded_on_random_fields(self):
         g = make_grid(3, 16)
         for i in range(50):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from hypns.experiments import (
     FIT_UNDEFINED,
+    SKIP_REASON,
     ConfigError,
     ExperimentConfig,
     RateFit,
@@ -285,7 +286,7 @@ class TestRunConvergence:
         short, long = sizes
         assert short == long and len(long) == len(golden_config().eps_list)
         # a single stored reference sample would not fit
-        assert max(long) < make_grid(2, 16).npoints * 16
+        assert max(long) < 16**2 * 16
 
     @pytest.mark.parametrize("entry", [run_convergence, run_existence_probe])
     def test_pool_forks_no_more_workers_than_eps(self, monkeypatch, entry):
@@ -585,6 +586,24 @@ class TestCli:
         rc = cli.main(["exist", "--config", str(p), "--out", str(tmp_path / "o2"), "--force"])
         out = capsys.readouterr().out
         assert "skipped" not in out.splitlines()[-3]
+
+    def test_exist_csv_bytes(self, tmp_path, capsys):
+        # eps = 0.1 passes the 3D smallness check (0.0613 < 1/16), eps = 0.01
+        # fails it (0.0638) and is skipped: its n_star is written None
+        p = self._write_cfg(tmp_path, dim=3, n=8, amplitude=0.098, eps_list=[0.1, 0.01], T=0.05, dt=5e-3)
+        assert cli.main(["exist", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "eps=0.1 sup eps^d E=0.00141173 N*=0 monotone=True blowup=False",
+            f"eps=0.01 skipped: {SKIP_REASON}",
+            f"wrote {tmp_path / 'out' / 'exist.csv'}",
+            "uniform bound sup_t eps^delta E <= 2 max initial: True",
+            "exist: FAIL",
+        ]
+        assert (tmp_path / "out" / "exist.csv").read_bytes() == (
+            b"epsilon,skipped,blowup,initial_eps_delta_E,sup_eps_delta_E,n_star,composite_monotone\n"
+            b"0.1,0,0,0.0014117251648917465,0.0014117251648917465,0,1\n"
+            b"0.01,1,0,nan,nan,None,0\n"
+        )
 
     @pytest.mark.parametrize("command", ["converge", "exist"])
     @pytest.mark.parametrize("suffix", [".npz", ".npy"])

@@ -22,10 +22,10 @@ squares.
 (``bench/workloads.expected_counts``) are documented.
 
 The 2/3-rule box layout is ``spectral.py``'s own: no other module may
-reference ``box_blocks``, the box kernel ``_box_convection`` or the table
-form of the projection ``_leray_inplace``.  The solvers reach the box
-through ``box_gather``, ``box_add`` and ``_box_forcing``, the seeded data
-through ``_leray_full``.
+reference ``box_blocks`` or the table form of the projection
+``_leray_inplace``.  The solvers reach the box through ``box_gather``,
+``box_add`` and the box kernel ``_box_forcing``, the seeded data through
+``_leray_full``.
 
 ``ctypes`` may be imported only in ``ns.py``, whose ``_keep_heap`` is the
 one platform-specific call into the C library (the allocator policy).
@@ -39,6 +39,7 @@ class is imported on first use (``experiments.__getattr__``).
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -216,7 +217,7 @@ def test_pool_modules_not_imported_at_module_level():
     assert eager == []
 
 
-BOX_INTERNALS = {"box_blocks", "_box_convection", "_leray_inplace"}
+BOX_INTERNALS = {"box_blocks", "_leray_inplace"}
 
 
 def test_box_layout_only_in_spectral():
@@ -285,6 +286,13 @@ def test_bench_microbenchmark_targets_exist():
 # (``tests/test_acceptance.py``) must reference it.  Oracles and helpers
 # that only their own tests call belong in ``tests/``.  The names that
 # ``bench/`` wraps or times by string count as references.
+#
+# The same holds for the public methods and properties of module-level
+# classes (dataclass fields are not methods), with the reference an
+# attribute ``x.name`` outside the member's own body.  The rule cannot
+# tell the receiver's type, so an attribute that a builtin type also has
+# (``ratios.values()`` on a dict) counts for no class: a member named so is
+# always reported.
 
 
 def defined_names(node):
@@ -298,22 +306,50 @@ def defined_names(node):
     return set()
 
 
+BUILTIN_MEMBERS = {name for t in (dict, list, set, frozenset, tuple, str) for name in dir(t)}
+
+
+def attributes(tree):
+    """Every attribute name read in the tree, once per occurrence."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def public_members(tree):
+    """``(class name, method)`` of each public method and property of the
+    module-level classes of ``tree``."""
+    return [
+        (node.name, item)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+    ]
+
+
 def unreferenced_public_names(sources, outside):
     """``file: name`` of each public module-level name defined in ``sources``
     (file name to source text) that no statement of ``sources`` references
-    outside its own definition and that ``outside`` does not hold."""
+    outside its own definition and that ``outside`` does not hold, then
+    ``file: Class.member`` of each such public member."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     used = set(outside)
     for tree in trees.values():
         for node in tree.body:
             used |= referenced_names(node) - defined_names(node)
-    return [
+    found = [
         f"{name}: {defined}"
         for name, tree in trees.items()
         for node in tree.body
         for defined in sorted(defined_names(node))
         if not defined.startswith("_") and defined not in used
     ]
+    reads = sum(map(attributes, trees.values()), Counter())
+    for name, tree in trees.items():
+        for cls, member in public_members(tree):
+            elsewhere = reads[member.name] > attributes(member)[member.name] or member.name in outside
+            if member.name in BUILTIN_MEMBERS or not elsewhere:
+                found.append(f"{name}: {cls}.{member.name}")
+    return found
 
 
 def run_path_references():
@@ -343,12 +379,31 @@ def _private():
 
 class Unused:
     pass
+
+class Box:
+    size: int = 0
+
+    def read(self):
+        return self.size + entry()
+
+    def orphan_method(self):
+        return self.orphan_method()
+
+    def values(self):
+        return {}.values()
+
+    def _hidden(self):
+        return 0
+
+def reader(box):
+    return box.read() + box.values()
 """
 
 
 def test_public_name_rule_flags_planted_orphans():
-    found = unreferenced_public_names({"planted.py": PLANTED}, outside={"entry"})
-    assert found == ["planted.py: orphan", "planted.py: Unused"]
+    found = unreferenced_public_names({"planted.py": PLANTED}, outside={"entry", "Box", "reader"})
+    members = ["planted.py: Box.orphan_method", "planted.py: Box.values"]
+    assert found == ["planted.py: orphan", "planted.py: Unused", *members]
     assert {"linf_norm", "ProcessPoolExecutor", "run_convergence"} <= run_path_references()
 
 

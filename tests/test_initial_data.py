@@ -139,7 +139,7 @@ class TestInPlaceBuild:
         axes = tuple(range(1, dim + 1))
         c = np.fft.rfftn(vals, axes=axes) * g.fwd_scale
         assert_same_bits(f, SpectralField(g, c))  # the constructor zeroes the mean, as transform does
-        assert np.allclose(vals.mean(axis=axes), c[(slice(None),) + (0,) * dim].real / g.fwd_scale / g.npoints)
+        assert np.allclose(vals.mean(axis=axes), c[(slice(None),) + (0,) * dim].real / g.fwd_scale / g.n**dim)
 
 
 # Peak traced allocation of one warm ``synth_hs_field`` call, in units of
