@@ -26,7 +26,8 @@ keeps the wavenumbers 0..c and then -c..-1, the ``fftfreq`` order of a
 is 2^(dim-1) rectangular blocks, one per choice of the low (0..c) or high
 (n-c..n-1) index range on each of the first dim-1 axes: ``Grid.box_blocks``
 pairs each block's index in the half spectrum with its index in the
-compact array.  Only this module reads the blocks: ``box_gather`` copies
+compact array, and ``Grid.box_rows`` pairs the two ranges of one axis the
+same way.  Only this module reads the blocks: ``box_gather`` copies
 the box out of a half-spectrum array and ``box_add`` adds a compact box
 into one.  ``_box_forcing`` is the one nonlinear kernel: the forcing
 -P nabla:(u (x) u) of both solvers and ``dt_v``, from box to box.
@@ -34,11 +35,23 @@ into one.  ``_box_forcing`` is the one nonlinear kernel: the forcing
 spectrum, and ``_leray_full`` the Leray projection of half-spectrum
 coefficients.
 
-The inverse transform of the box gets a buffer of the last-axis columns
-0..c only, which ``irfftn(..., s=grid.shape)`` zero-pads to n/2+1, so its
-c2c passes over the first axes skip the all-zero columns c+1..n/2.  The
-kernel writes each product u_i u_j and its forward transform into two
-buffers that it reuses within a call; it keeps no buffer between calls.
+The kernel transforms the trace-free tensor u (x) u - u_d^2 I, d the last
+component, whose entry (d, d) is 0: dim(dim+1)/2 - 1 products (2 in 2D, 5
+in 3D) rather than dim(dim+1)/2 (``_trace_free_products``).  The dropped
+term's divergence grad(u_d^2) is a gradient, which the projection
+removes.  Its transforms
+are numpy's own per-axis passes in numpy's own order, pruned to the box
+(``_box_irfftn``, ``_box_rfftn``): bit for bit the n-D transforms of the
+zero-filled half spectrum and the box of the whole transform.  The inverse
+pads one axis at a time from the box rows to n and runs its ``ifft`` on
+that axis, from the first axis on, so each pass runs only on the lines the
+box reaches; ``irfft`` pads the last axis from columns 0..c to 0..n/2
+itself.  The forward transform runs ``rfft`` on the last axis, keeps
+columns 0..c and then runs ``fft`` from the axis before last down to the
+first, each pass only on the lines kept so far, copying its box rows
+straight into the next pass's compact input.  The buffers are allocated in
+the call: one product buffer that every product reuses, and the padded or
+compact array of each pass; none is kept between calls.
 
 A grid stores only what the steps read: the full half-spectrum table
 ``k2``, the compact box tables ``box_ik``, ``box_keff`` and
@@ -117,6 +130,7 @@ class Grid:
             box = (Ellipsis,) + tuple(r[1] for r in ranges) + (low[1],)
             blocks.append((full, box))
         object.__setattr__(self, "dealias_cutoff", cutoff)
+        object.__setattr__(self, "box_rows", (low, high))
         object.__setattr__(self, "box_blocks", tuple(blocks))
         object.__setattr__(self, "box_shape", (2 * cutoff + 1,) * (self.dim - 1) + (cutoff + 1,))
         box_keff = tuple(box_gather(self, kd) for kd in self.keff)
@@ -411,36 +425,79 @@ def require_divergence_free(what: str, fields):
         raise ValueError(f"{what} requires divergence-free data")
 
 
+def _along(ax: int, index: slice) -> tuple:
+    """Index ``index`` along the axis ``ax`` (negative) of an array."""
+    return (Ellipsis, index) + (slice(None),) * (-1 - ax)
+
+
+def _box_rfftn(grid: Grid, x: np.ndarray) -> np.ndarray:
+    """``box_gather(grid, np.fft.rfftn(x))`` over the last ``grid.dim``
+    axes of the real ``x``, bit for bit, as a new compact array; each
+    ``fft`` pass runs only on the lines the box keeps (module docstring)."""
+    a = np.fft.rfft(x)[..., : grid.dealias_cutoff + 1]
+    for ax in range(-2, -grid.dim - 1, -1):
+        t = np.fft.fft(a, axis=ax)
+        a = np.empty(t.shape[:ax] + (grid.box_shape[ax],) + t.shape[ax + 1 :], dtype=np.complex128)
+        for full, box in grid.box_rows:
+            a[_along(ax, box)] = t[_along(ax, full)]
+    return a
+
+
+def _box_irfftn(grid: Grid, b: np.ndarray) -> np.ndarray:
+    """``np.fft.irfftn(s=grid.shape)`` over the last ``grid.dim`` axes of
+    the half spectrum that is the compact ``b`` on the box and 0 elsewhere,
+    bit for bit; each ``ifft`` pass runs only on the lines the box reaches
+    (module docstring)."""
+    c, n = grid.dealias_cutoff, grid.n
+    a = b
+    for ax in range(-grid.dim, -1):
+        pad = np.empty(a.shape[:ax] + (n,) + a.shape[ax + 1 :], dtype=np.complex128)
+        for full, box in grid.box_rows:
+            pad[_along(ax, full)] = a[_along(ax, box)]
+        pad[_along(ax, slice(c + 1, n - c))] = 0.0
+        a = np.fft.ifft(pad, axis=ax, out=pad)
+    return np.fft.irfft(a, n)
+
+
+def _trace_free_products(vals: np.ndarray, prod: np.ndarray):
+    """Write the entries i <= j of u (x) u - u_d^2 I, d the last component,
+    into ``prod`` one at a time and yield each one's (i, j); the entry
+    (d, d) is 0 and is skipped.  A diagonal entry is formed as
+    (u_i - u_d)(u_i + u_d) after row i's last off-diagonal one, and
+    ``vals[i]`` holds u_i + u_d from then on: no later entry reads u_i."""
+    d = len(vals) - 1
+    for i in range(d):
+        for j in range(i + 1, d + 1):
+            np.multiply(vals[i], vals[j], out=prod)
+            yield i, j
+        np.subtract(vals[i], vals[d], out=prod)
+        vals[i] += vals[d]
+        prod *= vals[i]
+        yield i, i
+
+
 def _box_forcing(grid: Grid, b: np.ndarray) -> np.ndarray:
     """The forcing -P nabla : (u (x) u) of both solvers, dealiased, from and
     to the compact 2/3-rule box.
 
-    The box is the whole dealiased input, products are formed pointwise on
-    the collocation grid, and only the box of each product's transform is
-    kept, so no aliased content survives below the cutoff.  One batched
-    inverse transform of the components and one forward transform per
-    product u_i u_j; the derivatives, the projection and the sign act on the
-    box only.  Each product and its transform are written into two buffers
-    that the call allocates once and drops on return.
+    The box is the whole dealiased input: one batched inverse transform of
+    its components, the trace-free products formed pointwise on the
+    collocation grid, and only the box of each product's transform
+    computed, so no aliased content survives below the cutoff.  Dropping
+    u_d^2 I changes the divergence by the gradient grad(u_d^2), which the
+    projection removes to rounding: in the box ``box_ik`` is
+    i ``box_keff``.  The derivatives, the projection and the sign act on
+    the box only.
     """
-    spec = np.zeros((grid.dim,) + grid.spec_shape[:-1] + (grid.dealias_cutoff + 1,), dtype=np.complex128)
-    for full, box in grid.box_blocks:
-        np.divide(b[box], grid.fwd_scale, out=spec[full])
-    # the product buffers are allocated before the inverse transform: after
-    # it, they raised the peak RSS of a 2D n=128 wave solve by 0.2 MiB
+    vals = _box_irfftn(grid, b / grid.fwd_scale)
     prod = np.empty(grid.shape)
-    ft = np.empty(grid.spec_shape, dtype=np.complex128)
-    vals = np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(1, grid.dim + 1)))
-    del spec
     out = np.zeros_like(b)
-    for i in range(grid.dim):
-        for j in range(i, grid.dim):
-            np.multiply(vals[i], vals[j], out=prod)
-            tij = box_gather(grid, np.fft.rfftn(prod, out=ft))
-            tij *= grid.fwd_scale
-            out[i] += grid.box_ik[j] * tij
-            if j != i:
-                out[j] += grid.box_ik[i] * tij
+    for i, j in _trace_free_products(vals, prod):
+        tij = _box_rfftn(grid, prod)
+        tij *= grid.fwd_scale
+        out[i] += grid.box_ik[j] * tij
+        if j != i:
+            out[j] += grid.box_ik[i] * tij
     _leray_inplace(out, grid.box_keff, grid.box_k2eff_safe)
     return np.negative(out, out=out)
 

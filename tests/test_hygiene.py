@@ -18,11 +18,14 @@ by 1.0-1.1 MiB (54.7 to 55.8 MiB), so the rate fit is a closed-form least
 squares.
 
 ``numpy.fft`` transforms may be called only in ``spectral.py`` and
-``initial_data.py``, where the transform counts of the benchmark arithmetic
-(``bench/workloads.expected_counts``) are documented.
+``initial_data.py``, and there only by the pruned box passes
+``_box_rfftn`` and ``_box_irfftn``, the whole transforms ``transform`` and
+``inverse_transform`` and the seeded noise's ``_seeded_spectrum``.  So
+every transform of a step goes through the pruned passes, whose counts
+``tests/test_fft_counts.py`` derives.
 
 The 2/3-rule box layout is ``spectral.py``'s own: no other module may
-reference ``box_blocks`` or the table form of the projection
+reference ``box_blocks``, ``box_rows`` or the table form of the projection
 ``_leray_inplace``.  The solvers reach the box through ``box_gather``,
 ``box_add`` and the box kernel ``_box_forcing``, the seeded data through
 ``_leray_full``.
@@ -89,7 +92,6 @@ FFT_TRANSFORMS = {
     "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn",
     "hfft", "ihfft",
 }
-FFT_MODULES = {"spectral.py", "initial_data.py"}
 
 
 def fft_transform_calls(path):
@@ -115,6 +117,18 @@ def fft_transform_calls(path):
         )
         if via_module or (isinstance(func, ast.Name) and func.id in imported):
             found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def fft_calling_functions(path):
+    """``<file>:<function>`` of the innermost function around each call of
+    ``fft_transform_calls``; ``<file>:<module>`` outside every function."""
+    defs = [node for node in ast.walk(parse(path)) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    found = set()
+    for call in fft_transform_calls(path):
+        line = int(call.rsplit(":", 1)[1])
+        around = [d for d in defs if d.lineno <= line <= d.end_lineno]
+        found.add(f"{path.name}:{max(around, key=lambda d: d.lineno).name if around else '<module>'}")
     return found
 
 
@@ -200,10 +214,18 @@ def test_no_blas_products():
     assert [f for path in sorted(PACKAGE.glob("*.py")) for f in blas_products(path)] == []
 
 
+FFT_FUNCTIONS = {
+    "spectral.py:_box_rfftn",
+    "spectral.py:_box_irfftn",
+    "spectral.py:transform",
+    "spectral.py:inverse_transform",
+    "initial_data.py:_seeded_spectrum",
+}
+
+
 def test_fft_transforms_only_where_counted():
-    assert fft_transform_calls(PACKAGE / "spectral.py") != []  # the rule sees the calls it governs
-    others = [p for p in sorted(PACKAGE.glob("*.py")) if p.name not in FFT_MODULES]
-    assert [f for path in others for f in fft_transform_calls(path)] == []
+    found = set().union(*(fft_calling_functions(path) for path in sorted(PACKAGE.glob("*.py"))))
+    assert found == FFT_FUNCTIONS
 
 
 def test_pool_modules_not_imported_at_module_level():
@@ -217,7 +239,7 @@ def test_pool_modules_not_imported_at_module_level():
     assert eager == []
 
 
-BOX_INTERNALS = {"box_blocks", "_leray_inplace"}
+BOX_INTERNALS = {"box_blocks", "box_rows", "_leray_inplace"}
 
 
 def test_box_layout_only_in_spectral():
