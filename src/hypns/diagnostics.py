@@ -9,14 +9,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nlw import WaveState, energy
+from .ns import dt_v
 from .spectral import (
     SpectralField,
-    _convection,
     base_sigma,
+    convection_term,
     hs_inner,
     linf_norm,
     mode_mag2,
-    require_divergence_free,
     sobolev_norm,
     weighted_sum,
 )
@@ -99,17 +99,14 @@ class DafermosResidualRecord:
     ns_term: float
 
 
-def _laplacian(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, -f.grid.k2 * f.coeffs)
-
-
 def dafermos_derivative_residuals(wave_traj, v_traj, sigma0: float):
     """Centered-difference check of d/dt (modulated energy) against the
     assembled balance terms, at every interior sample.
 
     ``wave_traj`` is a uniformly spaced sequence of WaveStates and
     ``v_traj`` the aligned reference fields.  Time derivatives of the
-    reference use centered differences of the stored samples.
+    reference use centered differences of the stored samples.  Rejects
+    non-finite or divergent samples, as ``convection_term`` does.
     """
     if len(wave_traj) != len(v_traj):
         raise ValueError("wave and reference trajectories must have equal length")
@@ -129,14 +126,13 @@ def dafermos_derivative_residuals(wave_traj, v_traj, sigma0: float):
         u, ut, v = st.u, st.ut, v_traj[j]
         w = u - v
         dtv = (v_traj[j + 1] - v_traj[j - 1]) * (1.0 / (2.0 * h))
-        gu_p = _convection(u)
-        gv_p = _convection(v)
+        gu_p = convection_term(u)
+        gv_p = convection_term(v)
         transport = hs_inner(w, gv_p - gu_p, sigma0)
         defect = -eps * sobolev_norm(ut + gu_p, sigma0) ** 2
         cross = -eps * hs_inner(dtv, ut, sigma0)
         gap = eps * sobolev_norm(gu_p, sigma0) ** 2 - sobolev_norm(w, sigma0 + 1.0) ** 2
-        resid = dtv + gv_p - _laplacian(v)
-        ns_term = -hs_inner(resid, w, sigma0)
+        ns_term = -hs_inner(dtv - dt_v(v), w, sigma0)
 
         lhs = (energies[j + 1] - energies[j - 1]) / (2.0 * h)
         rhs = transport + defect + cross + gap
@@ -158,15 +154,12 @@ def trilinear_ratio(f: SpectralField) -> float:
     """Ratio |int L f . (f.grad f)| / (||L^(1/2) f|| ||L^(3/2) f||^2) of a
     divergence-free 3D field: for such f, <f, P g> = <f, g> mode by mode,
     so the pairing reads the projected convection.  Rejects non-finite and
-    divergent fields as ``convection_term`` does."""
+    divergent fields, through ``convection_term``."""
     if f.grid.dim != 3:
         raise ValueError("trilinear_ratio is defined for 3D fields")
-    require_divergence_free("trilinear_ratio", [f])
+    num = abs(hs_inner(f, convection_term(f), 0.5))
     denom = sobolev_norm(f, 0.5) * sobolev_norm(f, 1.5) ** 2
-    if denom == 0.0:
-        return 0.0
-    num = abs(hs_inner(f, _convection(f), 0.5))
-    return num / denom
+    return 0.0 if denom == 0.0 else num / denom
 
 
 def interpolation_ratios(f: SpectralField, delta: float) -> dict:

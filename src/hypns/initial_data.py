@@ -12,11 +12,11 @@ from .spectral import (
     SpectralField,
     _adopt,
     _leray_full,
+    _norm_of,
     base_sigma,
     mode_mag2,
     sobolev_norm,
     transform,
-    weighted_sum,
     zero_field,
 )
 
@@ -50,12 +50,6 @@ def _seeded_spectrum(grid: Grid, seed: int) -> np.ndarray:
     noise = rng.standard_normal((grid.dim,) + grid.shape)
     c = np.empty((grid.dim,) + grid.spec_shape, dtype=np.complex128)
     return np.fft.rfftn(noise, axes=tuple(range(1, grid.dim + 1)), out=c)
-
-
-def _norm_of(grid: Grid, sigma: float, density: np.ndarray) -> float:
-    """``sobolev_norm`` of a field whose per-mode density is ``density``;
-    the zero mode has weight 0, so a nonzero mean does not count."""
-    return float(np.sqrt(weighted_sum(grid, sigma, density)))
 
 
 def synth_hs_field(grid: Grid, seed: int, s: float, amplitude: float, eta: float = 0.01) -> SpectralField:

@@ -85,9 +85,12 @@ class _NsStepper:
 
 def plan_steps(T: float, dt: float):
     """Uniform step count covering [0, T] exactly (last step shortened by
-    construction: dt_eff = T / n_steps <= dt)."""
-    if T < 0:
-        raise ValueError("T must be >= 0")
+    construction: dt_eff = T / n_steps <= dt).  Rejects a T that is not
+    finite and >= 0 and a dt that is not finite and > 0."""
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"T must be finite and >= 0, got {T}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     if T == 0.0:
         return 0, 0.0
     n_steps = max(1, math.ceil(T / dt - 1e-12))

@@ -31,8 +31,8 @@ same way.  Only this module reads the blocks: ``box_gather`` copies
 the box out of a half-spectrum array and ``box_add`` adds a compact box
 into one.  ``_box_forcing`` is the one nonlinear kernel: the forcing
 -P nabla:(u (x) u) of both solvers and ``dt_v``, from box to box.
-``_convection`` gives its negation, the projected convection, on the half
-spectrum, and ``_leray_full`` the Leray projection of half-spectrum
+``convection_term`` gives its negation, the projected convection, on the
+half spectrum, and ``_leray_full`` the Leray projection of half-spectrum
 coefficients.
 
 The kernel transforms the trace-free tensor u (x) u - u_d^2 I, d the last
@@ -330,7 +330,8 @@ def mode_mag2(c: np.ndarray) -> np.ndarray:
 
 def weighted_sum(grid: Grid, sigma: float, density: np.ndarray) -> float:
     """Full-spectrum sum of |k|^(2 sigma) density(k), from a per-mode
-    density on the half spectrum.
+    density on the half spectrum; leading axes, one per component, are
+    summed too.
 
     An elementwise product and ``np.sum``, not a BLAS dot: a BLAS call
     wakes the library's thread pool, whose threads keep spinning after it
@@ -338,17 +339,20 @@ def weighted_sum(grid: Grid, sigma: float, density: np.ndarray) -> float:
     return float(np.sum(grid.weight(sigma) * density))
 
 
+def _norm_of(grid: Grid, sigma: float, density: np.ndarray) -> float:
+    """``sobolev_norm`` of a field whose per-mode density is ``density``;
+    the zero mode has weight 0, so a nonzero mean does not count."""
+    return float(np.sqrt(weighted_sum(grid, sigma, density)))
+
+
 def sobolev_norm(f: SpectralField, sigma: float) -> float:
     """Homogeneous Sobolev norm: (sum_k |k|^(2 sigma) |f_hat(k)|^2)^(1/2)."""
-    return float(np.sqrt(weighted_sum(f.grid, sigma, mode_mag2(f.coeffs))))
+    return _norm_of(f.grid, sigma, mode_mag2(f.coeffs))
 
 
 def hs_inner(f: SpectralField, g: SpectralField, sigma: float) -> float:
-    """Homogeneous pairing sum_k |k|^(2 sigma) Re conj(f_hat) g_hat.
-
-    Summed elementwise rather than by a BLAS dot, for the reason given in
-    ``weighted_sum``."""
-    return float(np.sum((np.conj(f.coeffs) * g.coeffs).real * f.grid.weight(sigma)))
+    """Homogeneous pairing sum_k |k|^(2 sigma) Re conj(f_hat) g_hat."""
+    return weighted_sum(f.grid, sigma, (np.conj(f.coeffs) * g.coeffs).real)
 
 
 def linf_norm(f: SpectralField) -> float:
@@ -402,8 +406,7 @@ def _divergence_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:
 
 
 def divergence_l2(grid: Grid, c: np.ndarray) -> float:
-    d = _divergence_coeffs(grid, c)
-    return float(np.sqrt(weighted_sum(grid, 0.0, np.abs(d) ** 2)))
+    return _norm_of(grid, 0.0, np.abs(_divergence_coeffs(grid, c)) ** 2)
 
 
 # largest divergence, relative to the H^1 size, that counts as divergence-free
@@ -502,17 +505,9 @@ def _box_forcing(grid: Grid, b: np.ndarray) -> np.ndarray:
     return np.negative(out, out=out)
 
 
-def _convection(f: SpectralField) -> SpectralField:
-    """Dealiased P nabla : (u (x) u) of ``f`` on the half spectrum: the
-    forcing negated, which is exact."""
-    g = f.grid
-    b = _box_forcing(g, box_gather(g, f.coeffs))
-    out = np.zeros(f.coeffs.shape, dtype=np.complex128)
-    return _adopt(g, box_add(g, out, np.negative(b, out=b)))
-
-
 def convection_term(f: SpectralField) -> SpectralField:
-    """Leray-projected convection P nabla : (u (x) u), dealiased.
+    """Leray-projected convection P nabla : (u (x) u), dealiased, on the
+    half spectrum: the forcing of ``_box_forcing`` negated, which is exact.
 
     Rejects non-finite input, and input whose divergence exceeds ``DIV_TOL``
     relative to the H^1 size of the field.
@@ -521,4 +516,6 @@ def convection_term(f: SpectralField) -> SpectralField:
     if f.ncomp != g.dim:
         raise ValueError("convection_term needs one component per spatial axis")
     require_divergence_free("convection_term", [f])
-    return _convection(f)
+    b = _box_forcing(g, box_gather(g, f.coeffs))
+    out = np.zeros(f.coeffs.shape, dtype=np.complex128)
+    return _adopt(g, box_add(g, out, np.negative(b, out=b)))

@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 from hypns import make_grid
 from hypns.initial_data import random_divergence_free_field
 from hypns.nlw import WaveState
-from hypns.spectral import TWO_PI, SpectralField, _leray_full, sobolev_norm, transform, zero_field
+from hypns.spectral import (
+    TWO_PI,
+    SpectralField,
+    _box_forcing,
+    _leray_full,
+    box_gather,
+    sobolev_norm,
+    transform,
+    zero_field,
+)
 
 mp.mp.dps = 50
 
@@ -86,6 +95,12 @@ def box_scatter(grid, b):
     for full, box in grid.box_blocks:
         out[full] = b[box]
     return out
+
+
+def unguarded_convection(grid, c):
+    """``convection_term``'s coefficients for the half-spectrum array ``c``
+    without its finiteness and divergence guard, for arbitrary test data."""
+    return -box_scatter(grid, _box_forcing(grid, box_gather(grid, c)))
 
 
 def grid_ik(grid):

@@ -28,7 +28,6 @@ from hypns.spectral import (
     _box_forcing,
     _box_irfftn,
     _box_rfftn,
-    _convection,
     _leray_full,
     box_add,
     box_gather,
@@ -37,7 +36,15 @@ from hypns.spectral import (
     sobolev_norm,
 )
 
-from conftest import box_scatter, dealias_mask, grid_ik, grid_shapes, property_settings, random_real_field
+from conftest import (
+    box_scatter,
+    dealias_mask,
+    grid_ik,
+    grid_shapes,
+    property_settings,
+    random_real_field,
+    unguarded_convection,
+)
 
 
 def trace_free_products(vals):
@@ -200,7 +207,7 @@ class TestExactEquivalence:
         g, f, _ = random_real_field(*shape, seed)
         td = full_tensor_divergence(g, f.coeffs)
         assert np.array_equal(_leray_full(g, td.copy()), full_leray(g, td))
-        assert np.array_equal(_convection(f).coeffs, full_convection(g, f.coeffs))
+        assert np.array_equal(unguarded_convection(g, f.coeffs), full_convection(g, f.coeffs))
 
     # n = 8 has box columns 0..2 of the half spectrum's 0..4
     @property_settings
@@ -220,7 +227,7 @@ class TestExactEquivalence:
         g, f, _ = random_real_field(*shape, seed)
         got = dt_v(f).coeffs
         assert not got.flags.writeable
-        assert np.array_equal(got, -g.k2 * f.coeffs - _convection(f).coeffs)
+        assert np.array_equal(got, -g.k2 * f.coeffs - unguarded_convection(g, f.coeffs))
 
     # Dropping u_d^2 I drops the gradient of u_d^2 from the divergence, which
     # the projection removes to rounding.  Measured on 40 seeds per grid, of

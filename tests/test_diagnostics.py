@@ -24,7 +24,7 @@ from hypns.spectral import (
     zero_field,
 )
 
-from conftest import cell_volume, l2_norm, single_mode_field
+from conftest import cell_volume, l2_norm, single_mode_field, with_nan
 
 
 def wave_state(grid, seed, eps, u_scale=1.0, ut_scale=1.0):
@@ -183,6 +183,21 @@ class TestDafermosResidual:
         rec = min(recs, key=lambda r: abs(r.t - 0.8))
         assert rec.residual > 1.0  # genuinely nonzero
         assert abs(rec.residual - abs(rec.ns_term)) <= 1e-6 * max(1.0, abs(rec.ns_term))
+
+    # the balance holds for divergence-free fields only, and a NaN would
+    # turn every term into NaN
+    @pytest.mark.parametrize("bad", ["divergent reference", "non-finite wave"])
+    def test_divergent_or_non_finite_sample_rejected(self, bad):
+        g = make_grid(2, 16)
+        u = random_divergence_free_field(g, 1)
+        v = random_divergence_free_field(g, 2)
+        if bad == "divergent reference":
+            v = transform(g, np.random.default_rng(3).standard_normal((2,) + g.shape))
+        else:
+            u = with_nan(u, inside_box=True)
+        waves = [WaveState(u, u, 0.1, j * 0.01) for j in range(3)]
+        with pytest.raises(ValueError, match="divergence-free" if bad == "divergent reference" else "finite"):
+            dafermos_derivative_residuals(waves, [v] * 3, 0.0)
 
     def test_nonuniform_spacing_rejected(self):
         g = make_grid(2, 16)

@@ -544,6 +544,22 @@ class TestCli:
         rc = cli.main(["converge", "--config", str(p), "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    def test_taylor_green_pass_exit_zero(self, capsys):
+        assert cli.main(["taylor-green"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "taylor-green: PASS"
+
+    @pytest.mark.parametrize("bound, rc, verdict", [(None, 0, "PASS"), (0.0, 2, "FAIL")])
+    def test_audit_exit_code(self, tmp_path, capsys, monkeypatch, bound, rc, verdict):
+        # The default sizes take seconds.  One trilinear grid, because the
+        # max ratio over few fields differs between grids by more than the
+        # 10% stability margin (20 fields: 8.5e-4 at n=8, 6.8e-4 at n=16).
+        small = lambda cfg: run_inequality_audit(cfg, n_fields=20, trilinear_fields=20, trilinear_ns=(16,))
+        monkeypatch.setattr(cli, "run_inequality_audit", small)
+        if bound is not None:
+            monkeypatch.setattr("hypns.diagnostics.TRILINEAR_RATIO_BOUND", bound)
+        assert cli.main(["audit", "--config", str(self._write_cfg(tmp_path))]) == rc
+        assert capsys.readouterr().out.splitlines()[-1] == f"audit: {verdict}"
+
     def test_bad_config_exit_one(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text("dim = 2\nn = 16\neps_list = 0.001, 0.1\n")

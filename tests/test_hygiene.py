@@ -30,6 +30,12 @@ reference ``box_blocks``, ``box_rows`` or the table form of the projection
 ``box_add`` and the box kernel ``_box_forcing``, the seeded data through
 ``_leray_full``.
 
+Each rule is written once.  The box kernel ``_box_forcing`` is read only
+by the rules built on it: ``convection_term``, ``ns.dt_v`` and the two
+steppers' ``step``.  ``diagnostics.py`` imports no private name, so its
+checks reach the kernel through those public rules, not through second
+copies of them.
+
 ``ctypes`` may be imported only in ``ns.py``, whose ``_keep_heap`` is the
 one platform-specific call into the C library (the allocator policy).
 
@@ -251,6 +257,44 @@ def test_box_layout_only_in_spectral():
         for name in sorted(BOX_INTERNALS & (referenced_names(parse(path)) | imported_names(path)))
     ]
     assert found == []
+
+
+def name_readers(path, name):
+    """``<file>:<function>`` of the innermost function around each read of
+    ``name``, a method as ``Class.method``; ``<file>:<module>`` outside
+    every function."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif getattr(child, "id", None) == name or getattr(child, "attr", None) == name:
+                found.add(f"{path.name}:{scope or '<module>'}")
+            visit(child, inner)
+
+    visit(parse(path), "")
+    return found
+
+
+BOX_FORCING_READERS = {
+    "spectral.py:convection_term",
+    "ns.py:dt_v",
+    "ns.py:_NsStepper.step",
+    "nlw.py:_NlwStepper.step",
+}
+
+
+def test_box_kernel_read_only_by_its_rules():
+    found = set().union(*(name_readers(path, "_box_forcing") for path in MODULES))
+    assert found == BOX_FORCING_READERS
+
+
+def test_diagnostics_imports_no_private_name():
+    names = imported_names(PACKAGE / "diagnostics.py")
+    assert "WaveState" in names  # the rule sees the imports
+    assert sorted(n for n in names if n.startswith("_")) == []
 
 
 def test_ctypes_only_in_ns():

@@ -124,6 +124,28 @@ class TestNsSolve:
         assert len(samples) == 5 and len(copies) == copies_at_start[0]
         assert_samples_own_arrays(samples)
 
+    # a negative or infinite dt used to give one step of size T, dt = 0 a
+    # ZeroDivisionError and a NaN or infinite T an error from int()
+    @pytest.mark.parametrize("T, dt, named", [
+        (1.0, -1.0, "dt"), (1.0, 0.0, "dt"), (1.0, np.inf, "dt"), (1.0, np.nan, "dt"),
+        (np.nan, 1e-2, "T"), (np.inf, 1e-2, "T"), (-1.0, 1e-2, "T"),
+    ])
+    @pytest.mark.parametrize("solver", ["ns", "nlw"])
+    def test_rejects_bad_time_grid(self, solver, T, dt, named):
+        u0 = random_divergence_free_field(make_grid(2, 16), 3)
+        seen = []
+        with pytest.raises(ValueError, match=f"^{named} must be finite"):
+            if solver == "ns":
+                ns_solve(u0, T, dt=dt, observer=seen.append)
+            else:
+                nlw_solve(u0, zero_field(u0.grid), 0.1, T, dt=dt, observer=seen.append)
+        assert seen == []
+
+    def test_plan_steps(self):
+        assert ns.plan_steps(0.0, 1e-3) == (0, 0.0)
+        assert ns.plan_steps(1.0, 0.3) == (4, 0.25)
+        assert ns.plan_steps(1.0, 0.25) == (4, 0.25)
+
     def test_rejects_divergent_data(self):
         g = make_grid(2, 16)
         f = transform(g, np.random.default_rng(3).standard_normal((2, 16, 16)))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hypns.spectral import (
     SpectralField,
-    _convection,
     _divergence_coeffs,
     _leray_full,
     box_gather,
@@ -36,6 +35,7 @@ from conftest import (
     property_settings,
     random_real_field,
     single_mode_field,
+    unguarded_convection,
     with_nan,
 )
 
@@ -270,6 +270,12 @@ class TestConvection:
         a, b = convection_term(3.0 * f), convection_term(f)
         assert np.max(np.abs(a.coeffs - 9.0 * b.coeffs)) < 1e-10 * max(1.0, l2_norm(b))
 
+    # the oracle that the exact kernel tests use on arbitrary data
+    @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+    def test_matches_unguarded_oracle_exactly(self, dim, n):
+        f = random_divergence_free_field(make_grid(dim, n), 13)
+        assert np.array_equal(convection_term(f).coeffs, unguarded_convection(f.grid, f.coeffs))
+
     def test_rejects_divergent_field(self):
         g = make_grid(2, 16)
         f = transform(g, np.random.default_rng(13).standard_normal((2, 16, 16)))
@@ -286,7 +292,7 @@ class TestConvection:
         # the kernel reads only the 2/3-rule box, so the guard above is
         # what rejects such data
         f = with_nan(random_divergence_free_field(make_grid(2, 16), 13), inside_box=False)
-        assert np.isfinite(_convection(f).coeffs).all()
+        assert np.isfinite(unguarded_convection(f.grid, f.coeffs)).all()
 
 
 def test_gagliardo_nirenberg_lattice():
@@ -374,7 +380,7 @@ class TestHalfSpectrum:
         oracle = full.tensor_divergence(full.coeffs(vals))
         projected = full.half(full.leray(oracle))
         assert rel_err(_leray_full(g, full.half(oracle).copy()), projected) <= 1e-13
-        assert rel_err(_convection(f).coeffs, projected) <= 1e-13
+        assert rel_err(unguarded_convection(g, f.coeffs), projected) <= 1e-13
 
     @property_settings
     @given(shape=grid_shapes, seed=st.integers(0, 2**32 - 1))
