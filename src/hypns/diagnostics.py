@@ -17,6 +17,7 @@ from .spectral import (
     hs_inner,
     linf_norm,
     mode_mag2,
+    require_divergence_free,
     sobolev_norm,
     weighted_sum,
 )
@@ -105,8 +106,8 @@ def dafermos_derivative_residuals(wave_traj, v_traj, sigma0: float):
 
     ``wave_traj`` is a uniformly spaced sequence of WaveStates and
     ``v_traj`` the aligned reference fields.  Time derivatives of the
-    reference use centered differences of the stored samples.  Rejects
-    non-finite or divergent samples, as ``convection_term`` does.
+    reference use centered differences of the stored samples, and v's
+    convection is -dt_v(v) - k^2 v.  Rejects non-finite or divergent samples.
     """
     if len(wave_traj) != len(v_traj):
         raise ValueError("wave and reference trajectories must have equal length")
@@ -127,12 +128,13 @@ def dafermos_derivative_residuals(wave_traj, v_traj, sigma0: float):
         w = u - v
         dtv = (v_traj[j + 1] - v_traj[j - 1]) * (1.0 / (2.0 * h))
         gu_p = convection_term(u)
-        gv_p = convection_term(v)
-        transport = hs_inner(w, gv_p - gu_p, sigma0)
+        require_divergence_free("dafermos_derivative_residuals", [v])
+        fv = dt_v(v)
+        transport = -hs_inner(w, fv + gu_p, sigma0) - hs_inner(w, v, sigma0 + 1.0)
         defect = -eps * sobolev_norm(ut + gu_p, sigma0) ** 2
         cross = -eps * hs_inner(dtv, ut, sigma0)
         gap = eps * sobolev_norm(gu_p, sigma0) ** 2 - sobolev_norm(w, sigma0 + 1.0) ** 2
-        ns_term = -hs_inner(dtv - dt_v(v), w, sigma0)
+        ns_term = -hs_inner(dtv - fv, w, sigma0)
 
         lhs = (energies[j + 1] - energies[j - 1]) / (2.0 * h)
         rhs = transport + defect + cross + gap

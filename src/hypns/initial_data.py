@@ -133,8 +133,8 @@ def random_divergence_free_field(
 
 def truncate_initial_data(v0: SpectralField, eps: float) -> SpectralField:
     """Low-pass wave data u0: the modes of ``v0`` with |k| < eps^(-1/2)."""
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     cutoff = eps**-0.5
     keep = v0.grid.kmag < cutoff
     return _adopt(v0.grid, v0.coeffs * keep)

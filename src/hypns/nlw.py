@@ -4,7 +4,8 @@ Solves eps u_tt + u_t - Lap u = -P nabla:(u (x) u) as a first-order system
 per Fourier mode.  The linear part is advanced by the exact 2x2 matrix
 exponential built from the characteristic roots of eps z^2 + z + |k|^2 = 0,
 so small eps costs no extra steps; the nonlinearity is handled by a
-two-stage exponential midpoint rule (second order in dt).
+two-stage exponential midpoint rule (second order in dt).  A solve fails
+one way: a sample whose wave energy exceeds a ceiling or is NaN.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ class WaveState:
     t: float = 0.0
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be > 0")
+        if not (np.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
 
     @cached_property
     def shared_density(self) -> np.ndarray:
@@ -78,50 +79,42 @@ def _propagator_entries(eps: float, k2: np.ndarray, dt: float):
 
     Written as exp(m dt) * (C -+ m S, S; -(k2/eps) S, C +- m S) with
     m = -1/(2 eps), C = cosh(h dt), S = sinh(h dt)/h and h the half
-    root gap; evaluated branchwise to stay finite and cancellation-free.
+    root gap.  C and S come by series near the double root, else by cos/sin;
+    one assembly follows, and the growing modes are rewritten in their
+    stable roots, so every entry stays finite and cancellation-free.
     """
     k2 = np.asarray(k2, dtype=np.float64)
     disc = 1.0 - 4.0 * eps * k2
     m = -1.0 / (2.0 * eps)
     z2 = disc * (dt / (2.0 * eps)) ** 2  # (h dt)^2, sign carries the branch
 
-    p11 = np.empty_like(k2)
-    p12 = np.empty_like(k2)
-    p22 = np.empty_like(k2)
-
+    c = np.zeros_like(k2)
+    s = np.zeros_like(k2)
     series = np.abs(z2) <= _SERIES_Z2
-    if np.any(series):
-        z2s = z2[series]
-        c = 1.0 + z2s / 2.0 * (1.0 + z2s / 12.0 * (1.0 + z2s / 30.0 * (1.0 + z2s / 56.0)))
-        s = dt * (1.0 + z2s / 6.0 * (1.0 + z2s / 20.0 * (1.0 + z2s / 42.0 * (1.0 + z2s / 72.0))))
-        pref = np.exp(m * dt)
-        p11[series] = pref * (c - m * s)
-        p12[series] = pref * s
-        p22[series] = pref * (c + m * s)
-
+    z2s = z2[series]
+    c[series] = 1.0 + z2s / 2.0 * (1.0 + z2s / 12.0 * (1.0 + z2s / 30.0 * (1.0 + z2s / 56.0)))
+    s[series] = dt * (1.0 + z2s / 6.0 * (1.0 + z2s / 20.0 * (1.0 + z2s / 42.0 * (1.0 + z2s / 72.0))))
     osc = (~series) & (z2 < 0)
-    if np.any(osc):
-        om = np.sqrt(-disc[osc]) / (2.0 * eps)
-        c = np.cos(om * dt)
-        s = np.sin(om * dt) / om
-        pref = np.exp(m * dt)
-        p11[osc] = pref * (c - m * s)
-        p12[osc] = pref * s
-        p22[osc] = pref * (c + m * s)
+    om = np.sqrt(-disc[osc]) / (2.0 * eps)
+    c[osc] = np.cos(om * dt)
+    s[osc] = np.sin(om * dt) / om
 
+    pref = np.exp(m * dt)
+    p11 = pref * (c - m * s)
+    p22 = np.multiply(pref, c + m * s, out=c)  # P22 and P12 reuse C and S (peak memory)
+    p12 = np.multiply(pref, s, out=s)
+    # growing modes, in the stable roots: lam_minus has no cancellation,
+    # lam_plus is recovered from the product k2/eps; both are <= 0 so nothing overflows
     grow = (~series) & (z2 > 0)
-    if np.any(grow):
-        # stable roots: lam_minus has no cancellation, lam_plus recovered
-        # from the product k2/eps; both are <= 0 so nothing overflows
-        sq = np.sqrt(disc[grow])
-        lam_m = -(1.0 + sq) / (2.0 * eps)
-        lam_p = -2.0 * k2[grow] / (1.0 + sq)
-        span = lam_p - lam_m
-        ep = np.exp(lam_p * dt)
-        em = np.exp(lam_m * dt)
-        p11[grow] = (lam_p * em - lam_m * ep) / span
-        p12[grow] = (ep - em) / span
-        p22[grow] = (lam_p * ep - lam_m * em) / span
+    sq = np.sqrt(disc[grow])
+    lam_m = -(1.0 + sq) / (2.0 * eps)
+    lam_p = -2.0 * k2[grow] / (1.0 + sq)
+    span = lam_p - lam_m
+    ep = np.exp(lam_p * dt)
+    em = np.exp(lam_m * dt)
+    p11[grow] = (lam_p * em - lam_m * ep) / span
+    p12[grow] = (ep - em) / span
+    p22[grow] = (lam_p * ep - lam_m * em) / span
 
     p21 = -(k2 / eps) * p12
     return p11, p12, p21, p22
@@ -212,13 +205,12 @@ def nlw_solve(
 ) -> WaveState:
     """Integrate the damped wave system to time T and return the final state.
 
-    ``observer(state)`` fires at exact sample times.  When the wave energy
-    ``energy(state, base_sigma(dim))`` of a sample exceeds ``BLOWUP_FACTOR``
-    times its initial value, the solve raises SolverFailure("energy
-    blow-up", t) before that sample is observed, as ``march`` does for
-    non-finite coefficients.  That energy is the energy report's
-    ``e_base``.  Non-finite or divergent initial data is rejected with
-    ValueError.
+    ``observer(state)`` fires at exact sample times.  Unless the wave
+    energy ``energy(state, base_sigma(dim))`` (the report's ``e_base``) of
+    a sample is at most ``BLOWUP_FACTOR`` times its initial value, the solve
+    raises SolverFailure("energy blow-up", t) unobserved; the energy reads
+    u and u_t, so a NaN or overflow in either fails it too.  Non-finite or
+    divergent initial data and a bad eps are rejected with ValueError.
     """
     grid = u0.grid
     require_divergence_free("nlw_solve", [u0, u1])
@@ -229,8 +221,9 @@ def nlw_solve(
     for t, (uc, wc) in march(lambda h: _NlwStepper(grid, eps, h).step, (u0.coeffs, u1.coeffs), T, dt, stride):
         if t > 0.0:
             state = WaveState(_adopt(grid, uc), _adopt(grid, wc), eps, t)
-            if energy(state, sigma0) > ceiling:
-                raise SolverFailure("energy blow-up", t)
+            with np.errstate(over="ignore", invalid="ignore"):  # reported as the failure
+                if not energy(state, sigma0) <= ceiling:
+                    raise SolverFailure("energy blow-up", t)
         if observer is not None:
             observer(state)
         if t < T:  # the steps to the next sample need not hold this one

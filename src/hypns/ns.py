@@ -27,7 +27,7 @@ from .spectral import (
 
 
 class SolverFailure(RuntimeError):
-    """Raised when a step produces non-finite coefficients."""
+    """Raised when a sample fails its solver's one test (``ns_solve``, ``nlw_solve``)."""
 
     def __init__(self, message: str, t: float):
         super().__init__(f"{message} at t={t:.6g}")
@@ -142,9 +142,8 @@ def march(make_stepper, coeffs, T: float, dt: float, stride: int):
     """Step ``coeffs`` with the map ``make_stepper(dt_eff)`` of ``plan_steps``
     and yield ``(t, coeffs)`` at t=0, every ``stride``-th step and t=T.
 
-    ``coeffs`` is an array or a tuple whose first array is the solution;
-    that array must be finite at each sample, else SolverFailure.  Steppers
-    never write their inputs, so a caller may keep a sample's arrays as is."""
+    It only steps: each solver judges its own samples.  Steppers never
+    write their inputs, so a caller may keep a sample's arrays as is."""
     _keep_heap()
     n_steps, dt_eff = plan_steps(T, dt)
     yield 0.0, coeffs
@@ -154,9 +153,7 @@ def march(make_stepper, coeffs, T: float, dt: float, stride: int):
     for i in range(1, n_steps + 1):
         coeffs = step(coeffs)
         if i % max(stride, 1) == 0 or i == n_steps:
-            t = T if i == n_steps else i * dt_eff
-            _check_finite(coeffs[0] if isinstance(coeffs, tuple) else coeffs, t)
-            yield t, coeffs
+            yield (T if i == n_steps else i * dt_eff), coeffs
 
 
 def ns_solve(
@@ -167,14 +164,16 @@ def ns_solve(
     stride: int = 1,
 ) -> NsState:
     """Integrate to time T, invoking ``observer(state)`` at exact sample
-    times (every ``stride``-th step plus t=0 and t=T).  Rejects non-finite
-    or divergent initial data with ValueError."""
+    times (every ``stride``-th step plus t=0 and t=T); a non-finite sample
+    raises SolverFailure unobserved.  Rejects non-finite or divergent
+    initial data with ValueError."""
     grid = v0.grid
     require_divergence_free("ns_solve", [v0])
 
     state = NsState(v0, 0.0)
     for t, c in march(lambda h: _NsStepper(grid, h).step, v0.coeffs, T, dt, stride):
         if t > 0.0:
+            _check_finite(c, t)
             state = NsState(_adopt(grid, c), t)
         if observer is not None:
             observer(state)

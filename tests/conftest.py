@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from hypns import make_grid
+from hypns import make_grid, nlw
 from hypns.initial_data import random_divergence_free_field
 from hypns.nlw import WaveState
 from hypns.spectral import (
@@ -200,6 +200,20 @@ def poison_from_step(monkeypatch, module, calls_per_step, k):
 POISON = SimpleNamespace(
     T=0.1, dt=0.01, stride=3, step=5, clean_times=[0.0, 3 * (0.1 / 10)], fail_t=6 * (0.1 / 10)
 )
+
+
+def nan_ut_on_step(monkeypatch, k):
+    """Make the wave step return a NaN u_t beside a finite u on step ``k``
+    (1-based) only; the steps after it carry the NaN into u."""
+    step = nlw._NlwStepper.step
+    calls = [0]
+
+    def poisoned(self, uw):
+        calls[0] += 1
+        u, w = step(self, uw)
+        return (u, w * np.nan) if calls[0] == k else (u, w)
+
+    monkeypatch.setattr(nlw._NlwStepper, "step", poisoned)
 
 
 def rescale(state: WaveState, direction: str, eps: float | None = None) -> WaveState:

@@ -38,7 +38,7 @@ from hypns.reporting import emit_report
 from hypns.spectral import inverse_transform, make_grid
 from hypns import cli, experiments, nlw, spectral
 
-from conftest import POISON, poison_from_step, taylor_green_cross_term
+from conftest import POISON, nan_ut_on_step, poison_from_step, taylor_green_cross_term
 
 DATA = Path(__file__).parent / "data"
 
@@ -446,6 +446,17 @@ class TestExistenceProbe:
         row = run_existence_probe(cfg, force=True).rows[0]
         assert row.blowup and row.blowup_t == POISON.fail_t
         assert [r.t for r in row.reports] == POISON.clean_times
+
+    def test_non_finite_ut_recorded_at_its_sample(self, monkeypatch):
+        # a NaN u_t beside a finite u ends the row at its own sample, and no
+        # NaN reaches the reports
+        nan_ut_on_step(monkeypatch, round(POISON.fail_t / POISON.dt))
+        cfg = golden_config(eps_list=[0.1], T=POISON.T, dt=POISON.dt, sample_stride=POISON.stride)
+        row = run_convergence(cfg).rows[0]
+        assert row.blowup and row.blowup_t == POISON.fail_t
+        assert [r.t for r in row.reports] == POISON.clean_times
+        values = [(r.e_base, r.e_delta, r.linf, r.composite, r.dafermos, r.err_sq) for r in row.reports]
+        assert np.all(np.isfinite(values))
 
     def test_energy_blowup_recorded_as_blowup(self, monkeypatch):
         # a ceiling below the initial energy trips at the first sample after 0

@@ -36,6 +36,10 @@ steppers' ``step``.  ``diagnostics.py`` imports no private name, so its
 checks reach the kernel through those public rules, not through second
 copies of them.
 
+Each solver judges a sample once.  ``ns.march`` only steps and yields: it
+calls no ``isinstance`` and no failure check.  ``_check_finite`` is read
+only by ``ns_solve``; the wave's one test is its energy ceiling.
+
 ``ctypes`` may be imported only in ``ns.py``, whose ``_keep_heap`` is the
 one platform-specific call into the C library (the allocator policy).
 
@@ -295,6 +299,25 @@ def test_diagnostics_imports_no_private_name():
     names = imported_names(PACKAGE / "diagnostics.py")
     assert "WaveState" in names  # the rule sees the imports
     assert sorted(n for n in names if n.startswith("_")) == []
+
+
+def test_finite_check_read_only_by_ns_solve():
+    found = set().union(*(name_readers(path, "_check_finite") for path in MODULES))
+    assert found == {"ns.py:ns_solve"}
+
+
+# calls that judge a sample or branch on its form
+FAILURE_CHECKS = {"isinstance", "_check_finite", "isfinite", "SolverFailure"}
+
+
+def test_march_only_steps():
+    march = next(node for node in ast.walk(parse(PACKAGE / "ns.py"))
+                 if isinstance(node, ast.FunctionDef) and node.name == "march")
+    called = {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+              for n in ast.walk(march) if isinstance(n, ast.Call)}
+    assert "plan_steps" in called  # the rule sees the calls
+    assert sorted(called & FAILURE_CHECKS) == []
+    assert not any(isinstance(n, ast.Raise) for n in ast.walk(march))
 
 
 def test_ctypes_only_in_ns():

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hypns.experiments import fit_rate
 from hypns.initial_data import (
     check_bernstein,
     check_hypotheses,
@@ -243,9 +244,43 @@ class TestTruncation:
         assert np.array_equal(once.coeffs, twice.coeffs)
 
     def test_rejects_bad_eps(self):
-        g = make_grid(2, 16)
-        with pytest.raises(ValueError):
-            truncate_initial_data(zero_field(g), 0.0)
+        v0 = random_divergence_free_field(make_grid(2, 16), 1)
+        # eps <= 0 is False for NaN and inf, which returned the zero field
+        for eps in (0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="eps must be finite and > 0"):
+                truncate_initial_data(v0, eps)
+
+
+ACCEPTANCE_EPS = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
+ETA = 0.01
+# Largest excess of the fitted exponent over s + eta at n = 512: 0.074 over
+# seeds 1-40 and s = 0.25, 0.5, 0.75; seed 1 gives 0.070, 0.038 and 0.031.
+GAP_EXPONENT_BAND = 0.08
+
+
+def data_gap_exponent(n: int, s: float) -> float:
+    """Slope of log ||v0 - u0||^2 against log eps over the acceptance eps
+    list, for the seed-1 2D field with exponent s."""
+    v0 = synth_hs_field(make_grid(2, n), 1, s, 1.0, ETA)
+    gaps = ((eps, sobolev_norm(v0 - truncate_initial_data(v0, eps), 0.0) ** 2) for eps in ACCEPTANCE_EPS)
+    return fit_rate(gaps).slope
+
+
+class TestDataGapExponent:
+    """The squared L^2 gap of the truncated data falls like eps^(s + eta)
+    on the infinite lattice; a finite grid cuts the tail at n/2, which
+    steepens the fit, less so as n grows."""
+
+    def test_rises_with_s_above_s_plus_eta(self):
+        exps = [data_gap_exponent(512, s) for s in (0.25, 0.5, 0.75)]
+        assert exps == sorted(exps) and len(set(exps)) == 3
+        for s, e in zip((0.25, 0.5, 0.75), exps):
+            assert s + ETA <= e <= s + ETA + GAP_EXPONENT_BAND, (s, e)
+
+    def test_falls_with_n_toward_s_plus_eta(self):
+        exps = [data_gap_exponent(n, 0.5) for n in (128, 256, 512, 1024)]
+        assert all(a > b for a, b in zip(exps, exps[1:])), exps
+        assert exps[-1] > 0.5 + ETA
 
 
 class TestBernsteinJackson:

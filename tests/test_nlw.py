@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -22,6 +23,7 @@ from conftest import (
     assert_samples_own_arrays,
     count_field_copies,
     l2_norm,
+    nan_ut_on_step,
     oracle_mode,
     poison_from_step,
     rescale,
@@ -65,10 +67,11 @@ class TestModeRoots:
     def test_rejects_bad_eps(self):
         g = make_grid(2, 16)
         f = zero_field(g)
-        for eps in (0.0, -1.0):
-            with pytest.raises(ValueError):
+        # eps <= 0 is False for NaN and inf, which ran and failed as a blow-up
+        for eps in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="eps must be finite and > 0"):
                 WaveState(f, f, eps)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="eps must be finite and > 0"):
                 nlw_solve(f, f, eps, 0.1, dt=0.01)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -238,6 +241,48 @@ class TestNlwSolve:
             nlw_solve(u0, zero_field(u0.grid), 0.1, POISON.T, dt=POISON.dt, observer=obs, stride=POISON.stride)
         assert exc.value.t == POISON.fail_t
         assert seen == POISON.clean_times
+
+    def test_non_finite_ut_fails_at_its_sample(self, monkeypatch):
+        # u stays finite at the sample whose u_t is NaN: the energy, which
+        # reads both, fails there, and the NaN sample is never observed
+        nan_ut_on_step(monkeypatch, round(POISON.fail_t / POISON.dt))
+        u0 = random_divergence_free_field(make_grid(2, 16), 12)
+        seen, u_at_fail = [], []
+        step = nlw._NlwStepper.step
+
+        def obs(st):
+            assert np.all(np.isfinite(st.u.coeffs)) and np.all(np.isfinite(st.ut.coeffs))
+            seen.append(st.t)
+
+        def record(self, uw):
+            out = step(self, uw)
+            u_at_fail.append(bool(np.all(np.isfinite(out[0]))) and not np.any(np.isfinite(out[1])))
+            return out
+
+        monkeypatch.setattr(nlw._NlwStepper, "step", record)
+        with pytest.raises(SolverFailure, match="energy blow-up") as exc:
+            nlw_solve(u0, zero_field(u0.grid), 0.1, POISON.T, dt=POISON.dt, observer=obs, stride=POISON.stride)
+        assert exc.value.t == POISON.fail_t
+        assert seen == POISON.clean_times
+        assert u_at_fail[-1]  # the failing sample had a finite u
+
+    def test_overflowing_energy_fails_without_warning(self, monkeypatch):
+        # finite coefficients on the sample step whose energy overflows end
+        # the solve as a blow-up, and the overflow prints no RuntimeWarning
+        step, calls = nlw._NlwStepper.step, []
+
+        def huge_on_sample(self, uw):
+            calls.append(1)
+            u, w = step(self, uw)
+            return (1e200 * u, w) if len(calls) == POISON.stride else (u, w)
+
+        monkeypatch.setattr(nlw._NlwStepper, "step", huge_on_sample)
+        u0 = random_divergence_free_field(make_grid(2, 16), 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverFailure, match="energy blow-up") as exc:
+                nlw_solve(u0, zero_field(u0.grid), 0.1, POISON.T, dt=POISON.dt, stride=POISON.stride)
+        assert exc.value.t == POISON.clean_times[1]
 
     def test_base_energy_monotone_under_threshold(self):
         g = make_grid(2, 32)
