@@ -238,7 +238,7 @@ def fit_rate(pairs) -> RateFit | None:
 
 def load_field(path, grid) -> SpectralField:
     """Read a field from an ``.npz`` file with the keys ``dim``, ``n`` and
-    ``coeffs``: unitary coefficients of shape (ncomp, n, ..., n, n//2+1) on
+    ``coeffs``: unitary coefficients of shape (dim, n, ..., n, n//2+1) on
     the half spectrum.  A file without those keys, a plain ``.npy`` among
     them, or with coefficients of another shape raises ValueError."""
     with open(path, "rb") as fh:
@@ -264,7 +264,7 @@ def build_wave_data(v0: SpectralField, eps: float):
     """The relaxed system's data (u0, u1) for one eps: ``v0`` truncated at
     the cutoff eps^(-1/2), and the zero initial velocity.  Every run starts
     from rest, and this is the one place its zero u1 is made."""
-    return truncate_initial_data(v0, eps), zero_field(v0.grid, v0.ncomp)
+    return truncate_initial_data(v0, eps), zero_field(v0.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +325,7 @@ def _wave_run(cfg: ExperimentConfig, eps: float, v0: SpectralField, dt: float, r
 
     ``v0`` is the reference data; the solve runs on its grid, so every eps
     of a run shares one ``Grid`` and its tables.  ``ref`` is the reference
-    run as a list of ``(t, SpectralField)`` samples on that grid, or None.
+    run as a list of ``NsState`` samples on that grid, or None.
     Data that fail admissibility are skipped unless ``force`` is set."""
     u0, u1 = build_wave_data(v0, eps)
     hyp = check_hypotheses(u0, v0, eps, cfg.s, cfg.delta)
@@ -340,9 +340,9 @@ def _wave_run(cfg: ExperimentConfig, eps: float, v0: SpectralField, dt: float, r
         v = None
         if ref is not None:
             i = len(reports)
-            if i >= len(ref) or abs(state.t - ref[i][0]) > 1e-9 * max(cfg.T, 1.0):
+            if i >= len(ref) or state.t != ref[i].t:
                 raise RuntimeError("wave samples drifted out of alignment with the reference run")
-            v = ref[i][1]
+            v = ref[i].v
         reports.append(make_energy_report(state, cfg.delta, v=v))
         if v is not None:
             cross_vals.append(hs_inner(state.ut, dt_v(v), sigma0))
@@ -372,7 +372,8 @@ def _wave_run(cfg: ExperimentConfig, eps: float, v0: SpectralField, dt: float, r
 
 def _run_eps_list(cfg: ExperimentConfig, jobs: int, with_reference: bool, force: bool):
     """Validate, build v0 and dt, solve the reference system if asked, then
-    run ``_wave_run`` per eps.  Returns dt and the rows, largest eps first."""
+    run ``_wave_run`` per eps.  Returns dt and the rows in ``eps_list``
+    order, which ``validate`` requires to descend."""
     bad = cfg.validate()
     if bad:
         raise ConfigError(bad)
@@ -383,7 +384,7 @@ def _run_eps_list(cfg: ExperimentConfig, jobs: int, with_reference: bool, force:
     ref = None
     if with_reference:
         ref = []
-        ns_solve(v0, cfg.T, dt=dt, observer=lambda st: ref.append((st.t, st.v)), stride=cfg.sample_stride)
+        ns_solve(v0, cfg.T, dt=dt, observer=ref.append, stride=cfg.sample_stride)
 
     if jobs <= 1:
         rows = [_wave_run(cfg, eps, v0, dt, ref, force) for eps in cfg.eps_list]
@@ -399,7 +400,6 @@ def _run_eps_list(cfg: ExperimentConfig, jobs: int, with_reference: bool, force:
         pool = sys.modules[__name__].ProcessPoolExecutor
         with pool(max_workers=workers, initializer=_hold_shared, initargs=shared) as ex:
             rows = list(ex.map(_wave_run_shared, cfg.eps_list))
-    rows.sort(key=lambda r: -r.eps)
     return dt, rows
 
 

@@ -146,16 +146,21 @@ class _WaveTables:
         return uo, wo
 
 
+def _check_dt(dt: float):
+    if not (np.isfinite(dt) and dt >= 0):
+        raise ValueError(f"dt must be finite and >= 0, got {dt}")
+
+
 def propagate_mode(eps: float, k2: float, dt: float, u0: complex, u1: complex):
     """Exact linear evolution of a single mode; scalar convenience."""
+    _check_dt(dt)
     p11, p12, p21, p22 = _propagator_entries(eps, np.asarray([k2]), dt)
     return p11[0] * u0 + p12[0] * u1, p21[0] * u0 + p22[0] * u1
 
 
 def linear_propagate(state: WaveState, dt: float) -> WaveState:
     """Exact solution of the linear damped wave over dt, all modes at once."""
-    if dt < 0:
-        raise ValueError("dt must be >= 0")
+    _check_dt(dt)
     if dt == 0.0:
         return state
     tables = _WaveTables(state.u.grid.k2, state.eps, dt)

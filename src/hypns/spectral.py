@@ -2,9 +2,9 @@
 
 Fields are real, so their coefficients satisfy c(-k) = conj c(k) and only
 half of them are stored: the ``rfftn`` half spectrum, whose last axis keeps
-the wavenumbers 0 <= k_last <= n/2.  A coefficient array has shape
-(ncomp, n, ..., n, n//2+1), and every full spectral table of a Grid has that
-half shape (``Grid.spec_shape``).
+the wavenumbers 0 <= k_last <= n/2.  A field has one component per axis,
+so a coefficient array has shape (dim, n, ..., n, n//2+1), and every full
+spectral table of a Grid has the half shape (``Grid.spec_shape``).
 
 Coefficients follow the unitary convention: over the full spectrum the sum
 of squared moduli equals the continuum L^2 norm squared over
@@ -19,7 +19,7 @@ zero mode (fields are mean-free).
 
 The nonlinearity only reads and writes the 2/3-rule box |k_i| <= c,
 c = (n-1)//3 (``Grid.dealias_cutoff``), so it runs on a compact array of
-shape (ncomp, 2c+1, ..., 2c+1, c+1) holding just that box
+shape (dim, 2c+1, ..., 2c+1, c+1) holding just that box
 (``Grid.box_shape``).  Along each of the first dim-1 axes the compact array
 keeps the wavenumbers 0..c and then -c..-1, the ``fftfreq`` order of a
 (2c+1)-point grid; along the last axis 0..c.  In the half spectrum the box
@@ -63,8 +63,8 @@ A ``SpectralField`` owns its coefficients, which are read-only.  The
 constructor copies what it is given; ``_adopt`` wraps, without the copy, an
 array that its caller has just made and will not write again.
 ``zero_field`` wraps a read-only zero-stride array, which takes no memory.
-A pickled grid is its (dim, n), a zero-stride field its grid and ncomp,
-and any other field its grid and coefficients, loaded through ``_wrap``.
+A pickled grid is its (dim, n), a zero-stride field its grid, and any
+other field its grid and coefficients, loaded through ``_wrap``.
 """
 
 from __future__ import annotations
@@ -231,11 +231,12 @@ def _zero_mode_index(dim: int):
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """A real vector (or scalar) field stored by its half-spectrum Fourier
-    coefficients.
+    """A real vector field, one component per axis, stored by its
+    half-spectrum Fourier coefficients.
 
-    Coefficient array has shape (ncomp, n, ..., n, n//2+1).  The zero mode
-    is forced to 0 on construction (fields are mean-free).
+    The constructor accepts only coefficients of shape
+    (dim, n, ..., n, n//2+1) and forces the zero mode to 0 (fields are
+    mean-free).
     """
 
     grid: Grid
@@ -243,18 +244,13 @@ class SpectralField:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.ndim != self.grid.dim + 1 or c.shape[1:] != self.grid.spec_shape:
-            raise ValueError(
-                f"coefficient shape {c.shape} does not match the half spectrum {self.grid.spec_shape}"
-            )
+        want = (self.grid.dim,) + self.grid.spec_shape
+        if c.shape != want:
+            raise ValueError(f"coefficient shape {c.shape} does not match the half spectrum {want}")
         c = c.copy()
         c[_zero_mode_index(self.grid.dim)] = 0.0
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
-
-    @property
-    def ncomp(self) -> int:
-        return self.coeffs.shape[0]
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         return SpectralField(self.grid, self.coeffs + other.coeffs)
@@ -272,7 +268,7 @@ class SpectralField:
 
     def __reduce__(self):
         if not any(self.coeffs.strides):
-            return zero_field, (self.grid, self.ncomp)
+            return zero_field, (self.grid,)
         return _wrap, (self.grid, self.coeffs)
 
 
@@ -293,25 +289,22 @@ def _adopt(grid: Grid, c: np.ndarray) -> SpectralField:
     return _wrap(grid, c)
 
 
-def zero_field(grid: Grid, ncomp: int | None = None) -> SpectralField:
-    """The zero field with ``ncomp`` components (default: one per axis).
-
-    Its coefficients are a read-only zero-stride array, a broadcast of one
-    complex zero, so the field takes no memory however large the grid."""
-    ncomp = grid.dim if ncomp is None else ncomp
-    zeros = np.broadcast_to(np.zeros((), dtype=np.complex128), (ncomp,) + grid.spec_shape)
+def zero_field(grid: Grid) -> SpectralField:
+    """The zero field.  Its coefficients are a read-only zero-stride array,
+    a broadcast of one complex zero, so the field takes no memory however
+    large the grid."""
+    zeros = np.broadcast_to(np.zeros((), dtype=np.complex128), (grid.dim,) + grid.spec_shape)
     return _wrap(grid, zeros)
 
 
 def transform(grid: Grid, values: np.ndarray) -> SpectralField:
-    """Forward transform of real collocation values.  The field is
-    mean-free: its stored zero mode is exactly 0, whatever the values'
-    spatial average."""
+    """Forward transform of real collocation values of shape
+    (dim, n, ..., n).  The field is mean-free: its stored zero mode is
+    exactly 0, whatever the values' spatial average."""
     v = np.asarray(values, dtype=np.float64)
-    if v.ndim == grid.dim:
-        v = v[None]
-    if v.ndim != grid.dim + 1 or v.shape[1:] != grid.shape:
-        raise ValueError(f"value shape {np.shape(values)} does not match grid {grid.shape}")
+    want = (grid.dim,) + grid.shape
+    if v.shape != want:
+        raise ValueError(f"value shape {v.shape} does not match the grid's {want}")
     c = np.fft.rfftn(v, axes=tuple(range(1, grid.dim + 1)))
     c *= grid.fwd_scale
     return _adopt(grid, c)
@@ -391,8 +384,6 @@ def _leray_full(grid: Grid, c: np.ndarray) -> np.ndarray:
 
 def leray_project(f: SpectralField) -> SpectralField:
     """Projection onto divergence-free fields: c(k) -= k (k.c(k)) / |k|^2."""
-    if f.ncomp != f.grid.dim:
-        raise ValueError("Leray projection needs one component per spatial axis")
     return SpectralField(f.grid, _leray_full(f.grid, f.coeffs.copy()))
 
 
@@ -513,8 +504,6 @@ def convection_term(f: SpectralField) -> SpectralField:
     relative to the H^1 size of the field.
     """
     g = f.grid
-    if f.ncomp != g.dim:
-        raise ValueError("convection_term needs one component per spatial axis")
     require_divergence_free("convection_term", [f])
     b = _box_forcing(g, box_gather(g, f.coeffs))
     out = np.zeros(f.coeffs.shape, dtype=np.complex128)

@@ -5,7 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +256,12 @@ class TestRunConvergence:
             assert ra.sup_err_sq == rb.sup_err_sq
             assert ra.cross_term == rb.cross_term
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_in_eps_list_order(self, jobs):
+        cfg = golden_config(eps_list=[0.1, 0.03, 0.01], T=0.02)
+        for entry in (run_convergence, run_existence_probe):
+            assert [r.eps for r in entry(cfg, jobs=jobs).rows] == cfg.eps_list
+
     def test_spawned_pool_writes_the_same_csv(self, monkeypatch, tmp_path):
         # a spawned worker gets v0 and the reference samples by pickle
         # alone, as under the forkserver default of Python 3.14
@@ -393,9 +399,9 @@ class TestRunConvergence:
         cfg = golden_config(T=0.02)
         v0 = build_reference_field(cfg, make_grid(cfg.dim, cfg.n))
         ref = []
-        ns_solve(v0, cfg.T, dt=cfg.dt, observer=lambda st: ref.append((st.t, st.v)), stride=cfg.sample_stride)
+        ns_solve(v0, cfg.T, dt=cfg.dt, observer=ref.append, stride=cfg.sample_stride)
         if misalign == "shifted":
-            ref = [(t + cfg.dt / 2, v) for t, v in ref]
+            ref = [replace(st, t=st.t + cfg.dt / 2) for st in ref]
         else:
             ref = ref[:-1]
         with pytest.raises(RuntimeError, match="drifted out of alignment"):
@@ -633,18 +639,26 @@ class TestCli:
         )
 
     @pytest.mark.parametrize("command", ["converge", "exist"])
-    @pytest.mark.parametrize("suffix", [".npz", ".npy"])
-    def test_malformed_data_file_exit_one(self, tmp_path, capsys, command, suffix):
-        # an .npz without coeffs, or a plain .npy array, is an error, not a traceback
-        path = tmp_path / f"field{suffix}"
-        if suffix == ".npz":
-            np.savez(path, dim=2, n=16)
-        else:
+    @pytest.mark.parametrize("case", [".npz", ".npy", "1-component", "3-component"])
+    def test_malformed_data_file_exit_one(self, tmp_path, capsys, command, case):
+        # an .npz without coeffs, a plain .npy array, or coefficients with
+        # other than one component per axis is an error, not a traceback
+        if case == ".npy":
+            path = tmp_path / "field.npy"
             np.save(path, np.zeros((2, 16, 9), dtype=np.complex128))
+        else:
+            path = tmp_path / "field.npz"
+            if case == ".npz":
+                np.savez(path, dim=2, n=16)
+            else:
+                np.savez(path, dim=2, n=16, coeffs=np.zeros((int(case[0]), 16, 9), dtype=np.complex128))
         p = self._write_cfg(tmp_path, data_source="file", data_file=str(path))
         assert cli.main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: field file") and "lacks the keys" in err and "coeffs" in err
+        if case.endswith("component"):
+            assert err.startswith(f"error: coefficient shape ({case[0]}, 16, 9) does not match")
+        else:
+            assert err.startswith("error: field file") and "lacks the keys" in err and "coeffs" in err
 
     @pytest.mark.parametrize("argv", [
         ["audit", "--config", "c.cfg", "--jobs", "2"],

@@ -94,6 +94,16 @@ class TestLinearPropagate:
         g = make_grid(2, 16)
         st = WaveState(random_divergence_free_field(g, 1), random_divergence_free_field(g, 2), 0.3, 0.0)
         assert linear_propagate(st, 0.0) is st
+        assert propagate_mode(0.3, 4.0, 0.0, 1.5, -0.5) == (1.5, -0.5)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_bad_dt(self, dt):
+        g = make_grid(2, 16)
+        st = WaveState(random_divergence_free_field(g, 1), zero_field(g), 0.3, 0.0)
+        with pytest.raises(ValueError, match="dt must be finite and >= 0"):
+            linear_propagate(st, dt)
+        with pytest.raises(ValueError, match="dt must be finite and >= 0"):
+            propagate_mode(0.1, 1.0, dt, 1.0, 0.0)
 
     def test_damped_oscillator_closed_form(self):
         u, _ = propagate_mode(1.0, 1.0, 1.0, 1.0, 0.0)

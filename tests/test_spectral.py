@@ -1,4 +1,5 @@
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -83,6 +84,18 @@ class TestGrid:
             make_grid(4, 16)
 
 
+class TestFieldShape:
+    """A field has one component per axis: the constructor accepts only
+    coefficients of shape (dim,) + spec_shape."""
+
+    @pytest.mark.parametrize("dim, ncomp", [(2, 1), (2, 3), (3, 2)])
+    def test_other_component_counts_rejected(self, dim, ncomp):
+        g = make_grid(dim, 8)
+        want = (dim,) + g.spec_shape
+        with pytest.raises(ValueError, match=re.escape(f"does not match the half spectrum {want}")):
+            SpectralField(g, np.zeros((ncomp,) + g.spec_shape, dtype=np.complex128))
+
+
 # protocol 4 loads a writeable array, protocol 5 a read-only one
 PROTOCOLS = [4, 5]
 
@@ -158,6 +171,12 @@ class TestTransform:
         g = make_grid(2, 16)
         with pytest.raises(ValueError):
             transform(g, np.zeros((2, 8, 8)))
+
+    @pytest.mark.parametrize("shape", [(16, 16), (1, 16, 16)])
+    def test_one_component_rejected(self, shape):
+        # a field has one component per axis; a scalar is not a field
+        with pytest.raises(ValueError, match=r"does not match the grid's \(2, 16, 16\)"):
+            transform(make_grid(2, 16), np.zeros(shape))
 
     def test_parseval(self):
         g = make_grid(2, 32)
@@ -242,7 +261,7 @@ class TestDivergence:
         g = make_grid(2, 16)
         x, y = g.meshgrid()
         f = transform(g, np.stack([np.sin(x), np.zeros_like(x)]))
-        d = inverse_transform(SpectralField(g, _divergence_coeffs(g, f.coeffs)[None]))[0]
+        d = np.fft.irfftn(_divergence_coeffs(g, f.coeffs) / g.fwd_scale, s=g.shape, axes=(0, 1))
         assert np.max(np.abs(d - np.cos(x))) < 1e-12
 
 
@@ -451,9 +470,9 @@ class TestHalfSpectrum:
             assert held <= g.k2.nbytes + box
 
     def test_zero_field_takes_no_memory(self):
-        for g, ncomp in ((make_grid(2, 16), None), (make_grid(3, 8), 1)):
-            c = zero_field(g, ncomp).coeffs
-            assert c.shape == (ncomp or g.dim,) + g.spec_shape and c.dtype == np.complex128
+        for g in (make_grid(2, 16), make_grid(3, 8)):
+            c = zero_field(g).coeffs
+            assert c.shape == (g.dim,) + g.spec_shape and c.dtype == np.complex128
             assert not c.flags.writeable and set(c.strides) == {0}
             assert not c.any()
 
