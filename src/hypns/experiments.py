@@ -27,7 +27,7 @@ from .initial_data import (
 )
 from .ns import SolverFailure, default_dt, dt_v, ns_solve
 from .nlw import nlw_solve
-from .spectral import SpectralField, base_sigma, hs_inner, make_grid, zero_field
+from .spectral import SpectralField, base_sigma, hs_inner, make_grid, require_real, zero_field
 
 
 def __getattr__(name: str):
@@ -50,8 +50,11 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n" + "\n".join(self.violations))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings, checked in full when built: any violation
+    raises ``ConfigError`` listing them all."""
+
     dim: int = 2
     n: int = 64
     s: float = 0.5
@@ -63,11 +66,10 @@ class ExperimentConfig:
     amplitude: float = 1.0
     data_source: str = "synthetic"
     data_file: str | None = None
-    eta: float = 0.01
     out_dir: str = "out"
     sample_stride: int = 10
 
-    def validate(self) -> list:
+    def __post_init__(self):
         floats = [(f.name, getattr(self, f.name)) for f in fields(self) if _kind(f) == "float"]
         nonfinite = {k for k, v in floats if v is not None and not math.isfinite(v)}
         bad = [f"{k}: must be finite, got {v}" for k, v in floats if k in nonfinite]
@@ -101,11 +103,10 @@ class ExperimentConfig:
             bad.append("data_source: taylor_green is 2D only")
         if self.data_source == "file" and not self.data_file:
             bad.append("data_file: required when data_source = file")
-        if self.eta <= 0:
-            bad.append(f"eta: must be > 0, got {self.eta}")
         if self.sample_stride < 1:
             bad.append(f"sample_stride: must be >= 1, got {self.sample_stride}")
-        return bad
+        if bad:
+            raise ConfigError(bad)
 
 
 def _kind(f) -> str:
@@ -149,8 +150,10 @@ def parse_config(path) -> ExperimentConfig:
             except ValueError as exc:
                 violations.append(f"line {lineno}: {key}: {exc}")
 
-    cfg = ExperimentConfig(**values)
-    violations.extend(cfg.validate())
+    try:
+        cfg = ExperimentConfig(**values)
+    except ConfigError as exc:
+        violations.extend(exc.violations)
     if violations:
         raise ConfigError(violations)
     return cfg
@@ -237,19 +240,26 @@ def fit_rate(pairs) -> RateFit | None:
 
 
 def load_field(path, grid) -> SpectralField:
-    """Read a field from an ``.npz`` file with the keys ``dim``, ``n`` and
-    ``coeffs``: unitary coefficients of shape (dim, n, ..., n, n//2+1) on
-    the half spectrum.  A file without those keys, a plain ``.npy`` among
-    them, or with coefficients of another shape raises ValueError."""
+    """Read a field from an ``.npz`` file with the integer scalars ``dim``
+    and ``n`` and the array ``coeffs``: unitary coefficients of shape
+    (dim, n, ..., n, n//2+1) on the half spectrum, those of a real field.
+    A file without those keys, a plain ``.npy`` among them, a ``dim`` or
+    ``n`` that is no integer scalar, or coefficients of another shape or of
+    no real field (``require_real``) raise ValueError."""
     with open(path, "rb") as fh:
         data = np.load(fh)
         missing = [k for k in ("dim", "n", "coeffs") if k not in getattr(data, "files", ())]
         if missing:
             raise ValueError(f"field file {path} lacks the keys {', '.join(missing)}")
-        dim, n, c = int(data["dim"]), int(data["n"]), data["coeffs"]
+        dim, n, c = data["dim"], data["n"], data["coeffs"]
+    for key, a in (("dim", dim), ("n", n)):
+        if a.ndim or a.dtype.kind not in "iu":
+            raise ValueError(f"field file {path}: {key} must be an integer scalar, got {a.dtype} {a.shape}")
     if dim != grid.dim or n != grid.n:
         raise ValueError(f"field file is {dim}D n={n}, expected {grid.dim}D n={grid.n}")
-    return SpectralField(grid, c)
+    f = SpectralField(grid, c)
+    require_real(f)
+    return f
 
 
 def build_reference_field(cfg: ExperimentConfig, grid) -> SpectralField:
@@ -257,7 +267,7 @@ def build_reference_field(cfg: ExperimentConfig, grid) -> SpectralField:
         return cfg.amplitude * taylor_green(grid)
     if cfg.data_source == "file":
         return load_field(cfg.data_file, grid)
-    return synth_hs_field(grid, cfg.seed, cfg.s, cfg.amplitude, cfg.eta)
+    return synth_hs_field(grid, cfg.seed, cfg.s, cfg.amplitude)
 
 
 def build_wave_data(v0: SpectralField, eps: float):
@@ -371,12 +381,9 @@ def _wave_run(cfg: ExperimentConfig, eps: float, v0: SpectralField, dt: float, r
 
 
 def _run_eps_list(cfg: ExperimentConfig, jobs: int, with_reference: bool, force: bool):
-    """Validate, build v0 and dt, solve the reference system if asked, then
-    run ``_wave_run`` per eps.  Returns dt and the rows in ``eps_list``
-    order, which ``validate`` requires to descend."""
-    bad = cfg.validate()
-    if bad:
-        raise ConfigError(bad)
+    """Build v0 and dt, solve the reference system if asked, then run
+    ``_wave_run`` per eps.  Returns dt and the rows in ``eps_list`` order,
+    which the config's constructor requires to descend."""
     grid = make_grid(cfg.dim, cfg.n)
     v0 = build_reference_field(cfg, grid)
     dt = cfg.dt if cfg.dt is not None else default_dt(v0)
@@ -506,9 +513,6 @@ def run_inequality_audit(
 ) -> InequalityAudit:
     """Random-field sweeps of the exact lattice inequalities plus the 3D
     trilinear estimate, reporting max ratios per resolution."""
-    bad = cfg.validate()
-    if bad:
-        raise ConfigError(bad)
     grid = make_grid(cfg.dim, cfg.n)
 
     gn_max = interp_max = linf_max = 0.0
@@ -522,7 +526,7 @@ def run_inequality_audit(
     bern_max = jack_max = 0.0
     sigmas = (cfg.s, 1.0, 1.0 + cfg.delta)
     for i in range(max(1, n_fields // 4)):
-        v0 = synth_hs_field(grid, cfg.seed * 2003 + i, cfg.s, 1.0, cfg.eta)
+        v0 = synth_hs_field(grid, cfg.seed * 2003 + i, cfg.s, 1.0)
         for eps in cfg.eps_list:
             u0 = truncate_initial_data(v0, eps)
             jack_max = max(jack_max, check_jackson(v0, u0, eps, cfg.s))

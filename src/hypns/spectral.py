@@ -419,6 +419,29 @@ def require_divergence_free(what: str, fields):
         raise ValueError(f"{what} requires divergence-free data")
 
 
+# largest conjugate asymmetry, relative to max|c|, that a real field's
+# half spectrum may show
+REAL_TOL = 1e-12
+
+
+def require_real(f: SpectralField):
+    """Raise ValueError unless ``f`` has the coefficients of a real field:
+    on the self-conjugate planes k_last = 0 and n/2, c(-k) = conj c(k) to
+    within ``REAL_TOL`` times max|c|.  The other planes hold each mode once,
+    so any values there are some real field's."""
+    c = f.coeffs
+    axes = tuple(range(1, f.grid.dim))
+    tol = REAL_TOL * np.max(np.abs(c))
+    bad = []
+    for j, name in ((0, "0"), (f.grid.n // 2, "n/2")):
+        plane = c[..., j]
+        mirror = np.roll(np.flip(plane, axes), 1, axes)
+        if not np.max(np.abs(plane - np.conj(mirror))) <= tol:
+            bad.append(f"k_last = {name}")
+    if bad:
+        raise ValueError(f"coefficients of no real field: c(-k) != conj c(k) at {' and '.join(bad)}")
+
+
 def _along(ax: int, index: slice) -> tuple:
     """Index ``index`` along the axis ``ax`` (negative) of an array."""
     return (Ellipsis, index) + (slice(None),) * (-1 - ax)

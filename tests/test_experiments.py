@@ -5,7 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import asdict, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,32 +100,47 @@ class TestConfigParsing:
         p = tmp_path / "c.cfg"
         p.write_text(
             "dim = 2\nn = 16\nT = nan\ndt = inf\neps_list = 0.1, nan\n"
-            "amplitude = -inf\neta = nan\ndelta = nan\n"
+            "amplitude = -inf\ndelta = nan\n"
         )
         with pytest.raises(ConfigError) as exc:
             parse_config(p)
-        for lineno, key in enumerate(("T", "dt", "eps_list", "amplitude", "eta", "delta"), start=3):
+        for lineno, key in enumerate(("T", "dt", "eps_list", "amplitude", "delta"), start=3):
             assert any(v.startswith(f"line {lineno}: {key}: must be finite") for v in exc.value.violations)
-        assert len(exc.value.violations) == 6
+        assert len(exc.value.violations) == 5
 
     @pytest.mark.parametrize(
         "kw",
         [
             {"T": math.nan}, {"T": math.inf}, {"dt": math.nan}, {"eps_list": [0.1, math.nan]},
-            {"amplitude": math.nan}, {"eta": math.nan}, {"delta": math.nan}, {"s": math.nan},
+            {"amplitude": math.nan}, {"delta": math.nan}, {"s": math.nan},
         ],
     )
     def test_validate_rejects_non_finite(self, kw):
         (key,) = kw
-        assert [v for v in ExperimentConfig(**kw).validate() if v.startswith(f"{key}:")] != []
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**kw)
+        assert [v for v in exc.value.violations if v.startswith(f"{key}:")] != []
 
     def test_validate_rejects_negative_seed(self):
-        assert ExperimentConfig(seed=-1).validate() == ["seed: must be >= 0, got -1"]
-        assert ExperimentConfig(seed=0).validate() == []
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(seed=-1)
+        assert exc.value.violations == ["seed: must be >= 0, got -1"]
+        assert ExperimentConfig(seed=0).seed == 0
+
+    def test_config_is_frozen(self):
+        cfg = golden_config()
+        with pytest.raises(FrozenInstanceError):
+            cfg.seed = -1
+        assert cfg.seed == 9
+
+    def test_config_survives_pickle(self):
+        # the pool workers receive the config pickled
+        cfg = golden_config()
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
 
     @pytest.mark.parametrize(
         "line", ["u1_scale = 0.5", "threshold_c = 2.0", "composite_n = 3", "energy_ceiling = 1e3",
-                 "slope_tol = 0.2", "r2_min = 0.5"],
+                 "slope_tol = 0.2", "r2_min = 0.5", "eta = 0.01"],
     )
     def test_removed_keys_unknown(self, tmp_path, line):
         p = tmp_path / "c.cfg"
@@ -228,8 +243,30 @@ class TestDataSources:
             load_field(tmp_path / "f.npy", g)
 
     def test_taylor_green_requires_2d(self):
-        cfg = golden_config(dim=3, n=8, data_source="taylor_green")
-        assert any("taylor_green" in v for v in cfg.validate())
+        with pytest.raises(ConfigError) as exc:
+            golden_config(dim=3, n=8, data_source="taylor_green")
+        assert exc.value.violations == ["data_source: taylor_green is 2D only"]
+
+    def test_file_of_no_real_field_rejected(self, tmp_path):
+        # a Leray-projected random half spectrum breaks c(-k) = conj c(k)
+        # on the planes k_last = 0 and n/2; its L^2 norm is not that of
+        # the real field it would stand for
+        g = make_grid(2, 16)
+        rng = np.random.default_rng(0)
+        c = rng.standard_normal((2,) + g.spec_shape) + 1j * rng.standard_normal((2,) + g.spec_shape)
+        f = spectral.leray_project(spectral.SpectralField(g, c))
+        np.savez(tmp_path / "f.npz", dim=2, n=16, coeffs=f.coeffs)
+        with pytest.raises(ValueError, match="no real field.* at k_last = 0 and k_last = n/2$"):
+            load_field(tmp_path / "f.npz", g)
+
+    @pytest.mark.parametrize("key, value", [("n", np.array([16, 16])), ("dim", 2.0)])
+    def test_file_non_scalar_dim_or_n_rejected(self, tmp_path, key, value):
+        g = make_grid(2, 16)
+        keys = dict(dim=2, n=16, coeffs=build_reference_field(golden_config(), g).coeffs)
+        keys[key] = value
+        np.savez(tmp_path / "f.npz", **keys)
+        with pytest.raises(ValueError, match=f": {key} must be an integer scalar"):
+            load_field(tmp_path / "f.npz", g)
 
 
 class TestRunConvergence:
@@ -639,10 +676,13 @@ class TestCli:
         )
 
     @pytest.mark.parametrize("command", ["converge", "exist"])
-    @pytest.mark.parametrize("case", [".npz", ".npy", "1-component", "3-component"])
+    @pytest.mark.parametrize(
+        "case", [".npz", ".npy", "1-component", "3-component", "vector-dim", "no-real-field"]
+    )
     def test_malformed_data_file_exit_one(self, tmp_path, capsys, command, case):
-        # an .npz without coeffs, a plain .npy array, or coefficients with
-        # other than one component per axis is an error, not a traceback
+        # an .npz without coeffs, a plain .npy array, coefficients with
+        # other than one component per axis, a dim that is no scalar, or
+        # coefficients of no real field is an error, not a traceback
         if case == ".npy":
             path = tmp_path / "field.npy"
             np.save(path, np.zeros((2, 16, 9), dtype=np.complex128))
@@ -650,6 +690,12 @@ class TestCli:
             path = tmp_path / "field.npz"
             if case == ".npz":
                 np.savez(path, dim=2, n=16)
+            elif case == "vector-dim":
+                np.savez(path, dim=np.array([2, 2]), n=16, coeffs=np.zeros((2, 16, 9), dtype=np.complex128))
+            elif case == "no-real-field":
+                c = np.zeros((2, 16, 9), dtype=np.complex128)
+                c[1, 1, 0] = 1.0  # a divergence-free mode (1, 0) without its conjugate (-1, 0)
+                np.savez(path, dim=2, n=16, coeffs=c)
             else:
                 np.savez(path, dim=2, n=16, coeffs=np.zeros((int(case[0]), 16, 9), dtype=np.complex128))
         p = self._write_cfg(tmp_path, data_source="file", data_file=str(path))
@@ -657,6 +703,10 @@ class TestCli:
         err = capsys.readouterr().err
         if case.endswith("component"):
             assert err.startswith(f"error: coefficient shape ({case[0]}, 16, 9) does not match")
+        elif case == "vector-dim":
+            assert err.startswith("error: field file") and "dim must be an integer scalar" in err
+        elif case == "no-real-field":
+            assert err == "error: coefficients of no real field: c(-k) != conj c(k) at k_last = 0\n"
         else:
             assert err.startswith("error: field file") and "lacks the keys" in err and "coeffs" in err
 
@@ -692,7 +742,8 @@ class TestCli:
         assert got == self.OPTIONS
 
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
-        p = self._write_cfg(tmp_path, seed=-1)
+        p = self._write_cfg(tmp_path)
+        p.write_text(p.read_text().replace("seed = 9", "seed = -1"))
         assert cli.main(["converge", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "config error: seed: must be >= 0, got -1\n"
         assert not (tmp_path / "out").exists()

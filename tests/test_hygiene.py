@@ -52,8 +52,12 @@ class is imported on first use (``experiments.__getattr__``).
 
 import ast
 import importlib
+import re
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
+
+from hypns.experiments import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hypns"
@@ -367,6 +371,44 @@ def test_bench_microbenchmark_targets_exist():
     targets = microbenchmark_targets(BENCH / "worker.py")
     assert {m for m, _ in targets} == {"spectral", "nlw"}  # the rule sees the calls it governs
     assert missing_attributes(targets) == []
+
+
+# A config key must be one that a run sets: a workload (a keyword of a
+# ``dict(...)`` call or a subscript store in ``bench/workloads.py``), an
+# acceptance criterion (a keyword of an ``ExperimentConfig(...)`` call in
+# ``tests/test_acceptance.py``) or the README (a `` `key` `` or a
+# ``key = ...`` line).  A key that nothing sets is a setting nobody turns.
+
+
+def call_keywords(tree, name):
+    """Keywords of every call of the plain name ``name`` in the tree."""
+    return {
+        k.arg
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+        for k in node.keywords
+    }
+
+
+def config_keys_set(workloads, acceptance, readme):
+    """Keys set by the sources of the workloads and the acceptance
+    criteria and by the README's text."""
+    tree = ast.parse(workloads)
+    stores = {
+        getattr(node.slice, "value", None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+    }
+    found = call_keywords(tree, "dict") | stores | call_keywords(ast.parse(acceptance), "ExperimentConfig")
+    return found | set(re.findall(r"`(\w+)`", readme)) | set(re.findall(r"^\s*(\w+) = ", readme, re.MULTILINE))
+
+
+def test_every_config_key_is_set_by_a_run():
+    planted = config_keys_set("w = dict(dim=2)\nw['n'] = 8\n", "ExperimentConfig(s=0.5)\n", "`T` and\n    dt = 1\n")
+    assert planted == {"dim", "n", "s", "T", "dt"}  # the rule sees each form
+    paths = (BENCH / "workloads.py", ROOT / "tests" / "test_acceptance.py", ROOT / "README.md")
+    keys = config_keys_set(*(p.read_text(encoding="utf-8") for p in paths))
+    assert sorted({f.name for f in fields(ExperimentConfig)} - keys) == []
 
 
 # A public name in ``src/hypns`` must serve a run: something in ``src/``
