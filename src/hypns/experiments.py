@@ -53,13 +53,14 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run's settings, checked in full when built: any violation
-    raises ``ConfigError`` listing them all."""
+    raises ``ConfigError`` listing them all.  ``eps_list`` is stored as a
+    tuple, so a config hashes and cannot change after its check."""
 
     dim: int = 2
     n: int = 64
     s: float = 0.5
     delta: float = 0.5
-    eps_list: list = field(default_factory=lambda: [1e-1, 1e-2, 1e-3])
+    eps_list: tuple = (1e-1, 1e-2, 1e-3)
     T: float = 1.0
     dt: float | None = None
     seed: int = 0
@@ -70,6 +71,7 @@ class ExperimentConfig:
     sample_stride: int = 10
 
     def __post_init__(self):
+        object.__setattr__(self, "eps_list", tuple(self.eps_list))
         floats = [(f.name, getattr(self, f.name)) for f in fields(self) if _kind(f) == "float"]
         nonfinite = {k for k, v in floats if v is not None and not math.isfinite(v)}
         bad = [f"{k}: must be finite, got {v}" for k, v in floats if k in nonfinite]
@@ -84,7 +86,7 @@ class ExperimentConfig:
         if not self.eps_list:
             bad.append("eps_list: must be nonempty")
         elif not all(math.isfinite(e) for e in self.eps_list):
-            bad.append(f"eps_list: all entries must be finite, got {self.eps_list}")
+            bad.append(f"eps_list: all entries must be finite, got {list(self.eps_list)}")
         elif any(e <= 0 for e in self.eps_list):
             bad.append("eps_list: all entries must be > 0")
         elif any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
@@ -110,7 +112,7 @@ class ExperimentConfig:
 
 
 def _kind(f) -> str:
-    """A config field's value type, ``int``, ``float``, ``str`` or ``list``:
+    """A config field's value type, ``int``, ``float``, ``str`` or ``tuple``:
     its annotation as written, without ``| None``."""
     return f.type.removesuffix(" | None")
 
@@ -120,7 +122,7 @@ def parse_config(path) -> ExperimentConfig:
 
     The keys are the fields of ``ExperimentConfig`` and each value is read
     as its field's annotated type; a field annotated ``| None`` also takes
-    ``none`` or an empty value.  Lists are comma-separated, ``#`` starts a
+    ``none`` or an empty value.  A tuple is comma-separated, ``#`` starts a
     comment.  Every violation is collected (with its line number) before
     raising, not just the first.
     """
@@ -163,9 +165,9 @@ def _convert(f, val: str):
     kind = _kind(f)
     if kind != f.type and val.lower() in ("none", ""):
         return None
-    if kind == "list":
+    if kind == "tuple":
         items = [v.strip() for v in val.split(",") if v.strip()]
-        return [_finite_float(v) for v in items]
+        return tuple(_finite_float(v) for v in items)
     if kind == "int":
         return int(val)
     if kind == "float":
@@ -187,7 +189,7 @@ def normalized_dump(cfg: ExperimentConfig) -> str:
         val = getattr(cfg, f.name)
         if val is None:
             continue
-        if f.type == "list":
+        if f.type == "tuple":
             val = ", ".join(repr(float(v)) for v in val)
         elif isinstance(val, float):
             val = repr(val)
@@ -380,15 +382,23 @@ def _wave_run(cfg: ExperimentConfig, eps: float, v0: SpectralField, dt: float, r
     )
 
 
-def _run_eps_list(cfg: ExperimentConfig, jobs: int, with_reference: bool, force: bool):
-    """Build v0 and dt, solve the reference system if asked, then run
-    ``_wave_run`` per eps.  Returns dt and the rows in ``eps_list`` order,
-    which the config's constructor requires to descend."""
-    grid = make_grid(cfg.dim, cfg.n)
-    v0 = build_reference_field(cfg, grid)
-    dt = cfg.dt if cfg.dt is not None else default_dt(v0)
+def _reference_data(cfg: ExperimentConfig):
+    """The reference field v0 on a grid of its own, and the step dt."""
+    v0 = build_reference_field(cfg, make_grid(cfg.dim, cfg.n))
+    return v0, cfg.dt if cfg.dt is not None else default_dt(v0)
 
-    ref = None
+
+def _run_eps_list(cfg: ExperimentConfig, jobs: int, with_reference: bool, force: bool):
+    """Solve the reference system if asked, then run ``_wave_run`` per eps.
+
+    This process builds v0 and dt only where it solves with them: for the
+    reference, or for every eps when ``jobs <= 1``.  A pool worker builds
+    its own from the config.  Returns dt (None when this process built no
+    v0) and the rows in ``eps_list`` order, which the config's constructor
+    requires to descend."""
+    v0 = dt = ref = None
+    if with_reference or jobs <= 1:
+        v0, dt = _reference_data(cfg)
     if with_reference:
         ref = []
         ns_solve(v0, cfg.T, dt=dt, observer=ref.append, stride=cfg.sample_stride)
@@ -400,17 +410,17 @@ def _run_eps_list(cfg: ExperimentConfig, jobs: int, with_reference: bool, force:
         # a task does not pickle the reference samples again; the pool
         # starts all its workers at the first task, so it gets no more
         # workers than tasks
-        shared = (cfg, v0, dt, ref, force)
         workers = min(jobs, len(cfg.eps_list))
         # looked up on the module, so that a pool class set there (a
         # wrapper or a test double) is the one used
         pool = sys.modules[__name__].ProcessPoolExecutor
-        with pool(max_workers=workers, initializer=_hold_shared, initargs=shared) as ex:
+        with pool(max_workers=workers, initializer=_hold_shared, initargs=(cfg, ref, force)) as ex:
             rows = list(ex.map(_wave_run_shared, cfg.eps_list))
     return dt, rows
 
 
-_shared = None  # a pool worker's (cfg, v0, dt, ref, force), set by _hold_shared
+_shared = None  # a pool worker's (cfg, ref, force), set by _hold_shared
+_data = None  # the worker's (v0, dt), built from the config at its first task
 
 
 def _hold_shared(*shared):
@@ -419,7 +429,13 @@ def _hold_shared(*shared):
 
 
 def _wave_run_shared(eps: float) -> SweepRow:
-    cfg, v0, dt, ref, force = _shared
+    global _data
+    cfg, ref, force = _shared
+    if _data is None:
+        # built in a task, not in _hold_shared, so that a bad data file
+        # raises its ValueError in the parent instead of breaking the pool
+        _data = _reference_data(cfg)
+    v0, dt = _data
     return _wave_run(cfg, eps, v0, dt, ref, force)
 
 
@@ -428,8 +444,9 @@ def run_convergence(cfg: ExperimentConfig, jobs: int = 1) -> SweepResult:
     recording sup-in-time errors and the full diagnostic series.  No row is
     skipped for failing admissibility.  Deterministic for a fixed (config,
     seed) regardless of ``jobs``.  With ``jobs > 1`` the eps values run in a
-    process pool whose workers receive the reference samples and ``v0``
-    once, when they start; each task carries only its eps."""
+    process pool whose workers receive the config and the reference samples
+    once, when they start, and build ``v0`` from the config; each task
+    carries only its eps."""
     dt, rows = _run_eps_list(cfg, jobs, with_reference=True, force=True)
     fit = fit_rate([(r.eps, r.sup_err_sq) for r in rows])
     return SweepResult(config=cfg, dt_used=dt, rows=rows, fit=fit)
@@ -475,8 +492,9 @@ def run_existence_probe(cfg: ExperimentConfig, jobs: int = 1, force: bool = Fals
     Rows whose data fail the admissibility hypotheses are skipped (no
     solve, ``skipped`` set) unless ``force`` is set.  Deterministic for a
     fixed (config, seed) regardless of ``jobs``.  With ``jobs > 1`` the pool
-    workers receive ``v0`` and the configuration once, when they start;
-    each task carries only its eps."""
+    workers receive the configuration once, when they start, and build
+    ``v0`` from it; this process builds no field.  Each task carries only
+    its eps."""
     _, rows = _run_eps_list(cfg, jobs, with_reference=False, force=force)
     ran = [r for r in rows if not r.skipped]
     max_initial = max((r.initial_eps_delta_e for r in ran), default=math.nan)

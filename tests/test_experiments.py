@@ -61,7 +61,7 @@ class TestConfigParsing:
         p = tmp_path / "c.cfg"
         p.write_text("dim = 2\nn = 16\neps_list = 0.1, 0.01  # two values\n")
         cfg = parse_config(p)
-        assert cfg.dim == 2 and cfg.eps_list == [0.1, 0.01]
+        assert cfg.dim == 2 and cfg.eps_list == (0.1, 0.01)
         assert cfg.s == 0.5  # default filled
         dump = normalized_dump(cfg)
         assert "s = 0.5" in dump and "eps_list = 0.1, 0.01" in dump
@@ -137,6 +137,15 @@ class TestConfigParsing:
         # the pool workers receive the config pickled
         cfg = golden_config()
         assert pickle.loads(pickle.dumps(cfg)) == cfg
+
+    def test_config_is_a_value(self):
+        # eps_list is a tuple: the config hashes, and no caller can append
+        # an unchecked eps after the constructor's check
+        cfg = golden_config()
+        assert hash(cfg) == hash(golden_config())
+        assert cfg.eps_list == (0.1, 0.01)
+        with pytest.raises(AttributeError):
+            cfg.eps_list.append(0.5)
 
     @pytest.mark.parametrize(
         "line", ["u1_scale = 0.5", "threshold_c = 2.0", "composite_n = 3", "energy_ceiling = 1e3",
@@ -297,11 +306,12 @@ class TestRunConvergence:
     def test_rows_in_eps_list_order(self, jobs):
         cfg = golden_config(eps_list=[0.1, 0.03, 0.01], T=0.02)
         for entry in (run_convergence, run_existence_probe):
-            assert [r.eps for r in entry(cfg, jobs=jobs).rows] == cfg.eps_list
+            assert tuple(r.eps for r in entry(cfg, jobs=jobs).rows) == cfg.eps_list
 
     def test_spawned_pool_writes_the_same_csv(self, monkeypatch, tmp_path):
-        # a spawned worker gets v0 and the reference samples by pickle
-        # alone, as under the forkserver default of Python 3.14
+        # a spawned worker gets the config and the reference samples by
+        # pickle alone, as under the forkserver default of Python 3.14, and
+        # builds v0 from the config
         spawn = multiprocessing.get_context("spawn")
 
         class SpawnPool(experiments.ProcessPoolExecutor):
@@ -310,9 +320,14 @@ class TestRunConvergence:
 
         cfg = golden_config(T=0.02)
         emit_report(run_convergence(cfg, jobs=1), tmp_path / "one")
+        probe = run_existence_probe(cfg, jobs=1)
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", SpawnPool)
         emit_report(run_convergence(cfg, jobs=2), tmp_path / "two")
         assert (tmp_path / "two" / "sweep.csv").read_bytes() == (tmp_path / "one" / "sweep.csv").read_bytes()
+        spawned = run_existence_probe(cfg, jobs=2)
+        # repr compares every field of the rows exactly, NaN columns included
+        assert repr(spawned.rows) == repr(probe.rows)
+        assert [energy_series(r) for r in spawned.rows] == [energy_series(r) for r in probe.rows]
 
     def test_pool_task_payload_independent_of_reference_length(self, monkeypatch):
         sizes = []  # pickled size of each submitted task, one list per run
@@ -330,6 +345,22 @@ class TestRunConvergence:
         assert short == long and len(long) == len(golden_config().eps_list)
         # a single stored reference sample would not fit
         assert max(long) < 16**2 * 16
+
+    def test_probe_pool_payload_smaller_than_a_field(self, monkeypatch):
+        # a probe's worker starts from the config alone: v0 is not sent
+        initargs = []
+
+        class RecordingPool(experiments.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                initargs.append(kwargs["initargs"])
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        cfg = golden_config(T=0.02)
+        run_existence_probe(cfg, jobs=2)
+        field = build_reference_field(cfg, make_grid(cfg.dim, cfg.n))
+        (payload,) = initargs
+        assert len(pickle.dumps(payload)) < field.coeffs.nbytes
 
     @pytest.mark.parametrize("entry", [run_convergence, run_existence_probe])
     def test_pool_forks_no_more_workers_than_eps(self, monkeypatch, entry):
@@ -375,6 +406,21 @@ class TestRunConvergence:
         monkeypatch.setattr(spectral.Grid, "__post_init__", counted)
         rows = entry(golden_config(), jobs=1).rows
         assert built == [(2, 16)] and len(rows) == len(golden_config().eps_list)
+
+    @pytest.mark.parametrize("entry, grids", [(run_convergence, 1), (run_existence_probe, 0)])
+    def test_pool_parent_builds_only_what_it_solves(self, monkeypatch, entry, grids):
+        # with jobs > 1 the workers build v0 and its grid from the config;
+        # this process builds one only for the Navier-Stokes reference
+        built = []
+        post_init = spectral.Grid.__post_init__
+
+        def counted(grid):
+            built.append((grid.dim, grid.n))
+            post_init(grid)
+
+        monkeypatch.setattr(spectral.Grid, "__post_init__", counted)
+        rows = entry(golden_config(T=0.02), jobs=2).rows
+        assert built == [(2, 16)] * grids and len(rows) == len(golden_config().eps_list)
 
     def test_reference_samples_passed_without_copy(self, monkeypatch):
         stored, passed = [], []
@@ -709,6 +755,17 @@ class TestCli:
             assert err == "error: coefficients of no real field: c(-k) != conj c(k) at k_last = 0\n"
         else:
             assert err.startswith("error: field file") and "lacks the keys" in err and "coeffs" in err
+
+    @pytest.mark.parametrize("command", ["converge", "exist"])
+    def test_malformed_data_file_in_pool_exit_one(self, tmp_path, capsys, command):
+        # a probe's pool workers load the file themselves: its error still
+        # reaches the parent, not as a broken pool
+        path = tmp_path / "field.npz"
+        np.savez(path, dim=2, n=16)
+        p = self._write_cfg(tmp_path, data_source="file", data_file=str(path))
+        assert cli.main([command, "--config", str(p), "--out", str(tmp_path / "out"), "--jobs", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: field file") and "lacks the keys" in err and "coeffs" in err
 
     @pytest.mark.parametrize("argv", [
         ["audit", "--config", "c.cfg", "--jobs", "2"],
