@@ -338,9 +338,13 @@ def _wave_run(cfg: ExperimentConfig, eps: float, v0: SpectralField, dt: float, r
     ``v0`` is the reference data; the solve runs on its grid, so every eps
     of a run shares one ``Grid`` and its tables.  ``ref`` is the reference
     run as a list of ``NsState`` samples on that grid, or None.
-    Data that fail admissibility are skipped unless ``force`` is set."""
-    u0, u1 = build_wave_data(v0, eps)
-    hyp = check_hypotheses(u0, v0, eps, cfg.s, cfg.delta)
+    Data that fail admissibility are skipped unless ``force`` is set.
+
+    The wave data (u0, u1) are popped out of a list into the solve's
+    call, so this frame holds no name for them while the solve steps, and
+    the solve frees them after its first step (``nlw_solve``)."""
+    data = list(build_wave_data(v0, eps))
+    hyp = check_hypotheses(data[0], v0, eps, cfg.s, cfg.delta)
     if not hyp.passed and not force:
         return SweepRow(eps, hypothesis=hyp, skipped=True)
 
@@ -361,7 +365,7 @@ def _wave_run(cfg: ExperimentConfig, eps: float, v0: SpectralField, dt: float, r
 
     blowup_t = None
     try:
-        nlw_solve(u0, u1, eps, cfg.T, dt=dt, observer=observer, stride=cfg.sample_stride)
+        nlw_solve(data.pop(0), data.pop(0), eps, cfg.T, dt=dt, observer=observer, stride=cfg.sample_stride)
     except SolverFailure as exc:
         blowup_t = exc.t
 

@@ -216,6 +216,12 @@ def nlw_solve(
     raises SolverFailure("energy blow-up", t) unobserved; the energy reads
     u and u_t, so a NaN or overflow in either fails it too.  Non-finite or
     divergent initial data and a bad eps are rejected with ValueError.
+
+    Only the t = 0 sample and the first step read ``u0`` and ``u1``, and
+    the solve drops its own references to them after that step.  A caller
+    that wants their memory back over the later steps keeps no reference:
+    it hands them over as arguments with no name of its own (not through
+    a ``*`` call, whose argument tuple lives as long as the call).
     """
     grid = u0.grid
     require_divergence_free("nlw_solve", [u0, u1])
@@ -223,7 +229,9 @@ def nlw_solve(
     sigma0 = base_sigma(grid.dim)
     state = WaveState(u0, u1, eps, 0.0)
     ceiling = BLOWUP_FACTOR * max(energy(state, sigma0), 1e-300)
-    for t, (uc, wc) in march(lambda h: _NlwStepper(grid, eps, h).step, (u0.coeffs, u1.coeffs), T, dt, stride):
+    samples = march(lambda h: _NlwStepper(grid, eps, h).step, (u0.coeffs, u1.coeffs), T, dt, stride)
+    del u0, u1  # the t = 0 state and march hold them until the first step
+    for t, (uc, wc) in samples:
         if t > 0.0:
             state = WaveState(_adopt(grid, uc), _adopt(grid, wc), eps, t)
             with np.errstate(over="ignore", invalid="ignore"):  # reported as the failure

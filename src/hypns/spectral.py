@@ -55,9 +55,12 @@ compact array of each pass; none is kept between calls.
 
 A grid stores only what the steps read: the full half-spectrum table
 ``k2``, the compact box tables ``box_ik``, ``box_keff`` and
-``box_k2eff_safe``, and the ``weight`` cache, one table per sigma.  The
-other full tables, ``k``, ``kmag``, ``keff`` and ``mult``, are computed on
-access; they serve set-up and validation, not the steps.
+``box_k2eff_safe``, and the ``weight`` cache.  The cache keeps two
+tables, the two sigmas asked for most recently: a wave solve's energies
+read two, ``base_sigma`` and ``base_sigma + delta``, at every sample,
+and any other sigma is built anew when asked.  The other full tables,
+``k``, ``kmag``, ``keff`` and ``mult``, are computed on access; they serve
+set-up and validation, not the steps.
 
 A ``SpectralField`` owns its coefficients, which are read-only.  The
 constructor copies what it is given; ``_adopt`` wraps, without the copy, an
@@ -95,7 +98,8 @@ class Grid:
     compact 2/3-rule box (see the module docstring).
 
     Stored: the full table ``k2``, the compact box tables ``box_keff``,
-    ``box_ik`` and ``box_k2eff_safe``, and the ``weight`` cache.  Computed
+    ``box_ik`` and ``box_k2eff_safe``, and the ``weight`` cache, which
+    keeps the tables of the two sigmas asked for most recently.  Computed
     on access, as new arrays: the full tables ``k``, ``kmag``, ``keff`` and
     ``mult``; a caller binds one once rather than reading it inside a loop.
     """
@@ -186,14 +190,17 @@ class Grid:
 
     def weight(self, sigma: float) -> np.ndarray:
         """Read-only table mult * |k|^(2 sigma), 0 on the zero mode: summed
-        against a per-mode density it gives the full-spectrum sum.  Built
-        once per sigma and kept on the grid."""
-        w = self._weights.get(sigma)
+        against a per-mode density it gives the full-spectrum sum.  The
+        grid keeps the tables of the two sigmas asked for most recently
+        (see the module docstring for why two) and builds any other anew."""
+        w = self._weights.pop(sigma, None)
         if w is None:
             w = self.k2_power(sigma)
             w *= self.mult
             w.flags.writeable = False
-            self._weights[sigma] = w
+            if len(self._weights) == 2:
+                del self._weights[next(iter(self._weights))]  # the least recent
+        self._weights[sigma] = w
         return w
 
 

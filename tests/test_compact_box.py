@@ -332,14 +332,17 @@ def test_step_allocation_peak_not_above_full_array_steppers():
 
 # Peak traced allocation of a warm ``run_convergence`` on the converge_3d
 # workload's config at n=16 and T=0.2 (3 eps, dt=5e-3, stride 10, five
-# samples per solve), in the same units.  Measured 14.27; 17.79 while the
-# grid stored every full spectral table, the zero ``u1`` of the wave data
-# was a materialised array and the end propagation accumulated through a
-# full-field temporary; 20.15 while the solves also held the last sample
-# over the steps to the next, and 20.47 when sample states also copied the
-# step arrays, ``dt_v`` scattered the convection over a full array and the
-# kernel's inverse transform buffer spanned the half spectrum.
-RUN_PEAK_UNITS = 14.8
+# samples per solve), in the same units.  Measured 12.78; 14.27 (bound
+# 14.8) while the wave run held its data u0 over every step of the solve
+# and the grid kept a weight table for every sigma ever asked; 17.79
+# while the grid stored every full spectral table, the zero ``u1`` of the
+# wave data was a materialised array and the end propagation accumulated
+# through a full-field temporary; 20.15 while the solves also held the
+# last sample over the steps to the next, and 20.47 when sample states
+# also copied the step arrays, ``dt_v`` scattered the convection over a
+# full array and the kernel's inverse transform buffer spanned the half
+# spectrum.
+RUN_PEAK_UNITS = 12.9
 
 
 def test_convergence_run_allocation_peak():

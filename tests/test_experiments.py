@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import weakref
 from dataclasses import FrozenInstanceError, asdict, replace
 from pathlib import Path
 
@@ -462,6 +463,28 @@ class TestRunConvergence:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         col = lines[0].split(",").index("first_threshold_violation_t")
         assert [line.split(",")[col] for line in lines[1:]] == ["0.05", "0.05"]
+
+    @pytest.mark.parametrize("entry", [run_convergence, run_existence_probe])
+    def test_wave_run_frees_the_wave_data_after_the_first_step(self, monkeypatch, entry):
+        # the wave run keeps no name for u0 over the solve: the sample
+        # after the first step finds it freed
+        build, report = experiments.build_wave_data, experiments.make_energy_report
+        refs, alive = [], []
+
+        def tracked_build(v0, eps):
+            data = build(v0, eps)
+            refs.append(weakref.ref(data[0].coeffs))
+            return data
+
+        def tracked_report(state, delta, **kw):
+            if state.t > 0.0:
+                alive.append(refs[-1]() is not None)
+            return report(state, delta, **kw)
+
+        monkeypatch.setattr(experiments, "build_wave_data", tracked_build)
+        monkeypatch.setattr(experiments, "make_energy_report", tracked_report)
+        entry(golden_config(T=0.01, sample_stride=1))
+        assert len(refs) == 2 and alive == [False] * 2 * 5
 
     def test_cross_term_taylor_green_closed_form(self):
         # every step sampled, so the trapezoidal quadrature of the sweep's

@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -210,6 +211,21 @@ class TestNlwSolve:
         nlw_solve(u0, u1, 0.1, 0.05, dt=0.005, observer=observer, stride=3)
         assert len(samples) == 2 * 5 and len(copies) == copies_at_start[0]
         assert_samples_own_arrays(samples)
+
+    def test_solve_frees_its_data_after_the_first_step(self):
+        # handed over with no name in the caller, u0 and u1 are the solve's
+        # alone, and it drops them once its first step has read them
+        g = make_grid(2, 16)
+        refs, alive = [], []
+
+        def observer(st):
+            if st.t == 0.0:
+                refs.extend(weakref.ref(f.coeffs) for f in (st.u, st.ut))
+            alive.append([r() is not None for r in refs])
+
+        nlw_solve(random_divergence_free_field(g, 16), random_divergence_free_field(g, 17), 0.1, 0.02,
+                  dt=5e-3, observer=observer, stride=1)
+        assert alive == [[True, True]] + [[False, False]] * 4
 
     @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
     def test_zero_stride_u1_matches_materialised_zeros(self, dim, n):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypns.spectral import (
     SpectralField,
     _divergence_coeffs,
+    base_sigma,
     _leray_full,
     box_gather,
     convection_term,
@@ -24,7 +25,8 @@ from hypns.spectral import (
     transform,
     zero_field,
 )
-from hypns.initial_data import random_divergence_free_field, taylor_green
+from hypns.initial_data import check_hypotheses, random_divergence_free_field, taylor_green, truncate_initial_data
+from hypns.nlw import WaveState, energy
 
 from conftest import (
     cell_volume,
@@ -456,6 +458,28 @@ class TestHalfSpectrum:
             # leaves the grid's next one unchanged
             g.keff[0][...] = 7.0
             assert np.array_equal(g.keff[0], full.half(full.keff[0]))
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_weight_cache_keeps_two_tables(self, dim, n):
+        # a wave solve's samples read base_sigma and base_sigma + delta
+        # over and over; the admissibility check asks others once per eps
+        g = make_grid(dim, n)
+        v0 = random_divergence_free_field(g, 5)
+        u0 = truncate_initial_data(v0, 0.05)
+        state = WaveState(u0, zero_field(g), 0.05)
+        s0 = base_sigma(dim)
+        check_hypotheses(u0, v0, 0.05, 0.5, 0.5)
+        assert len(g._weights) <= 2
+        for sigma in (s0, s0 + 0.5) * 3:
+            energy(state, sigma)
+            assert len(g._weights) <= 2
+        assert sorted(g._weights) == [s0, s0 + 0.5]
+        mult = g.mult
+        for sigma in (s0, s0 + 0.5, 1.0, 1.5, 2.0, s0):
+            w = g.weight(sigma)
+            assert g.weight(sigma) is w and not w.flags.writeable
+            assert np.array_equal(w, g.k2_power(sigma) * mult)
+            assert len(g._weights) <= 2
 
     def test_grid_holds_only_k2_and_box_tables(self):
         def nbytes(value):
