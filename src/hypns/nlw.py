@@ -60,7 +60,9 @@ class WaveState:
         """Per-mode 1/2 |w + eps u_t|^2 plus ``shared_density``: the energy
         density for the coefficients w of u (``energy_density``), the
         modulated one for those of u - v."""
-        return 0.5 * mode_mag2(w + self.eps * self.ut.coeffs) + self.shared_density
+        m = self.eps * self.ut.coeffs
+        m += w
+        return 0.5 * mode_mag2(m) + self.shared_density
 
     @cached_property
     def energy_density(self) -> np.ndarray:
@@ -195,6 +197,7 @@ class _NlwStepper:
         u_mid = self.mid_p11 * ub + self.mid_p12 * wb + self.mid_cu * n0
         del ub, wb, n0
         n_mid = _box_forcing(grid, u_mid)
+        del u_mid
         u_end, w_end = self.to_end.apply(u, w)
         return box_add(grid, u_end, n_mid, self.end_cu), box_add(grid, w_end, n_mid, self.end_cw)
 

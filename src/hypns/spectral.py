@@ -318,14 +318,23 @@ def transform(grid: Grid, values: np.ndarray) -> SpectralField:
 
 
 def inverse_transform(f: SpectralField) -> np.ndarray:
+    """Real collocation values of shape (dim, n, ..., n): bit for bit
+    ``np.fft.irfftn`` of the unscaled coefficients, through numpy's own
+    passes in numpy's own order.  Each ``ifft`` pass, from the first axis
+    on, runs in place on the one scaled copy, so no pass output sits beside
+    it; ``irfft`` on the last axis makes the values."""
     g = f.grid
-    axes = tuple(range(1, g.dim + 1))
-    return np.fft.irfftn(f.coeffs / g.fwd_scale, s=g.shape, axes=axes)
+    c = f.coeffs / g.fwd_scale
+    for ax in range(1, g.dim):
+        np.fft.ifft(c, axis=ax, out=c)
+    return np.fft.irfft(c, g.n)
 
 
 def mode_mag2(c: np.ndarray) -> np.ndarray:
     """Per-mode squared modulus |c(k)|^2 summed over components."""
-    return np.sum(np.abs(c) ** 2, axis=0)
+    m = np.abs(c)
+    m *= m
+    return np.sum(m, axis=0)
 
 
 def weighted_sum(grid: Grid, sigma: float, density: np.ndarray) -> float:
@@ -352,13 +361,16 @@ def sobolev_norm(f: SpectralField, sigma: float) -> float:
 
 def hs_inner(f: SpectralField, g: SpectralField, sigma: float) -> float:
     """Homogeneous pairing sum_k |k|^(2 sigma) Re conj(f_hat) g_hat."""
-    return weighted_sum(f.grid, sigma, (np.conj(f.coeffs) * g.coeffs).real)
+    p = np.conj(f.coeffs)
+    p *= g.coeffs
+    return weighted_sum(f.grid, sigma, p.real)
 
 
 def linf_norm(f: SpectralField) -> float:
     """Max over collocation points of the pointwise Euclidean magnitude."""
     v = inverse_transform(f)
-    return float(np.sqrt(np.max(np.sum(v * v, axis=0))))
+    v *= v
+    return float(np.sqrt(np.max(np.sum(v, axis=0))))
 
 
 def _leray_inplace(c: np.ndarray, keff, k2eff_safe: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from hypns.spectral import (
     box_gather,
     sobolev_norm,
     transform,
+    weighted_sum,
     zero_field,
 )
 
@@ -363,3 +364,32 @@ def random_divergence_free_field_copying(grid, seed, band=None, slope=0.0):
     if size == 0.0:
         return zero_field(grid)
     return f * (1.0 / size)
+
+
+# The diagnostics' primitives as one expression each, as they were before
+# they worked in place on one scratch array.  The in-place primitives must
+# reproduce them bit for bit.
+
+
+def whole_irfftn(f: SpectralField) -> np.ndarray:
+    """``inverse_transform`` as one ``np.fft.irfftn`` of the unscaled
+    coefficients."""
+    g = f.grid
+    return np.fft.irfftn(f.coeffs / g.fwd_scale, s=g.shape, axes=tuple(range(1, g.dim + 1)))
+
+
+def linf_norm_expr(f: SpectralField) -> float:
+    v = whole_irfftn(f)
+    return float(np.sqrt(np.max(np.sum(v * v, axis=0))))
+
+
+def mode_mag2_expr(c: np.ndarray) -> np.ndarray:
+    return np.sum(np.abs(c) ** 2, axis=0)
+
+
+def hs_inner_expr(f: SpectralField, g: SpectralField, sigma: float) -> float:
+    return weighted_sum(f.grid, sigma, (np.conj(f.coeffs) * g.coeffs).real)
+
+
+def modulated_density_expr(state: WaveState, w: np.ndarray) -> np.ndarray:
+    return 0.5 * mode_mag2_expr(w + state.eps * state.ut.coeffs) + state.shared_density

@@ -60,10 +60,11 @@ def expected_counts(cfg, converge):
     reaches or keeps: the pass on spatial axis a (0-based) transforms an
     array of n^(a+1) (2c+1)^(dim-2-a) (c+1) points, c = (n-1)//3, in both
     directions.  NS takes 4 forcings per step, the wave scheme 2, and
-    ``dt_v`` one per reference sample; each energy report takes one whole
-    inverse transform (``linf_norm``) and the reference field one whole
-    forward transform.  A call's points are the larger of its input and
-    output sizes.
+    ``dt_v`` one per reference sample.  Each energy report takes one
+    whole inverse transform (``linf_norm``): dim-1 ``ifft`` passes over
+    the whole half spectrum, dim n^(dim-1) (n/2+1) points each, and one
+    ``irfft``.  The reference field takes one whole forward transform.  A
+    call's points are the larger of its input and output sizes.
     """
     dim, n = cfg["dim"], cfg["n"]
     c = (n - 1) // 3
@@ -83,9 +84,11 @@ def expected_counts(cfg, converge):
         "diagnostics.report_calls": reports,
         "inverse_transforms": forcings + reports,
         "forward_transforms": 1 + products * forcings,
-        "inverse_c2c_passes": (dim - 1) * forcings,
+        "inverse_c2c_passes": (dim - 1) * (forcings + reports),
         "forward_c2c_passes": (dim - 1) * products * forcings,
-        "points": (dim + products) * forcings * (npts + pass_points) + (reports + 1) * dim * npts,
+        "points": (dim + products) * forcings * (npts + pass_points)
+        + (reports + 1) * dim * npts
+        + (dim - 1) * reports * dim * n ** (dim - 1) * (n // 2 + 1),
     }
 
 

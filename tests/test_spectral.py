@@ -20,6 +20,7 @@ from hypns.spectral import (
     leray_project,
     linf_norm,
     make_grid,
+    mode_mag2,
     require_divergence_free,
     sobolev_norm,
     transform,
@@ -34,11 +35,16 @@ from conftest import (
     dealias_mask,
     grid_ik,
     grid_shapes,
+    hs_inner_expr,
     l2_norm,
+    linf_norm_expr,
+    mode_mag2_expr,
+    modulated_density_expr,
     property_settings,
     random_real_field,
     single_mode_field,
     unguarded_convection,
+    whole_irfftn,
     with_nan,
 )
 
@@ -221,6 +227,44 @@ class TestLinf:
         g = make_grid(2, 16)
         f = random_divergence_free_field(g, 6)
         assert abs(linf_norm(-2.5 * f) - 2.5 * linf_norm(f)) < 1e-12
+
+
+class TestInPlacePrimitives:
+    """The diagnostics' primitives, which work in place on one scratch
+    array, against their one-expression forms (conftest), bit for bit, on
+    fields with content on every mode and on the zero-stride zero field."""
+
+    @staticmethod
+    def fields(shape, seed):
+        """Two fields with content on every mode, and the zero field."""
+        g, f, _ = random_real_field(*shape, seed)
+        return f, random_real_field(*shape, seed + 1)[1], zero_field(g)
+
+    @property_settings
+    @given(shape=grid_shapes, seed=st.integers(0, 2**32 - 2))
+    def test_inverse_transform_and_sup_norm(self, shape, seed):
+        f, _, zero = self.fields(shape, seed)
+        for h in (f, zero):
+            assert np.array_equal(inverse_transform(h), whole_irfftn(h))
+            assert linf_norm(h) == linf_norm_expr(h)
+
+    @property_settings
+    @given(shape=grid_shapes, seed=st.integers(0, 2**32 - 2), sigma=st.floats(0.0, 2.0))
+    def test_mode_densities_and_pairing(self, shape, seed, sigma):
+        f, h, zero = self.fields(shape, seed)
+        for a in (f, zero):
+            assert np.array_equal(mode_mag2(a.coeffs), mode_mag2_expr(a.coeffs))
+            for b in (h, zero):
+                assert hs_inner(a, b, sigma) == hs_inner_expr(a, b, sigma)
+
+    @property_settings
+    @given(shape=grid_shapes, seed=st.integers(0, 2**32 - 2), eps=st.floats(1e-4, 1.0))
+    def test_modulated_density(self, shape, seed, eps):
+        f, h, zero = self.fields(shape, seed)
+        for ut in (h, zero):
+            state = WaveState(f, ut, eps)
+            for w in (f.coeffs, f.coeffs - h.coeffs, zero.coeffs):
+                assert np.array_equal(state.modulated_density(w), modulated_density_expr(state, w))
 
 
 class TestLeray:
