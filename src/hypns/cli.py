@@ -1,7 +1,7 @@
 """Command-line front end: convergence sweeps, existence probes, inequality
 audits, the built-in Taylor-Green regression, and config normalization.
 
-Exit codes: 0 pass, 2 acceptance failure, 1 error.
+Exit codes: 0 pass, 2 acceptance failure, 1 error, a usage error included.
 """
 
 from __future__ import annotations
@@ -137,6 +137,13 @@ def _cmd_normalize_config(args) -> int:
     return PASS
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hypns", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -151,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("converge", _cmd_converge), ("exist", _cmd_exist)):
         sp = add(name, fn)
         sp.add_argument("--out", default=None, help="output directory (overrides HYPNS_OUT and config)")
-        sp.add_argument("--jobs", type=int, default=1, help="parallel workers across eps values")
+        sp.add_argument("--jobs", type=_jobs, default=1, help="parallel workers across eps values")
     sub.choices["exist"].add_argument("--force", action="store_true", help="proceed past failed admissibility checks")
     add("audit", _cmd_audit)
     add("taylor-green", _cmd_taylor_green, needs_config=False)
@@ -160,7 +167,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand and return its exit code.  A usage error (a
+    missing or unknown option, a bad ``--jobs``) is an error, 1: argparse
+    exits with 2, which here means a failed check."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage or the help
+        return ERROR if exc.code else PASS
     try:
         return args.handler(args)
     except ConfigError as exc:

@@ -56,12 +56,21 @@ class WaveState:
         eps = self.eps
         return 0.5 * eps * eps * mode_mag2(self.ut.coeffs) + eps * self.u.grid.k2 * mode_mag2(self.u.coeffs)
 
-    def modulated_density(self, w: np.ndarray) -> np.ndarray:
+    def modulated_density(self, w: np.ndarray, *, in_place: bool = False) -> np.ndarray:
         """Per-mode 1/2 |w + eps u_t|^2 plus ``shared_density``: the energy
         density for the coefficients w of u (``energy_density``), the
-        modulated one for those of u - v."""
-        m = self.eps * self.ut.coeffs
-        m += w
+        modulated one for those of u - v.
+
+        The sum w + eps u_t is formed in a new array, or with ``in_place``
+        in the caller's buffer w itself, one component at a time, which then
+        holds the sum; both give the same bits."""
+        if in_place:
+            m = w
+            for mi, uti in zip(m, self.ut.coeffs):
+                mi += self.eps * uti
+        else:
+            m = self.eps * self.ut.coeffs
+            m += w
         return 0.5 * mode_mag2(m) + self.shared_density
 
     @cached_property

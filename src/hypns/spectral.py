@@ -49,13 +49,16 @@ box reaches; ``irfft`` pads the last axis from columns 0..c to 0..n/2
 itself.  The forward transform runs ``rfft`` on the last axis, keeps
 columns 0..c and then runs ``fft`` from the axis before last down to the
 first, each pass only on the lines kept so far, copying its box rows
-straight into the next pass's compact input.  The buffers are allocated in
-the call: one product buffer that every product reuses, and the padded or
-compact array of each pass; none is kept between calls.
+straight into the next pass's compact input; each pass drops its input,
+on the first pass the whole ``rfft`` output, before it allocates its
+compact output.  The buffers are allocated in the call: one product buffer
+that every product reuses, and the padded or compact array of each pass;
+none is kept between calls.
 
 A grid stores only what the steps read: the full half-spectrum table
-``k2``, the compact box tables ``box_ik``, ``box_keff`` and
-``box_k2eff_safe``, and the ``weight`` cache.  The cache keeps two
+``k2``, the real compact box tables ``box_keff`` and ``box_k2eff_safe``,
+and the ``weight`` cache; the kernel's derivative factor i is a scalar
+(``_box_forcing``), not a complex table.  The cache keeps two
 tables, the two sigmas asked for most recently: a wave solve's energies
 read two, ``base_sigma`` and ``base_sigma + delta``, at every sample,
 and any other sigma is built anew when asked.  The other full tables,
@@ -97,8 +100,8 @@ class Grid:
     last axis ``k`` runs over 0..n/2.  ``box_shape`` is the shape of the
     compact 2/3-rule box (see the module docstring).
 
-    Stored: the full table ``k2``, the compact box tables ``box_keff``,
-    ``box_ik`` and ``box_k2eff_safe``, and the ``weight`` cache, which
+    Stored: the full table ``k2``, the real compact box tables
+    ``box_keff`` and ``box_k2eff_safe``, and the ``weight`` cache, which
     keeps the tables of the two sigmas asked for most recently.  Computed
     on access, as new arrays: the full tables ``k``, ``kmag``, ``keff`` and
     ``mult``; a caller binds one once rather than reading it inside a loop.
@@ -139,7 +142,6 @@ class Grid:
         object.__setattr__(self, "box_shape", (2 * cutoff + 1,) * (self.dim - 1) + (cutoff + 1,))
         box_keff = tuple(box_gather(self, kd) for kd in self.keff)
         object.__setattr__(self, "box_keff", box_keff)
-        object.__setattr__(self, "box_ik", tuple(1j * kd for kd in box_keff))
         object.__setattr__(self, "box_k2eff_safe", _k2_safe(box_keff))
         object.__setattr__(self, "_weights", {})
 
@@ -469,10 +471,13 @@ def _along(ax: int, index: slice) -> tuple:
 def _box_rfftn(grid: Grid, x: np.ndarray) -> np.ndarray:
     """``box_gather(grid, np.fft.rfftn(x))`` over the last ``grid.dim``
     axes of the real ``x``, bit for bit, as a new compact array; each
-    ``fft`` pass runs only on the lines the box keeps (module docstring)."""
+    ``fft`` pass runs only on the lines the box keeps (module docstring).
+    A pass frees its input, on the first pass the view that holds the
+    whole ``rfft`` output, before it allocates its compact output."""
     a = np.fft.rfft(x)[..., : grid.dealias_cutoff + 1]
     for ax in range(-2, -grid.dim - 1, -1):
         t = np.fft.fft(a, axis=ax)
+        del a
         a = np.empty(t.shape[:ax] + (grid.box_shape[ax],) + t.shape[ax + 1 :], dtype=np.complex128)
         for full, box in grid.box_rows:
             a[_along(ax, box)] = t[_along(ax, full)]
@@ -521,19 +526,26 @@ def _box_forcing(grid: Grid, b: np.ndarray) -> np.ndarray:
     collocation grid, and only the box of each product's transform
     computed, so no aliased content survives below the cutoff.  Dropping
     u_d^2 I changes the divergence by the gradient grad(u_d^2), which the
-    projection removes to rounding: in the box ``box_ik`` is
-    i ``box_keff``.  The derivatives, the projection and the sign act on
-    the box only.
+    projection removes to rounding: the derivatives and the projection
+    read the same wavenumbers ``box_keff``.  The derivatives, the
+    projection and the sign act on the box only.
+
+    The factor i of the derivatives enters once per product, with the
+    transform's scale: the compact transform is multiplied by
+    i ``fwd_scale`` and then by the real ``box_keff``.  This gives the bits
+    of multiplying by the complex table i ``box_keff``, whose real parts
+    are exact zeros, up to the sign of a zero.
     """
     vals = _box_irfftn(grid, b / grid.fwd_scale)
     prod = np.empty(grid.shape)
     out = np.zeros_like(b)
+    scale = 1j * grid.fwd_scale
     for i, j in _trace_free_products(vals, prod):
         tij = _box_rfftn(grid, prod)
-        tij *= grid.fwd_scale
-        out[i] += grid.box_ik[j] * tij
+        tij *= scale
+        out[i] += grid.box_keff[j] * tij
         if j != i:
-            out[j] += grid.box_ik[i] * tij
+            out[j] += grid.box_keff[i] * tij
     _leray_inplace(out, grid.box_keff, grid.box_k2eff_safe)
     return np.negative(out, out=out)
 

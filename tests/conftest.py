@@ -1,4 +1,7 @@
+import functools
+import importlib
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -194,6 +197,60 @@ def poison_from_step(monkeypatch, module, calls_per_step, k):
         return out * np.nan if step >= k else out
 
     monkeypatch.setattr(module, "_box_forcing", poisoned)
+
+
+def site_peak_units(run, sites, unit):
+    """Traced allocation peak of one call ``run()`` and of each named site
+    inside it, in units of ``unit`` bytes above what was held before the
+    call, highest first; the call's own peak is under ``"run"``.
+
+    A site is a callable named as "module.attr" or "module.Class.attr" of
+    the ``hypns`` package, as its caller looks it up: the wave step's
+    forcing is ``nlw._box_forcing``, the NS step's ``ns._box_forcing``.
+    Each is wrapped for the one traced call, and its peak is the highest
+    traced memory while any call of it runs; a site never called is left
+    out.  ``run`` is called once untraced first, as ``step_peak_units``
+    does, so that what it builds on first use is not counted."""
+    wrapped = []
+    for name in sites:
+        module, *path = name.split(".")
+        owner = importlib.import_module(f"hypns.{module}")
+        for attr in path[:-1]:
+            owner = getattr(owner, attr)
+        wrapped.append((name, owner, path[-1], getattr(owner, path[-1])))
+    peaks = {}
+    held = [0]  # the peak so far of each open call, the run's first
+
+    def traced(name, fn):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            held[-1] = max(held[-1], tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            held.append(0)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                peak = max(held.pop(), tracemalloc.get_traced_memory()[1])
+                peaks[name] = max(peaks.get(name, 0), peak)
+                held[-1] = max(held[-1], peak)
+
+        return call
+
+    run()
+    for name, owner, attr, fn in wrapped:
+        setattr(owner, attr, traced(name, fn))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        peaks["run"] = max(held[0], tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+        for name, owner, attr, fn in wrapped:
+            setattr(owner, attr, fn)
+    ranked = sorted(peaks.items(), key=lambda item: -item[1])
+    return {name: (peak - base) / unit for name, peak in ranked}
 
 
 # ten steps of 0.01 over T=0.1, sampled every third step, NaN from step 5 on:

@@ -21,10 +21,18 @@ from hypns.spectral import (
     make_grid,
     sobolev_norm,
     transform,
+    weighted_sum,
     zero_field,
 )
 
-from conftest import cell_volume, l2_norm, single_mode_field, with_nan
+from conftest import (
+    cell_volume,
+    l2_norm,
+    mode_mag2_expr,
+    modulated_density_expr,
+    single_mode_field,
+    with_nan,
+)
 
 
 def wave_state(grid, seed, eps, u_scale=1.0, ut_scale=1.0):
@@ -346,7 +354,7 @@ class TestEnergyReport:
         fresh = WaveState(st.u, st.ut, st.eps, st.t)
         assert close(rep.e_base, energy(fresh, s0))
         assert close(rep.e_delta, energy(fresh, s1))
-        assert close(rep.dafermos, dafermos_energy(fresh, v, s0))
+        assert rep.dafermos == dafermos_energy(fresh, v, s0)
         assert close(rep.err_sq, sobolev_norm(st.u - v, s0) ** 2)
         # the functionals written out in Sobolev norms of the fields
         tail = [
@@ -356,6 +364,22 @@ class TestEnergyReport:
         assert close(rep.e_base, 0.5 * sobolev_norm(st.u + eps * st.ut, s0) ** 2 + tail[0])
         assert close(rep.e_delta, 0.5 * sobolev_norm(st.u + eps * st.ut, s1) ** 2 + tail[1])
         assert close(rep.dafermos, 0.5 * sobolev_norm(st.u - v + eps * st.ut, s0) ** 2 + tail[0])
+
+    @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("ut_scale", [1.0, 0.0])
+    def test_report_density_in_own_buffer(self, dim, n, ut_scale):
+        # the report forms the modulated density in its own difference
+        # u - v: the state's and the reference's coefficients are left as
+        # they were, and the bits are those of the fresh-buffer form
+        g = make_grid(dim, n)
+        st = wave_state(g, 5, 0.1, ut_scale=ut_scale)
+        v = random_divergence_free_field(g, 98)
+        kept = [f.coeffs.copy() for f in (st.u, st.ut, v)]
+        rep = make_energy_report(st, 0.5, v=v)
+        assert all(np.array_equal(f.coeffs, c) for f, c in zip((st.u, st.ut, v), kept))
+        s0 = 0.0 if dim == 2 else 0.5
+        assert rep.dafermos == weighted_sum(g, s0, modulated_density_expr(st, st.u.coeffs - v.coeffs))
+        assert rep.err_sq == weighted_sum(g, s0, mode_mag2_expr(st.u.coeffs - v.coeffs))
 
     @pytest.mark.parametrize("dim, n, s0", [(2, 16, 0.0), (3, 8, 0.5)])
     def test_monitor_and_report_share_energy_density(self, monkeypatch, dim, n, s0):

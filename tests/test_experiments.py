@@ -804,6 +804,30 @@ class TestCli:
             cli.build_parser().parse_args(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["converge"],
+        ["converge", "--config", "c.cfg", "--bogus"],
+        ["converge", "--config", "c.cfg", "--force"],
+        ["taylor-green", "--jobs", "2"],
+        ["frobnicate"],
+    ])
+    def test_usage_error_exit_one(self, argv, capsys):
+        # exit 2 is a failed check; a usage error is an error
+        assert cli.main(argv) == 1
+        assert "usage: hypns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["converge", "exist"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_one(self, tmp_path, capsys, command, jobs):
+        p = self._write_cfg(tmp_path)
+        assert cli.main([command, "--config", str(p), "--out", str(tmp_path / "out"), "--jobs", jobs]) == 1
+        assert f"argument --jobs: must be >= 1, got {int(jobs)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exit_zero(self, capsys):
+        assert cli.main(["converge", "--help"]) == 0
+        assert "--jobs" in capsys.readouterr().out
+
     # each subcommand's options: only those its handler reads
     OPTIONS = {
         "converge": {"--config", "--out", "--jobs"},

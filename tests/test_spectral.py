@@ -137,7 +137,7 @@ class TestPickle:
         a, b = pickle.loads(pickle.dumps((random_divergence_free_field(g, 1), zero_field(g))))
         assert a.grid is b.grid
         assert np.array_equal(a.grid.k2, g.k2)
-        assert all(np.array_equal(x, y) for x, y in zip(a.grid.box_ik, g.box_ik))
+        assert all(np.array_equal(x, y) for x, y in zip(a.grid.box_keff, g.box_keff))
 
 
 class TestTransform:
@@ -264,7 +264,9 @@ class TestInPlacePrimitives:
         for ut in (h, zero):
             state = WaveState(f, ut, eps)
             for w in (f.coeffs, f.coeffs - h.coeffs, zero.coeffs):
-                assert np.array_equal(state.modulated_density(w), modulated_density_expr(state, w))
+                want = modulated_density_expr(state, w)
+                assert np.array_equal(state.modulated_density(w), want)
+                assert np.array_equal(state.modulated_density(w.copy(), in_place=True), want)
 
 
 class TestLeray:
@@ -533,9 +535,12 @@ class TestHalfSpectrum:
 
         for g in (make_grid(2, 16), make_grid(3, 8)):
             g.weight(0.5)  # the weight cache is not counted
+            tables = {name for name, v in vars(g).items() if name != "_weights" and nbytes(v)}
+            assert tables == {"k2", "box_keff", "box_k2eff_safe"}
             held = sum(nbytes(v) for name, v in vars(g).items() if name != "_weights")
-            box = nbytes(g.box_keff) + nbytes(g.box_ik) + g.box_k2eff_safe.nbytes
-            assert held <= g.k2.nbytes + box
+            box = nbytes(g.box_keff) + g.box_k2eff_safe.nbytes
+            assert held == g.k2.nbytes + box
+            assert all(kd.dtype == np.float64 for kd in g.box_keff)
 
     def test_zero_field_takes_no_memory(self):
         for g in (make_grid(2, 16), make_grid(3, 8)):
