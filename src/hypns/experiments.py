@@ -337,7 +337,11 @@ def _wave_run(cfg: ExperimentConfig, eps: float, v0: SpectralField, dt: float, r
 
     ``v0`` is the reference data; the solve runs on its grid, so every eps
     of a run shares one ``Grid`` and its tables.  ``ref`` is the reference
-    run as a list of ``NsState`` samples on that grid, or None.
+    run as a list of ``NsState`` samples, or None.  In one process the
+    samples are on v0's grid.  A pool worker builds its v0 again from the
+    config, on a grid of its own, while its samples arrive unpickled on
+    another (a pickled ``Grid`` is its (dim, n)): there ``dt_v(v)`` reads
+    the samples' grid's tables and the solve and its reports v0's.
     Data that fail admissibility are skipped unless ``force`` is set.
 
     The wave data (u0, u1) are popped out of a list into the solve's
@@ -524,7 +528,6 @@ class InequalityAudit:
     bernstein_ok: bool
     jackson_ok: bool
     trilinear_stable: bool
-    n_fields: int
 
 
 def run_inequality_audit(
@@ -582,5 +585,4 @@ def run_inequality_audit(
         bernstein_ok=bern_max <= 1.0,
         jackson_ok=jack_max <= 1.0,
         trilinear_stable=stable,
-        n_fields=n_fields,
     )

@@ -87,8 +87,9 @@ def _ticks(lo: float, hi: float):
     return [10.0**e for e in range(lo_e, hi_e + 1)]
 
 
-def loglog_svg(points, fit: RateFit | None, ref_slope: float, title: str, xlabel: str, ylabel: str) -> str:
-    """Scatter + fitted line + reference-slope guide, as one SVG string."""
+def loglog_svg(points, fit: RateFit | None, ref_slope: float, ylabel: str) -> str:
+    """Scatter + fitted line + reference-slope guide of the relaxation
+    error against eps, as one SVG string; ``ylabel`` names the error."""
     pts = [(x, y) for x, y in points if x > 0 and y > 0 and math.isfinite(y)]
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
@@ -111,7 +112,7 @@ def loglog_svg(points, fit: RateFit | None, ref_slope: float, title: str, xlabel
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="monospace" font-size="12">',
         f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W // 2}" y="18" text-anchor="middle">{title}</text>',
+        f'<text x="{_W // 2}" y="18" text-anchor="middle">relaxation error vs eps</text>',
     ]
     # axes box
     parts.append(
@@ -134,7 +135,7 @@ def loglog_svg(points, fit: RateFit | None, ref_slope: float, title: str, xlabel
             parts.append(
                 f'<text x="{_ML - 8}" y="{sy(ty):.2f}" text-anchor="end" dominant-baseline="middle">{ty:g}</text>'
             )
-    parts.append(f'<text x="{_W // 2}" y="{_H - 12}" text-anchor="middle">{xlabel}</text>')
+    parts.append(f'<text x="{_W // 2}" y="{_H - 12}" text-anchor="middle">eps</text>')
     parts.append(
         f'<text x="16" y="{_H // 2}" text-anchor="middle" transform="rotate(-90 16 {_H // 2})">{ylabel}</text>'
     )
@@ -200,14 +201,7 @@ def emit_report(result: SweepResult, out_dir) -> list:
     if pts:
         path = os.path.join(out_dir, "sweep_rate.svg")
         err_label = "sup_t ||u_eps - v||^2 (L2)" if result.config.dim == 2 else "sup_t ||u_eps - v||^2 (H^1/2)"
-        svg = loglog_svg(
-            pts,
-            result.fit,
-            reference_slope(result.config),
-            title="relaxation error vs eps",
-            xlabel="eps",
-            ylabel=err_label,
-        )
+        svg = loglog_svg(pts, result.fit, reference_slope(result.config), err_label)
         _write_text(path, svg)
         written.append(path)
     return written

@@ -66,8 +66,10 @@ and any other sigma is built anew when asked.  The other full tables,
 set-up and validation, not the steps.
 
 A ``SpectralField`` owns its coefficients, which are read-only.  The
-constructor copies what it is given; ``_adopt`` wraps, without the copy, an
-array that its caller has just made and will not write again.
+constructor copies what it is given, so it serves data from outside the
+package (``experiments.load_field``); ``_adopt`` wraps, without the copy,
+an array that its caller has just made and will not write again.  The
+arithmetic operators and ``leray_project`` adopt their results.
 ``zero_field`` wraps a read-only zero-stride array, which takes no memory.
 A pickled grid is its (dim, n), a zero-stride field its grid, and any
 other field its grid and coefficients, loaded through ``_wrap``.
@@ -244,8 +246,9 @@ class SpectralField:
     half-spectrum Fourier coefficients.
 
     The constructor accepts only coefficients of shape
-    (dim, n, ..., n, n//2+1) and forces the zero mode to 0 (fields are
-    mean-free).
+    (dim, n, ..., n, n//2+1), copies them and forces the zero mode to 0
+    (fields are mean-free).  ``+``, ``-`` and ``*`` by a scalar adopt their
+    new array (``_adopt``) without that copy.
     """
 
     grid: Grid
@@ -262,18 +265,15 @@ class SpectralField:
         object.__setattr__(self, "coeffs", c)
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
+        return _adopt(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
+        return _adopt(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, c: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * c)
+        return _adopt(self.grid, self.coeffs * c)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs)
 
     def __reduce__(self):
         if not any(self.coeffs.strides):
@@ -405,7 +405,7 @@ def _leray_full(grid: Grid, c: np.ndarray) -> np.ndarray:
 
 def leray_project(f: SpectralField) -> SpectralField:
     """Projection onto divergence-free fields: c(k) -= k (k.c(k)) / |k|^2."""
-    return SpectralField(f.grid, _leray_full(f.grid, f.coeffs.copy()))
+    return _adopt(f.grid, _leray_full(f.grid, f.coeffs.copy()))
 
 
 def _divergence_coeffs(grid: Grid, c: np.ndarray) -> np.ndarray:

@@ -209,8 +209,10 @@ def site_peak_units(run, sites, unit):
     forcing is ``nlw._box_forcing``, the NS step's ``ns._box_forcing``.
     Each is wrapped for the one traced call, and its peak is the highest
     traced memory while any call of it runs; a site never called is left
-    out.  ``run`` is called once untraced first, as ``step_peak_units``
-    does, so that what it builds on first use is not counted."""
+    out.  ``run`` is called once untraced first, so that what it builds
+    on first use is not counted.  Whatever ``run`` reads, a stepper or its
+    arguments, is built before the call, so that the peak is the call's
+    own."""
     wrapped = []
     for name in sites:
         module, *path = name.split(".")

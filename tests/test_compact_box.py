@@ -11,8 +11,6 @@ every output of the program stays byte-identical.  The trace-free products
 themselves are checked against all the products u_i u_j to rounding.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -309,24 +307,13 @@ FULL_ARRAY_PEAK_UNITS = {"ns": 9.19, "nlw": 7.02}
 NLW_STEP_PEAK_UNITS = 3.4
 
 
-def step_peak_units(step, arg, unit_bytes):
-    step(arg)  # first call outside the trace
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        step(arg)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    return peak / unit_bytes
-
-
 def test_step_allocation_peak_not_above_full_array_steppers():
     g = make_grid(3, 16)
     c = random_divergence_free_field(g, 3).coeffs
-    ns = step_peak_units(_NsStepper(g, 1e-3).step, c, c.nbytes)
-    nlw = step_peak_units(_NlwStepper(g, 0.01, 1e-3).step, (c, 0.5 * c), c.nbytes)
+    # the steppers and their arguments are built outside the traced call
+    ns_step, nlw_step, wave = _NsStepper(g, 1e-3).step, _NlwStepper(g, 0.01, 1e-3).step, (c, 0.5 * c)
+    ns = site_peak_units(lambda: ns_step(c), (), c.nbytes)["run"]
+    nlw = site_peak_units(lambda: nlw_step(wave), (), c.nbytes)["run"]
     assert ns <= FULL_ARRAY_PEAK_UNITS["ns"]
     assert nlw <= FULL_ARRAY_PEAK_UNITS["nlw"]
     assert nlw <= NLW_STEP_PEAK_UNITS
@@ -373,7 +360,7 @@ def test_convergence_run_allocation_peak():
     )
     g = make_grid(3, 16)
     unit = 3 * np.prod(g.spec_shape) * 16
-    units = step_peak_units(run_convergence, cfg, unit)
+    units = site_peak_units(lambda: run_convergence(cfg), (), unit)["run"]
     if units > RUN_PEAK_UNITS:
         sites = site_peak_units(lambda: run_convergence(cfg), RUN_PEAK_SITES, unit)
         ranked = "\n".join(f"  {name}: {peak:.2f}" for name, peak in sites.items())
@@ -394,8 +381,8 @@ def test_energy_report_allocation_peak():
     g = make_grid(3, 16)
     u, ut, v = (random_divergence_free_field(g, seed) for seed in (3, 4, 5))
 
-    def report(eps):
-        return make_energy_report(WaveState(u, ut, eps), 0.5, v=v)
+    def report():
+        return make_energy_report(WaveState(u, ut, 0.01), 0.5, v=v)
 
-    units = step_peak_units(report, 0.01, u.coeffs.nbytes)
+    units = site_peak_units(report, (), u.coeffs.nbytes)["run"]
     assert units <= REPORT_PEAK_UNITS

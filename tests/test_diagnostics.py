@@ -179,6 +179,24 @@ class TestDafermosResidual:
             res[h] = min(recs, key=lambda r: abs(r.t - 0.04)).residual
         assert 3.4 <= res[2e-3] / res[1e-3] <= 4.6
 
+    def test_record_holds_both_sides(self):
+        # lhs is the centred difference of the modulated energy, rhs the
+        # assembled balance, and the residual their gap, all to the bit
+        g = make_grid(2, 32)
+        u0 = random_divergence_free_field(g, 5, band=6) * 0.7
+        v0 = random_divergence_free_field(g, 9, band=6) * 0.7
+        waves, vs = [], []
+        nlw_solve(u0, 0.0 * u0, 0.05, 0.01, dt=2e-3, observer=waves.append, stride=1)
+        ns_solve(v0, 0.01, dt=2e-3, observer=lambda s: vs.append(s.v), stride=1)
+        recs = dafermos_derivative_residuals(waves, vs, 0.0)
+        energies = [dafermos_energy(st, v, 0.0) for st, v in zip(waves, vs)]
+        h = waves[1].t - waves[0].t
+        assert len(recs) == len(waves) - 2
+        for j, rec in enumerate(recs, start=1):
+            assert rec.t == waves[j].t
+            assert rec.residual == abs(rec.lhs - rec.rhs)
+            assert rec.lhs == (energies[j + 1] - energies[j - 1]) / (2.0 * h)
+
     def test_non_solution_reference_matches_defect_term(self):
         # freeze v at the vortex: the omitted reference-equation term is the
         # whole gap between dE/dt and the assembled terms

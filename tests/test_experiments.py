@@ -34,7 +34,7 @@ from hypns.experiments import (
 )
 from hypns.diagnostics import make_energy_report
 from hypns.initial_data import HypothesisReport
-from hypns.ns import ns_solve
+from hypns.ns import default_dt, ns_solve
 from hypns.reporting import emit_report
 from hypns.spectral import inverse_transform, make_grid
 from hypns import cli, experiments, nlw, spectral
@@ -286,6 +286,13 @@ class TestRunConvergence:
         assert len(res.rows) == 1
         assert res.fit is None
         assert rate_failures(res) == [FIT_UNDEFINED]
+
+    def test_unset_dt_is_the_cfl_bound(self):
+        # amplitude 200 puts the advective bound below its 1e-3 cap
+        cfg = golden_config(dt=None, T=0.01, amplitude=200.0)
+        res = run_convergence(cfg)
+        assert res.dt_used == default_dt(build_reference_field(cfg, make_grid(2, 16))) < 1e-3
+        assert not any(row.blowup for row in res.rows)
 
     def test_taylor_green_family_slope(self):
         cfg = ExperimentConfig(

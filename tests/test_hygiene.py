@@ -36,6 +36,12 @@ steppers' ``step``.  ``diagnostics.py`` imports no private name, so its
 checks reach the kernel through those public rules, not through second
 copies of them.
 
+A field's coefficients are copied once.  Only ``experiments.load_field``,
+which reads them from a file, calls the copying ``SpectralField``
+constructor; every array the package makes itself is wrapped by
+``spectral._adopt``.  Every field of a module-level dataclass is read
+somewhere: a field that is only ever set is a record nobody keeps.
+
 Each solver judges a sample once.  ``ns.march`` only steps and yields: it
 calls no ``isinstance`` and no failure check.  ``_check_finite`` is read
 only by ``ns_solve``; the wave's one test is its energy ceiling.
@@ -267,10 +273,10 @@ def test_box_layout_only_in_spectral():
     assert found == []
 
 
-def name_readers(path, name):
-    """``<file>:<function>`` of the innermost function around each read of
-    ``name``, a method as ``Class.method``; ``<file>:<module>`` outside
-    every function."""
+def scopes_of(path, hit):
+    """``<file>:<function>`` of the innermost function around each node for
+    which ``hit`` holds, a method as ``Class.method``; ``<file>:<module>``
+    outside every function."""
     found = set()
 
     def visit(node, scope):
@@ -278,12 +284,26 @@ def name_readers(path, name):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            elif getattr(child, "id", None) == name or getattr(child, "attr", None) == name:
+            elif hit(child):
                 found.add(f"{path.name}:{scope or '<module>'}")
             visit(child, inner)
 
     visit(parse(path), "")
     return found
+
+
+def reads_name(node, name):
+    return name in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def name_readers(path, name):
+    """The scopes (``scopes_of``) of each read of ``name``."""
+    return scopes_of(path, lambda node: reads_name(node, name))
+
+
+def name_callers(path, name):
+    """The scopes (``scopes_of``) of each call of ``name``."""
+    return scopes_of(path, lambda node: isinstance(node, ast.Call) and reads_name(node.func, name))
 
 
 BOX_FORCING_READERS = {
@@ -303,6 +323,11 @@ def test_diagnostics_imports_no_private_name():
     names = imported_names(PACKAGE / "diagnostics.py")
     assert "WaveState" in names  # the rule sees the imports
     assert sorted(n for n in names if n.startswith("_")) == []
+
+
+def test_field_constructor_called_only_by_load_field():
+    found = set().union(*(name_callers(path, "SpectralField") for path in MODULES))
+    assert found == {"experiments.py:load_field"}
 
 
 def test_finite_check_read_only_by_ns_solve():
@@ -419,11 +444,14 @@ def test_every_config_key_is_set_by_a_run():
 # ``bench/`` wraps or times by string count as references.
 #
 # The same holds for the public methods and properties of module-level
-# classes (dataclass fields are not methods), with the reference an
-# attribute ``x.name`` outside the member's own body.  The rule cannot
-# tell the receiver's type, so an attribute that a builtin type also has
-# (``ratios.values()`` on a dict) counts for no class: a member named so is
-# always reported.
+# classes, with the reference an attribute ``x.name`` outside the member's
+# own body.  The rule cannot tell the receiver's type, so an attribute that
+# a builtin type also has (``ratios.values()`` on a dict) counts for no
+# class: a member named so is always reported.
+#
+# A field of a module-level dataclass must be read: an attribute load
+# ``x.field`` in ``src/`` outside its own class, in ``bench/`` or in
+# ``tests/``.  A field that is only ever set is a record nobody keeps.
 
 
 def defined_names(node):
@@ -481,6 +509,41 @@ def unreferenced_public_names(sources, outside):
             if member.name in BUILTIN_MEMBERS or not elsewhere:
                 found.append(f"{name}: {cls}.{member.name}")
     return found
+
+
+def attribute_loads(tree):
+    """Every attribute name loaded (read, not stored) in the tree, once per
+    occurrence."""
+    return Counter(
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def dataclass_fields(tree):
+    """``(class node, field)`` of each field of the module-level dataclasses
+    of ``tree``."""
+    return [
+        (node, item.target.id)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in node.decorator_list)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+
+
+def unread_fields(sources, outside):
+    """``file: Class.field`` of each dataclass field of ``sources`` (file
+    name to source text) that no statement of ``sources`` loads outside
+    its own class and that ``outside`` does not hold."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    reads = sum(map(attribute_loads, trees.values()), Counter())
+    return [
+        f"{name}: {cls.name}.{field}"
+        for name, tree in trees.items()
+        for cls, field in dataclass_fields(tree)
+        if reads[field] == attribute_loads(cls)[field] and field not in outside
+    ]
 
 
 def run_path_references():
@@ -541,3 +604,32 @@ def test_public_name_rule_flags_planted_orphans():
 def test_every_public_name_serves_a_run():
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     assert unreferenced_public_names(sources, run_path_references()) == []
+
+
+PLANTED_RECORDS = """
+@dataclass(frozen=True)
+class Kept:
+    read: int
+    written: int
+
+    def twice(self):
+        return 2 * self.written
+
+@dataclass
+class Mutable:
+    count: int = 0
+
+def bump(m):
+    m.count = Kept(1, 2).read
+"""
+
+
+def test_field_rule_flags_planted_write_only_fields():
+    found = unread_fields({"planted.py": PLANTED_RECORDS}, outside=set())
+    assert found == ["planted.py: Kept.written", "planted.py: Mutable.count"]
+
+
+def test_every_dataclass_field_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    outside = set().union(*(attribute_loads(parse(p)) for p in (*BENCH.glob("*.py"), *(ROOT / "tests").glob("*.py"))))
+    assert unread_fields(sources, outside) == []

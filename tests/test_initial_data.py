@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -23,7 +21,13 @@ from hypns.spectral import (
     zero_field,
 )
 
-from conftest import l2_norm, random_divergence_free_field_copying, single_mode_field, synth_hs_field_copying
+from conftest import (
+    l2_norm,
+    random_divergence_free_field_copying,
+    single_mode_field,
+    site_peak_units,
+    synth_hs_field_copying,
+)
 
 
 class TestRecipe:
@@ -154,16 +158,9 @@ SYNTH_PEAK_UNITS = {(2, 128): 3.6, (3, 32): 2.75}
 @pytest.mark.parametrize("dim,n", sorted(SYNTH_PEAK_UNITS))
 def test_synth_allocation_peak(dim, n):
     g = make_grid(dim, n)
-    synth_hs_field(g, 1, 0.5, 1.0)  # first call outside the trace: the grid's weight cache
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        f = synth_hs_field(g, 1, 0.5, 1.0)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak / f.coeffs.nbytes <= SYNTH_PEAK_UNITS[(dim, n)]
+    unit = synth_hs_field(g, 1, 0.5, 1.0).coeffs.nbytes
+    units = site_peak_units(lambda: synth_hs_field(g, 1, 0.5, 1.0), (), unit)["run"]
+    assert units <= SYNTH_PEAK_UNITS[(dim, n)]
 
 
 # Peak traced allocation of one ``truncate_initial_data`` call, in units of
@@ -177,15 +174,9 @@ TRUNCATE_PEAK_UNITS = 1.6
 def test_truncate_allocation_peak(dim, n):
     g = make_grid(dim, n)
     v0 = synth_hs_field(g, 1, 0.5, 1.0)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        u0 = truncate_initial_data(v0, 1e-3)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak / u0.coeffs.nbytes <= TRUNCATE_PEAK_UNITS
+    u0 = truncate_initial_data(v0, 1e-3)
+    units = site_peak_units(lambda: truncate_initial_data(v0, 1e-3), (), u0.coeffs.nbytes)["run"]
+    assert units <= TRUNCATE_PEAK_UNITS
     assert_same_bits(u0, SpectralField(g, v0.coeffs * (g.kmag < 1e-3**-0.5)))
 
 
@@ -202,16 +193,8 @@ def test_hypotheses_allocation_peak(dim, n):
     g = make_grid(dim, n)
     v0 = synth_hs_field(g, 1, 0.5, 1.0)
     u0 = truncate_initial_data(v0, 1e-3)
-    check_hypotheses(u0, v0, 1e-3, 0.5, 0.5)  # first call outside the trace: the grid's weight cache
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        check_hypotheses(u0, v0, 1e-3, 0.5, 0.5)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak / u0.coeffs.nbytes <= HYPOTHESES_PEAK_UNITS[(dim, n)]
+    units = site_peak_units(lambda: check_hypotheses(u0, v0, 1e-3, 0.5, 0.5), (), u0.coeffs.nbytes)["run"]
+    assert units <= HYPOTHESES_PEAK_UNITS[(dim, n)]
 
 
 class TestTruncation:

@@ -8,7 +8,7 @@ from scipy.integrate import simpson
 from hypns import ns
 from hypns.initial_data import random_divergence_free_field, taylor_green
 from hypns.nlw import nlw_solve
-from hypns.ns import SolverFailure, _check_finite, dt_v, ns_solve
+from hypns.ns import SolverFailure, _check_finite, default_dt, dt_v, ns_solve
 from hypns.spectral import (
     divergence_l2,
     inverse_transform,
@@ -255,6 +255,32 @@ class TestCheckFinite:
         assert np.isfinite(c).all()
         with pytest.raises(SolverFailure):
             _check_finite(c, 0.5)
+
+
+class TestDefaultDt:
+    """The advective CFL bound 0.5 / (n max|v|), capped at 1e-3, where
+    max|v| is the largest pointwise magnitude of the collocation values."""
+
+    @staticmethod
+    def vmax(f):
+        vals = inverse_transform(f)
+        return float(np.sqrt(np.max(np.sum(vals * vals, axis=0))))
+
+    def test_zero_field(self):
+        assert default_dt(zero_field(make_grid(2, 16))) == 1e-3
+
+    def test_large_field_takes_the_cfl_bound(self):
+        g = make_grid(2, 16)
+        f = random_divergence_free_field(g, 1) * 100.0
+        bound = 0.5 / (g.n * self.vmax(f))
+        assert bound < 1e-3
+        assert default_dt(f) == bound
+
+    def test_small_field_takes_the_cap(self):
+        g = make_grid(3, 8)
+        f = random_divergence_free_field(g, 1) * 1e-3
+        assert 0.5 / (g.n * self.vmax(f)) > 1e-3
+        assert default_dt(f) == 1e-3
 
 
 class TestDtV:
