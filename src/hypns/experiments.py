@@ -16,6 +16,7 @@ from .diagnostics import (
     trilinear_ratio,
 )
 from .initial_data import (
+    SMALLNESS_BOUND,
     HypothesisReport,
     check_bernstein,
     check_hypotheses,
@@ -53,8 +54,10 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run's settings, checked in full when built: any violation
-    raises ``ConfigError`` listing them all.  ``eps_list`` is stored as a
-    tuple, so a config hashes and cannot change after its check."""
+    raises ``ConfigError`` listing them all.  A field annotated ``int``
+    takes an integral number only (a numpy integer, not a ``bool`` or a
+    float).  ``eps_list`` is stored as a tuple, so a config hashes and
+    cannot change after its check."""
 
     dim: int = 2
     n: int = 64
@@ -75,9 +78,13 @@ class ExperimentConfig:
         floats = [(f.name, getattr(self, f.name)) for f in fields(self) if _kind(f) == "float"]
         nonfinite = {k for k, v in floats if v is not None and not math.isfinite(v)}
         bad = [f"{k}: must be finite, got {v}" for k, v in floats if k in nonfinite]
-        if self.dim not in (2, 3):
+        ints = [(f.name, getattr(self, f.name)) for f in fields(self) if _kind(f) == "int"]
+        # a bool is an int to Python, but no count or seed
+        nonint = {k for k, v in ints if isinstance(v, bool) or not isinstance(v, (int, np.integer))}
+        bad += [f"{k}: must be an integer, got {v}" for k, v in ints if k in nonint]
+        if "dim" not in nonint and self.dim not in (2, 3):
             bad.append(f"dim: must be 2 or 3, got {self.dim}")
-        if self.n < 8 or self.n % 2 != 0:
+        if "n" not in nonint and (self.n < 8 or self.n % 2 != 0):
             bad.append(f"n: must be even and >= 8, got {self.n}")
         if "s" not in nonfinite and not 0.0 < self.s < 1.0:
             bad.append(f"s: s in (0,1) is required for the convergence-rate claims, got {self.s}")
@@ -95,7 +102,7 @@ class ExperimentConfig:
             bad.append(f"T: must be >= 0, got {self.T}")
         if self.dt is not None and self.dt <= 0:
             bad.append(f"dt: must be > 0 when given, got {self.dt}")
-        if self.seed < 0:
+        if "seed" not in nonint and self.seed < 0:
             bad.append(f"seed: must be >= 0, got {self.seed}")
         if self.amplitude < 0:
             bad.append(f"amplitude: must be >= 0, got {self.amplitude}")
@@ -105,7 +112,7 @@ class ExperimentConfig:
             bad.append("data_source: taylor_green is 2D only")
         if self.data_source == "file" and not self.data_file:
             bad.append("data_file: required when data_source = file")
-        if self.sample_stride < 1:
+        if "sample_stride" not in nonint and self.sample_stride < 1:
             bad.append(f"sample_stride: must be >= 1, got {self.sample_stride}")
         if bad:
             raise ConfigError(bad)
@@ -337,12 +344,9 @@ def _wave_run(cfg: ExperimentConfig, eps: float, v0: SpectralField, dt: float, r
 
     ``v0`` is the reference data; the solve runs on its grid, so every eps
     of a run shares one ``Grid`` and its tables.  ``ref`` is the reference
-    run as a list of ``NsState`` samples, or None.  In one process the
-    samples are on v0's grid.  A pool worker builds its v0 again from the
-    config, on a grid of its own, while its samples arrive unpickled on
-    another (a pickled ``Grid`` is its (dim, n)): there ``dt_v(v)`` reads
-    the samples' grid's tables and the solve and its reports v0's.
-    Data that fail admissibility are skipped unless ``force`` is set.
+    run as a list of ``NsState`` samples, or None; the samples are on
+    v0's grid.  Data that fail admissibility are skipped unless ``force``
+    is set.
 
     The wave data (u0, u1) are popped out of a list into the solve's
     call, so this frame holds no name for them while the solve steps, and
@@ -390,9 +394,11 @@ def _wave_run(cfg: ExperimentConfig, eps: float, v0: SpectralField, dt: float, r
     )
 
 
-def _reference_data(cfg: ExperimentConfig):
-    """The reference field v0 on a grid of its own, and the step dt."""
-    v0 = build_reference_field(cfg, make_grid(cfg.dim, cfg.n))
+def _reference_data(cfg: ExperimentConfig, ref=None):
+    """The reference field v0 and the step dt.  Given the reference run
+    ``ref``, v0 is its t = 0 sample, on the samples' grid; without one,
+    v0 is built from the config on a grid of its own."""
+    v0 = build_reference_field(cfg, make_grid(cfg.dim, cfg.n)) if ref is None else ref[0].v
     return v0, cfg.dt if cfg.dt is not None else default_dt(v0)
 
 
@@ -400,10 +406,11 @@ def _run_eps_list(cfg: ExperimentConfig, jobs: int, with_reference: bool, force:
     """Solve the reference system if asked, then run ``_wave_run`` per eps.
 
     This process builds v0 and dt only where it solves with them: for the
-    reference, or for every eps when ``jobs <= 1``.  A pool worker builds
-    its own from the config.  Returns dt (None when this process built no
-    v0) and the rows in ``eps_list`` order, which the config's constructor
-    requires to descend."""
+    reference, or for every eps when ``jobs <= 1``.  A pool worker takes
+    v0 from the reference run when there is one, and builds it from the
+    config when there is none.  Returns dt (None when this process built
+    no v0) and the rows in ``eps_list`` order, which the config's
+    constructor requires to descend."""
     v0 = dt = ref = None
     if with_reference or jobs <= 1:
         v0, dt = _reference_data(cfg)
@@ -428,7 +435,7 @@ def _run_eps_list(cfg: ExperimentConfig, jobs: int, with_reference: bool, force:
 
 
 _shared = None  # a pool worker's (cfg, ref, force), set by _hold_shared
-_data = None  # the worker's (v0, dt), built from the config at its first task
+_data = None  # the worker's (v0, dt), set at its first task
 
 
 def _hold_shared(*shared):
@@ -442,7 +449,7 @@ def _wave_run_shared(eps: float) -> SweepRow:
     if _data is None:
         # built in a task, not in _hold_shared, so that a bad data file
         # raises its ValueError in the parent instead of breaking the pool
-        _data = _reference_data(cfg)
+        _data = _reference_data(cfg, ref)
     v0, dt = _data
     return _wave_run(cfg, eps, v0, dt, ref, force)
 
@@ -453,8 +460,8 @@ def run_convergence(cfg: ExperimentConfig, jobs: int = 1) -> SweepResult:
     skipped for failing admissibility.  Deterministic for a fixed (config,
     seed) regardless of ``jobs``.  With ``jobs > 1`` the eps values run in a
     process pool whose workers receive the config and the reference samples
-    once, when they start, and build ``v0`` from the config; each task
-    carries only its eps."""
+    once, when they start, and take ``v0`` from the samples (it is the
+    reference run's t = 0 sample); each task carries only its eps."""
     dt, rows = _run_eps_list(cfg, jobs, with_reference=True, force=True)
     fit = fit_rate([(r.eps, r.sup_err_sq) for r in rows])
     return SweepResult(config=cfg, dt_used=dt, rows=rows, fit=fit)
@@ -488,7 +495,7 @@ def rate_failures(result: SweepResult) -> list:
         bad.append(f"R2 {fit.r2:.4f} below 0.9")
     if cfg.dim == 3:
         small = max(r.hypothesis.smallness for r in result.rows)
-        if not small < 1.0 / 16.0:
+        if not small < SMALLNESS_BOUND:
             bad.append(f"critical norm {small:.4f} not below 1/16")
     return bad
 

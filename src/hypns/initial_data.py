@@ -20,6 +20,9 @@ from .spectral import (
     zero_field,
 )
 
+# the 3D critical-norm bound: admissible data have ||u0||_{H^(1/2)} below it
+SMALLNESS_BOUND = 1.0 / 16.0
+
 
 @dataclass
 class HypothesisReport:
@@ -189,7 +192,7 @@ def check_hypotheses(u0: SpectralField, v0: SpectralField, eps: float, s: float,
 
     passed = all(r <= 1.0 for r in ratios.values())
     if grid.dim == 3:
-        passed = passed and smallness < 1.0 / 16.0
+        passed = passed and smallness < SMALLNESS_BOUND
     return HypothesisReport(ratios, smallness, passed)
 
 

@@ -128,6 +128,24 @@ class TestConfigParsing:
         assert exc.value.violations == ["seed: must be >= 0, got -1"]
         assert ExperimentConfig(seed=0).seed == 0
 
+    @pytest.mark.parametrize(
+        "key, value", [("dim", 2.0), ("dim", 2.5), ("n", 16.0), ("n", True), ("seed", -0.5), ("sample_stride", 2.5)],
+    )
+    def test_integer_fields_reject_non_integers(self, key, value):
+        # the field's range check is skipped: the one violation is the type
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**{key: value})
+        assert exc.value.violations == [f"{key}: must be an integer, got {value}"]
+
+    def test_integer_fields_take_numpy_integers(self):
+        cfg = ExperimentConfig(dim=np.int64(3), n=np.int32(16), seed=np.uint8(1), sample_stride=np.int16(2))
+        assert (cfg.dim, cfg.n, cfg.seed, cfg.sample_stride) == (3, 16, 1, 2)
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(n=16.0, seed=-1, dim=3.0)
+        assert exc.value.violations == [
+            "dim: must be an integer, got 3.0", "n: must be an integer, got 16.0", "seed: must be >= 0, got -1",
+        ]
+
     def test_config_is_frozen(self):
         cfg = golden_config()
         with pytest.raises(FrozenInstanceError):
@@ -319,7 +337,7 @@ class TestRunConvergence:
     def test_spawned_pool_writes_the_same_csv(self, monkeypatch, tmp_path):
         # a spawned worker gets the config and the reference samples by
         # pickle alone, as under the forkserver default of Python 3.14, and
-        # builds v0 from the config
+        # takes v0 from the samples
         spawn = multiprocessing.get_context("spawn")
 
         class SpawnPool(experiments.ProcessPoolExecutor):
@@ -417,7 +435,8 @@ class TestRunConvergence:
 
     @pytest.mark.parametrize("entry, grids", [(run_convergence, 1), (run_existence_probe, 0)])
     def test_pool_parent_builds_only_what_it_solves(self, monkeypatch, entry, grids):
-        # with jobs > 1 the workers build v0 and its grid from the config;
+        # with jobs > 1 a converge worker takes v0 and its grid from the
+        # reference run and a probe worker builds them from the config;
         # this process builds one only for the Navier-Stokes reference
         built = []
         post_init = spectral.Grid.__post_init__
@@ -429,6 +448,34 @@ class TestRunConvergence:
         monkeypatch.setattr(spectral.Grid, "__post_init__", counted)
         rows = entry(golden_config(T=0.02), jobs=2).rows
         assert built == [(2, 16)] * grids and len(rows) == len(golden_config().eps_list)
+
+    @pytest.mark.parametrize("entry, worker_builds", [(run_convergence, False), (run_existence_probe, True)])
+    def test_converge_pool_worker_builds_no_reference_field(self, monkeypatch, tmp_path, entry, worker_builds):
+        # a converge worker's v0 is the reference run's t = 0 sample; a probe
+        # has no reference run, so its workers build v0 from the config.
+        # The workers are forked, so they inherit the patched builder.
+        fork = multiprocessing.get_context("fork")
+
+        class ForkPool(experiments.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                super().__init__(max_workers=max_workers, mp_context=fork, **kwargs)
+
+        parent, build = os.getpid(), experiments.build_reference_field
+
+        def guarded(cfg, grid):
+            if os.getpid() != parent:
+                if not worker_builds:
+                    raise AssertionError("a converge pool worker built the reference field again")
+                (tmp_path / f"built-{os.getpid()}").touch()
+            return build(cfg, grid)
+
+        cfg = golden_config(T=0.02)
+        one = entry(cfg, jobs=1)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", ForkPool)
+        monkeypatch.setattr(experiments, "build_reference_field", guarded)
+        two = entry(cfg, jobs=2)
+        assert [energy_series(r) for r in two.rows] == [energy_series(r) for r in one.rows]
+        assert any(tmp_path.iterdir()) == worker_builds
 
     def test_reference_samples_passed_without_copy(self, monkeypatch):
         stored, passed = [], []

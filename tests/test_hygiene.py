@@ -42,6 +42,11 @@ constructor; every array the package makes itself is wrapped by
 ``spectral._adopt``.  Every field of a module-level dataclass is read
 somewhere: a field that is only ever set is a record nobody keeps.
 
+The reference field has one builder: only ``experiments._reference_data``
+calls ``build_reference_field``.  A pool worker of a convergence sweep
+takes v0 from the reference run it was sent, so each process holds one
+reference field and one ``Grid``.
+
 Each solver judges a sample once.  ``ns.march`` only steps and yields: it
 calls no ``isinstance`` and no failure check.  ``_check_finite`` is read
 only by ``ns_solve``; the wave's one test is its energy ceiling.
@@ -328,6 +333,11 @@ def test_diagnostics_imports_no_private_name():
 def test_field_constructor_called_only_by_load_field():
     found = set().union(*(name_callers(path, "SpectralField") for path in MODULES))
     assert found == {"experiments.py:load_field"}
+
+
+def test_reference_field_built_only_by_reference_data():
+    found = set().union(*(name_callers(path, "build_reference_field") for path in MODULES))
+    assert found == {"experiments.py:_reference_data"}
 
 
 def test_finite_check_read_only_by_ns_solve():
