@@ -51,8 +51,7 @@ def composite_scalar(e_delta: float, e_base: float, n: int) -> float:
 def dafermos_energy(state: WaveState, v: SpectralField, sigma0: float) -> float:
     """Modulated wave energy measuring distance to a reference field v:
     int 1/2 |L^s (u - v + eps u_t)|^2 + eps^2/2 |L^s u_t|^2 + eps |L^(s+1) u|^2."""
-    diff = state.u.coeffs - v.coeffs
-    return weighted_sum(state.u.grid, sigma0, state.modulated_density(diff, in_place=True))
+    return weighted_sum(state.u.grid, sigma0, state.modulated_density(state.u.coeffs - v.coeffs))
 
 
 def make_energy_report(state: WaveState, delta: float, *, v: SpectralField | None = None) -> EnergyReport:
@@ -61,10 +60,9 @@ def make_energy_report(state: WaveState, delta: float, *, v: SpectralField | Non
     energy and the squared error ||u - v||^2 at sigma0, all from one set of
     per-mode densities of the state's coefficients.
 
-    The reference's terms take one buffer of the report's own, the
-    difference u - v: the squared error is read from it first, and the
-    modulated density is then formed in it (``modulated_density`` with
-    ``in_place``), so no second field-sized sum sits beside it.
+    Given v, the squared error and ``dafermos_energy`` each read a
+    difference u - v of their own; the first is freed before the second
+    is formed, so the two never sit side by side.
 
     sigma0 is ``base_sigma`` of the state's grid dimension.  ``composite``
     stays NaN: ``energy_decay_audit`` fills it once the exponent is known."""
@@ -78,9 +76,8 @@ def make_energy_report(state: WaveState, delta: float, *, v: SpectralField | Non
         threshold_ok=linf < 1.0 / math.sqrt(state.eps),
     )
     if v is not None:
-        diff = state.u.coeffs - v.coeffs
-        rep.err_sq = weighted_sum(state.u.grid, s0, mode_mag2(diff))
-        rep.dafermos = weighted_sum(state.u.grid, s0, state.modulated_density(diff, in_place=True))
+        rep.err_sq = weighted_sum(state.u.grid, s0, mode_mag2(state.u.coeffs - v.coeffs))
+        rep.dafermos = dafermos_energy(state, v, s0)
     return rep
 
 

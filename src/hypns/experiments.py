@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, fields
+from numbers import Real
 
 import numpy as np
 
@@ -56,8 +57,10 @@ class ExperimentConfig:
     """One run's settings, checked in full when built: any violation
     raises ``ConfigError`` listing them all.  A field annotated ``int``
     takes an integral number only (a numpy integer, not a ``bool`` or a
-    float).  ``eps_list`` is stored as a tuple, so a config hashes and
-    cannot change after its check."""
+    float); one annotated ``float``, and each ``eps_list`` entry, a finite
+    real number (an integer or a float, not a ``bool``).  ``eps_list`` is
+    stored as a tuple, so a config hashes and cannot change after its
+    check."""
 
     dim: int = 2
     n: int = 64
@@ -75,9 +78,18 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "eps_list", tuple(self.eps_list))
+        # every float value, each eps_list entry included; a bool is a
+        # number to Python, but no size or time, and only dt may be None
         floats = [(f.name, getattr(self, f.name)) for f in fields(self) if _kind(f) == "float"]
-        nonfinite = {k for k, v in floats if v is not None and not math.isfinite(v)}
-        bad = [f"{k}: must be finite, got {v}" for k, v in floats if k in nonfinite]
+        floats += [("eps_list", e) for e in self.eps_list]
+        nonreal = [
+            (k, v) for k, v in floats if isinstance(v, bool) or not (isinstance(v, Real) or k == "dt" and v is None)
+        ]
+        nonfinite = [(k, v) for k, v in floats if isinstance(v, Real) and not math.isfinite(v)]
+        bad = [f"{k}: must be a real number, got {v!r}" for k, v in nonreal]
+        bad += [f"{k}: must be finite, got {v}" for k, v in nonfinite]
+        # a field whose value is of the wrong kind or not finite skips its range checks
+        unchecked = {k for k, _ in nonreal + nonfinite}
         ints = [(f.name, getattr(self, f.name)) for f in fields(self) if _kind(f) == "int"]
         # a bool is an int to Python, but no count or seed
         nonint = {k for k, v in ints if isinstance(v, bool) or not isinstance(v, (int, np.integer))}
@@ -86,25 +98,24 @@ class ExperimentConfig:
             bad.append(f"dim: must be 2 or 3, got {self.dim}")
         if "n" not in nonint and (self.n < 8 or self.n % 2 != 0):
             bad.append(f"n: must be even and >= 8, got {self.n}")
-        if "s" not in nonfinite and not 0.0 < self.s < 1.0:
+        if "s" not in unchecked and not 0.0 < self.s < 1.0:
             bad.append(f"s: s in (0,1) is required for the convergence-rate claims, got {self.s}")
-        if "delta" not in nonfinite and not 0.0 < self.delta < 1.0:
+        if "delta" not in unchecked and not 0.0 < self.delta < 1.0:
             bad.append(f"delta: must lie in (0,1), got {self.delta}")
+        eps = () if "eps_list" in unchecked else self.eps_list
         if not self.eps_list:
             bad.append("eps_list: must be nonempty")
-        elif not all(math.isfinite(e) for e in self.eps_list):
-            bad.append(f"eps_list: all entries must be finite, got {list(self.eps_list)}")
-        elif any(e <= 0 for e in self.eps_list):
+        elif any(e <= 0 for e in eps):
             bad.append("eps_list: all entries must be > 0")
-        elif any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
+        elif any(b >= a for a, b in zip(eps, eps[1:])):
             bad.append("eps_list: must be strictly descending")
-        if self.T < 0:
+        if "T" not in unchecked and self.T < 0:
             bad.append(f"T: must be >= 0, got {self.T}")
-        if self.dt is not None and self.dt <= 0:
+        if "dt" not in unchecked and self.dt is not None and self.dt <= 0:
             bad.append(f"dt: must be > 0 when given, got {self.dt}")
         if "seed" not in nonint and self.seed < 0:
             bad.append(f"seed: must be >= 0, got {self.seed}")
-        if self.amplitude < 0:
+        if "amplitude" not in unchecked and self.amplitude < 0:
             bad.append(f"amplitude: must be >= 0, got {self.amplitude}")
         if self.data_source not in ("synthetic", "taylor_green", "file"):
             bad.append(f"data_source: unknown source {self.data_source!r}")

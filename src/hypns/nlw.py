@@ -56,27 +56,21 @@ class WaveState:
         eps = self.eps
         return 0.5 * eps * eps * mode_mag2(self.ut.coeffs) + eps * self.u.grid.k2 * mode_mag2(self.u.coeffs)
 
-    def modulated_density(self, w: np.ndarray, *, in_place: bool = False) -> np.ndarray:
-        """Per-mode 1/2 |w + eps u_t|^2 plus ``shared_density``: the energy
-        density for the coefficients w of u (``energy_density``), the
+    def modulated_density(self, m: np.ndarray) -> np.ndarray:
+        """Per-mode 1/2 |m + eps u_t|^2 plus ``shared_density``: the energy
+        density for the coefficients m of u (``energy_density``), the
         modulated one for those of u - v.
 
-        The sum w + eps u_t is formed in a new array, or with ``in_place``
-        in the caller's buffer w itself, one component at a time, which then
-        holds the sum; both give the same bits."""
-        if in_place:
-            m = w
-            for mi, uti in zip(m, self.ut.coeffs):
-                mi += self.eps * uti
-        else:
-            m = self.eps * self.ut.coeffs
-            m += w
+        The sum m + eps u_t is formed in the caller's buffer m, one
+        component at a time, so m holds the sum afterwards."""
+        for mi, uti in zip(m, self.ut.coeffs):
+            mi += self.eps * uti
         return 0.5 * mode_mag2(m) + self.shared_density
 
     @cached_property
     def energy_density(self) -> np.ndarray:
-        """``modulated_density`` of u, kept on the state."""
-        return self.modulated_density(self.u.coeffs)
+        """``modulated_density`` of a copy of u's coefficients, kept on the state."""
+        return self.modulated_density(self.u.coeffs.copy())
 
 
 def energy(state: WaveState, sigma: float) -> float:

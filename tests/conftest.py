@@ -1,5 +1,6 @@
 import functools
 import importlib
+import itertools
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -105,6 +106,44 @@ def unguarded_convection(grid, c):
     """``convection_term``'s coefficients for the half-spectrum array ``c``
     without its finiteness and divergence guard, for arbitrary test data."""
     return -box_scatter(grid, _box_forcing(grid, box_gather(grid, c)))
+
+
+def triad_convection(f):
+    """P nabla . (u (x) u) on the half spectrum as the direct triad sum,
+    with no transform: on the 2/3-rule box
+
+        (P nabla . (u (x) u))_i(k) = P_k i k_j (2 pi)^(-dim/2) sum_{p+q=k} u_i(p) u_j(q),
+
+    p, q and k in the box, and zero outside it.  The full box is read from
+    the half spectrum through c(-k) = conj c(k).  The sum runs as one loop
+    over k, each term an array operation over every p of the box; q = k - p
+    is read from the box padded by its own width, where it is zero outside."""
+    g = f.grid
+    dim, n, c = g.dim, g.n, g.dealias_cutoff
+    width = 2 * c + 1
+    ks = np.meshgrid(*[np.arange(-c, c + 1)] * dim, indexing="ij")
+    stored = ks[-1] >= 0
+    flip = np.where(stored, 1, -1)
+    full = f.coeffs[(slice(None),) + tuple((flip * k) % n for k in ks)]
+    full = np.where(stored, full, np.conj(full))
+    padded = np.zeros((dim,) + (2 * width - 1,) * dim, dtype=complex)
+    padded[(slice(None),) + (slice(c, c + width),) * dim] = full
+    spatial = tuple(range(2, dim + 2))
+    reverse = (slice(None),) + (slice(None, None, -1),) * dim
+    prod = np.empty((dim, dim) + (width,) * dim, dtype=complex)
+    for k in itertools.product(range(width), repeat=dim):
+        # index k of the box is wavenumber k - c; q = (k - c) - p sits at
+        # k + c - p of the padded box, which runs down from k + 2c to k
+        q = padded[(slice(None),) + tuple(slice(kk, kk + width) for kk in k)][reverse]
+        prod[(slice(None), slice(None)) + k] = np.sum(full[:, None] * q[None, :], axis=spatial)
+    prod *= TWO_PI ** (-dim / 2)
+    div = sum(1j * ks[j] * prod[:, j] for j in range(dim))
+    k2 = sum(kj * kj for kj in ks)
+    kdiv = sum(kj * dj for kj, dj in zip(ks, div)) / np.where(k2 > 0, k2, 1.0)
+    proj = div - np.stack(ks) * kdiv
+    out = np.zeros((dim,) + g.spec_shape, dtype=complex)
+    out[(slice(None),) + tuple(k[stored] % n for k in ks)] = proj[:, stored]
+    return out
 
 
 def grid_ik(grid):

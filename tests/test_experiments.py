@@ -137,6 +137,28 @@ class TestConfigParsing:
             ExperimentConfig(**{key: value})
         assert exc.value.violations == [f"{key}: must be an integer, got {value}"]
 
+    @pytest.mark.parametrize(
+        "key, value, violation",
+        [
+            ("s", "0.5", "s: must be a real number, got '0.5'"),
+            ("delta", np.True_, "delta: must be a real number, got np.True_"),
+            ("T", True, "T: must be a real number, got True"),
+            ("dt", "1e-3", "dt: must be a real number, got '1e-3'"),
+            ("amplitude", None, "amplitude: must be a real number, got None"),
+            ("eps_list", ("0.1",), "eps_list: must be a real number, got '0.1'"),
+            ("eps_list", (0.1, True), "eps_list: must be a real number, got True"),
+        ],
+    )
+    def test_float_fields_reject_non_numbers(self, key, value, violation):
+        # the field's range check is skipped: the one violation is the type
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**{key: value})
+        assert exc.value.violations == [violation]
+
+    def test_float_fields_take_integers_and_numpy_floats(self):
+        cfg = ExperimentConfig(s=np.float32(0.25), T=2, dt=None, amplitude=np.int64(3), eps_list=(np.float64(0.1), 1e-2))
+        assert (cfg.s, cfg.T, cfg.dt, cfg.amplitude, cfg.eps_list) == (0.25, 2, None, 3, (0.1, 0.01))
+
     def test_integer_fields_take_numpy_integers(self):
         cfg = ExperimentConfig(dim=np.int64(3), n=np.int32(16), seed=np.uint8(1), sample_stride=np.int16(2))
         assert (cfg.dim, cfg.n, cfg.seed, cfg.sample_stride) == (3, 16, 1, 2)

@@ -34,7 +34,10 @@ Each rule is written once.  The box kernel ``_box_forcing`` is read only
 by the rules built on it: ``convection_term``, ``ns.dt_v`` and the two
 steppers' ``step``.  ``diagnostics.py`` imports no private name, so its
 checks reach the kernel through those public rules, not through second
-copies of them.
+copies of them.  The modulated energy has one rule too:
+``WaveState.modulated_density`` is called only by the wave energy's
+``energy_density`` and by ``diagnostics.dafermos_energy``, which the
+energy report reads rather than writing the sum out again.
 
 A field's coefficients are copied once.  Only ``experiments.load_field``,
 which reads them from a file, calls the copying ``SpectralField``
@@ -338,6 +341,11 @@ def test_field_constructor_called_only_by_load_field():
 def test_reference_field_built_only_by_reference_data():
     found = set().union(*(name_callers(path, "build_reference_field") for path in MODULES))
     assert found == {"experiments.py:_reference_data"}
+
+
+def test_modulated_density_read_only_by_the_energies():
+    found = set().union(*(name_callers(path, "modulated_density") for path in MODULES))
+    assert found == {"nlw.py:WaveState.energy_density", "diagnostics.py:dafermos_energy"}
 
 
 def test_finite_check_read_only_by_ns_solve():

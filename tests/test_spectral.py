@@ -25,7 +25,13 @@ from hypns.spectral import (
     transform,
     zero_field,
 )
-from hypns.initial_data import check_hypotheses, random_divergence_free_field, taylor_green, truncate_initial_data
+from hypns.initial_data import (
+    check_hypotheses,
+    random_divergence_free_field,
+    synth_hs_field,
+    taylor_green,
+    truncate_initial_data,
+)
 from hypns.nlw import WaveState, energy
 
 from conftest import (
@@ -43,6 +49,7 @@ from conftest import (
     random_real_field,
     single_mode_field,
     site_peak_units,
+    triad_convection,
     unguarded_convection,
     whole_irfftn,
     with_nan,
@@ -265,8 +272,7 @@ class TestInPlacePrimitives:
             state = WaveState(f, ut, eps)
             for w in (f.coeffs, f.coeffs - h.coeffs, zero.coeffs):
                 want = modulated_density_expr(state, w)
-                assert np.array_equal(state.modulated_density(w), want)
-                assert np.array_equal(state.modulated_density(w.copy(), in_place=True), want)
+                assert np.array_equal(state.modulated_density(w.copy()), want)
 
 
 class TestLeray:
@@ -360,6 +366,45 @@ class TestConvection:
         # what rejects such data
         f = with_nan(random_divergence_free_field(make_grid(2, 16), 13), inside_box=False)
         assert np.isfinite(unguarded_convection(f.grid, f.coeffs)).all()
+
+
+# 2D with every even n in [8, 24], 3D with n in {8, 10, 12}: boxes small
+# enough for the triad sum
+small_shapes = st.one_of(
+    st.tuples(st.just(2), st.integers(4, 12).map(lambda m: 2 * m)),
+    st.tuples(st.just(3), st.sampled_from([8, 10, 12])),
+)
+
+# Largest relative gaps measured on 80 (2D) or 30 (3D) seeded fields at
+# each shape above, half of them from ``random_divergence_free_field`` and
+# half from ``synth_hs_field``: 1.17e-15 against the triad sum, 1.9e-16
+# in the energy identity.  The bounds leave about 3x and 5x of headroom.
+TRIAD_REL_TOL = 4e-15
+ENERGY_IDENTITY_TOL = 1e-15
+
+
+class TestKernelAgainstMathematics:
+    """The kernel against the algebra it computes, not against another FFT
+    form of itself: the direct triad sum, and the cancellation
+    <P nabla . (u (x) u), u> = 0 that the energy method rests on."""
+
+    @staticmethod
+    def field(shape, seed, synthetic):
+        g = make_grid(*shape)
+        return synth_hs_field(g, seed, 0.5, 1.0) if synthetic else random_divergence_free_field(g, seed)
+
+    @property_settings
+    @given(shape=small_shapes, seed=st.integers(0, 2**32 - 2), synthetic=st.booleans())
+    def test_matches_triad_sum(self, shape, seed, synthetic):
+        f = self.field(shape, seed, synthetic)
+        assert rel_err(convection_term(f).coeffs, triad_convection(f)) <= TRIAD_REL_TOL
+
+    @property_settings
+    @given(shape=small_shapes, seed=st.integers(0, 2**32 - 2), synthetic=st.booleans())
+    def test_energy_identity(self, shape, seed, synthetic):
+        f = self.field(shape, seed, synthetic)
+        conv = convection_term(f)
+        assert abs(hs_inner(conv, f, 0.0)) <= ENERGY_IDENTITY_TOL * l2_norm(conv) * l2_norm(f)
 
 
 def test_gagliardo_nirenberg_lattice():
