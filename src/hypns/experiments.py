@@ -58,9 +58,9 @@ class ExperimentConfig:
     raises ``ConfigError`` listing them all.  A field annotated ``int``
     takes an integral number only (a numpy integer, not a ``bool`` or a
     float); one annotated ``float``, and each ``eps_list`` entry, a finite
-    real number (an integer or a float, not a ``bool``).  ``eps_list`` is
-    stored as a tuple, so a config hashes and cannot change after its
-    check."""
+    real number (an integer or a float, not a ``bool``).  ``eps_list``, a
+    sequence, is stored as a tuple, so a config hashes and cannot change
+    after its check."""
 
     dim: int = 2
     n: int = 64
@@ -77,19 +77,25 @@ class ExperimentConfig:
     sample_stride: int = 10
 
     def __post_init__(self):
-        object.__setattr__(self, "eps_list", tuple(self.eps_list))
         # every float value, each eps_list entry included; a bool is a
         # number to Python, but no size or time, and only dt may be None
         floats = [(f.name, getattr(self, f.name)) for f in fields(self) if _kind(f) == "float"]
-        floats += [("eps_list", e) for e in self.eps_list]
+        try:
+            object.__setattr__(self, "eps_list", tuple(self.eps_list))
+        except TypeError:
+            bad = [f"eps_list: must be a sequence of numbers, got {type(self.eps_list).__name__}"]
+            unchecked = {"eps_list"}
+        else:
+            bad, unchecked = [], set()
+            floats += [("eps_list", e) for e in self.eps_list]
         nonreal = [
             (k, v) for k, v in floats if isinstance(v, bool) or not (isinstance(v, Real) or k == "dt" and v is None)
         ]
-        nonfinite = [(k, v) for k, v in floats if isinstance(v, Real) and not math.isfinite(v)]
-        bad = [f"{k}: must be a real number, got {v!r}" for k, v in nonreal]
-        bad += [f"{k}: must be finite, got {v}" for k, v in nonfinite]
+        nonfinite = [(k, why) for k, v in floats if isinstance(v, Real) and (why := _not_finite(v))]
+        bad += [f"{k}: must be a real number, got {v!r}" for k, v in nonreal]
+        bad += [f"{k}: must be finite, {why}" for k, why in nonfinite]
         # a field whose value is of the wrong kind or not finite skips its range checks
-        unchecked = {k for k, _ in nonreal + nonfinite}
+        unchecked |= {k for k, _ in nonreal + nonfinite}
         ints = [(f.name, getattr(self, f.name)) for f in fields(self) if _kind(f) == "int"]
         # a bool is an int to Python, but no count or seed
         nonint = {k for k, v in ints if isinstance(v, bool) or not isinstance(v, (int, np.integer))}
@@ -103,7 +109,7 @@ class ExperimentConfig:
         if "delta" not in unchecked and not 0.0 < self.delta < 1.0:
             bad.append(f"delta: must lie in (0,1), got {self.delta}")
         eps = () if "eps_list" in unchecked else self.eps_list
-        if not self.eps_list:
+        if self.eps_list == ():  # a value that is no sequence was kept as given, not made a tuple
             bad.append("eps_list: must be nonempty")
         elif any(e <= 0 for e in eps):
             bad.append("eps_list: all entries must be > 0")
@@ -127,6 +133,14 @@ class ExperimentConfig:
             bad.append(f"sample_stride: must be >= 1, got {self.sample_stride}")
         if bad:
             raise ConfigError(bad)
+
+
+def _not_finite(x) -> str:
+    """Why the real number ``x`` is no finite float, or "" when it is one."""
+    try:
+        return "" if math.isfinite(x) else f"got {x}"
+    except OverflowError:  # an integer too large to convert
+        return "got a number beyond the float range"
 
 
 def _kind(f) -> str:
@@ -548,18 +562,21 @@ class InequalityAudit:
     trilinear_stable: bool
 
 
-def run_inequality_audit(
-    cfg: ExperimentConfig,
-    n_fields: int = 200,
-    trilinear_fields: int = 500,
-    trilinear_ns=(16, 32),
-) -> InequalityAudit:
+# the audit's sample sizes: fields per lattice-inequality sweep (a quarter
+# of them for Bernstein and Jackson), and fields per 3D grid of the
+# trilinear estimate, on each of the grids TRILINEAR_NS
+AUDIT_FIELDS = 200
+TRILINEAR_FIELDS = 500
+TRILINEAR_NS = (16, 32)
+
+
+def run_inequality_audit(cfg: ExperimentConfig) -> InequalityAudit:
     """Random-field sweeps of the exact lattice inequalities plus the 3D
     trilinear estimate, reporting max ratios per resolution."""
     grid = make_grid(cfg.dim, cfg.n)
 
     gn_max = interp_max = linf_max = 0.0
-    for i in range(n_fields):
+    for i in range(AUDIT_FIELDS):
         f = random_divergence_free_field(grid, cfg.seed * 1009 + i)
         r = interpolation_ratios(f, cfg.delta)
         gn_max = max(gn_max, r["gagliardo_nirenberg"])
@@ -568,7 +585,7 @@ def run_inequality_audit(
 
     bern_max = jack_max = 0.0
     sigmas = (cfg.s, 1.0, 1.0 + cfg.delta)
-    for i in range(max(1, n_fields // 4)):
+    for i in range(max(1, AUDIT_FIELDS // 4)):
         v0 = synth_hs_field(grid, cfg.seed * 2003 + i, cfg.s, 1.0)
         for eps in cfg.eps_list:
             u0 = truncate_initial_data(v0, eps)
@@ -579,10 +596,10 @@ def run_inequality_audit(
     # low-mode-dominated spectra keep the max-ratio statistic comparable
     # across resolutions
     trilinear_max = {}
-    for n3 in trilinear_ns:
+    for n3 in TRILINEAR_NS:
         g3 = make_grid(3, n3)
         worst = 0.0
-        for i in range(trilinear_fields):
+        for i in range(TRILINEAR_FIELDS):
             f = random_divergence_free_field(
                 g3, cfg.seed * 4001 + 1009 * n3 + i, band=g3.dealias_cutoff, slope=3.0
             )

@@ -23,6 +23,10 @@ from .spectral import (
 # the 3D critical-norm bound: admissible data have ||u0||_{H^(1/2)} below it
 SMALLNESS_BOUND = 1.0 / 16.0
 
+# how far the seeded field's spectral slope sits inside the Sobolev space
+# the rate theory requires (``synth_hs_field``)
+SLOPE_MARGIN = 0.01
+
 
 @dataclass
 class HypothesisReport:
@@ -55,13 +59,13 @@ def _seeded_spectrum(grid: Grid, seed: int) -> np.ndarray:
     return np.fft.rfftn(noise, axes=tuple(range(1, grid.dim + 1)), out=c)
 
 
-def synth_hs_field(grid: Grid, seed: int, s: float, amplitude: float, eta: float = 0.01) -> SpectralField:
+def synth_hs_field(grid: Grid, seed: int, s: float, amplitude: float) -> SpectralField:
     """Seeded divergence-free field with prescribed spectral slope.
 
     ``s`` is the convergence-rate exponent in (0, 1).  The field sits just
     inside the Sobolev space the rate theory requires for that exponent:
     regularity r = s in 2D and s + 1/2 in 3D.  Coefficient moduli follow
-    |k|^-(r + dim/2 + eta), eta > 0 the slope margin, times unit-modulus
+    |k|^-(r + dim/2 + ``SLOPE_MARGIN``), times unit-modulus
     random phases, Leray-projected and rescaled so the composite H^r norm
     sqrt(L2^2 + homogeneous-r^2) equals ``amplitude``.  Deterministic in
     the seed (counter-based generator).
@@ -74,8 +78,6 @@ def synth_hs_field(grid: Grid, seed: int, s: float, amplitude: float, eta: float
         raise ValueError(f"s must lie in (0, 1), got {s}")
     if amplitude < 0:
         raise ValueError("amplitude must be >= 0")
-    if eta <= 0:
-        raise ValueError("eta must be > 0")
     if amplitude == 0.0:
         return zero_field(grid)
 
@@ -86,7 +88,7 @@ def synth_hs_field(grid: Grid, seed: int, s: float, amplitude: float, eta: float
     del mag
 
     regularity = s + (grid.dim - 2) / 2.0
-    slope = regularity + grid.dim / 2.0 + eta
+    slope = regularity + grid.dim / 2.0 + SLOPE_MARGIN
     profile = grid.k2_power(-slope / 2.0)
     # drop the unpaired Nyquist rows so derivative symbols stay clean
     for k in grid.k:

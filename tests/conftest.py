@@ -12,7 +12,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from hypns import make_grid, nlw
-from hypns.initial_data import random_divergence_free_field
+from hypns.initial_data import SLOPE_MARGIN, random_divergence_free_field
 from hypns.nlw import WaveState
 from hypns.spectral import (
     TWO_PI,
@@ -62,6 +62,30 @@ def taylor_green_cross_term(eps, T):
     a, b = -lm / (lp - lm), lp / (lp - lm)
     phip = lambda t: a * lp * mp.e ** (lp * t) + b * lm * mp.e ** (lm * t)
     return float(e * mp.quad(lambda t: phip(t) * (-2 * mp.e ** (-2 * t)) * 2 * mp.pi**2, [0, T]))
+
+
+def beltrami_field(n, k2, seed, amplitude):
+    """Seeded 3D field of L^2 norm ``amplitude`` on the one shell |k|^2 =
+    ``k2``: a Beltrami field, curl u = K u with K = sqrt(k2).  Then
+    u . grad u = grad |u|^2 / 2, so P nabla . (u (x) u) = 0 although no
+    product u_i u_j vanishes; v(t) = exp(-K^2 t) v0 solves Navier-Stokes,
+    and from rest the damped wave is u(t) = a(t) u0, with a(t) the shell
+    mode's amplitude.
+
+    Seeded real noise is transformed over the full spectrum, cut to the
+    shell and Leray-projected, then put through the helical projection
+    (I + i k x / K) / 2, which keeps c(-k) = conj c(k).  The field is the
+    transform of the real values of the result, so its half spectrum is a
+    real field's (``require_real``)."""
+    g = make_grid(3, n)
+    k1 = np.fft.fftfreq(n, 1.0 / n)
+    k = np.stack(np.meshgrid(k1, k1, k1, indexing="ij"))
+    noise = np.random.default_rng(seed).standard_normal((3,) + g.shape)
+    c = np.fft.fftn(noise, axes=(1, 2, 3)) * (np.sum(k * k, axis=0) == k2)
+    c -= k * (np.sum(k * c, axis=0) / k2)
+    c = 0.5 * (c + 1j * np.cross(k, c, axis=0) / math.sqrt(k2))
+    f = transform(g, np.fft.ifftn(c, axes=(1, 2, 3)).real)
+    return f * (amplitude / sobolev_norm(f, 0.0))
 
 
 # 2D with every even n in [8, 64], 3D with n in {8, 16}
@@ -416,7 +440,7 @@ def hs_composite_norm(f: SpectralField, sigma: float) -> float:
     return float(np.hypot(l2_norm(f), sobolev_norm(f, sigma)))
 
 
-def synth_hs_field_copying(grid, seed, s, amplitude, eta=0.01):
+def synth_hs_field_copying(grid, seed, s, amplitude):
     if amplitude == 0.0:
         return zero_field(grid)
 
@@ -428,7 +452,7 @@ def synth_hs_field_copying(grid, seed, s, amplitude, eta=0.01):
     unit = ph / np.where(mag > 0, mag, 1.0)
 
     regularity = s + (grid.dim - 2) / 2.0
-    slope = regularity + grid.dim / 2.0 + eta
+    slope = regularity + grid.dim / 2.0 + SLOPE_MARGIN
     profile = grid.k2_power(-slope / 2.0)
     # drop the unpaired Nyquist rows so derivative symbols stay clean
     for k in grid.k:

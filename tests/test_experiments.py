@@ -39,7 +39,7 @@ from hypns.reporting import emit_report
 from hypns.spectral import inverse_transform, make_grid
 from hypns import cli, experiments, nlw, spectral
 
-from conftest import POISON, nan_ut_on_step, poison_from_step, taylor_green_cross_term
+from conftest import POISON, beltrami_field, nan_ut_on_step, poison_from_step, taylor_green_cross_term
 
 DATA = Path(__file__).parent / "data"
 
@@ -154,6 +154,34 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig(**{key: value})
         assert exc.value.violations == [violation]
+
+    @pytest.mark.parametrize(
+        "key, value, violation",
+        [
+            ("eps_list", 0.1, "eps_list: must be a sequence of numbers, got float"),
+            ("eps_list", None, "eps_list: must be a sequence of numbers, got NoneType"),
+            ("T", 10**400, "T: must be finite, got a number beyond the float range"),
+            ("amplitude", 10**400, "amplitude: must be finite, got a number beyond the float range"),
+            ("dt", -(10**400), "dt: must be finite, got a number beyond the float range"),
+            ("eps_list", (10**400,), "eps_list: must be finite, got a number beyond the float range"),
+        ],
+    )
+    def test_non_sequences_and_huge_integers_are_violations(self, key, value, violation):
+        # a ConfigError, not the TypeError of tuple() or the OverflowError
+        # of math.isfinite; the field's range checks are skipped
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**{key: value})
+        assert exc.value.violations == [violation]
+
+    def test_non_sequence_listed_beside_other_violations(self):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(eps_list=None, T=10**400, s=2.0, seed=-1)
+        assert exc.value.violations == [
+            "eps_list: must be a sequence of numbers, got NoneType",
+            "T: must be finite, got a number beyond the float range",
+            "s: s in (0,1) is required for the convergence-rate claims, got 2.0",
+            "seed: must be >= 0, got -1",
+        ]
 
     def test_float_fields_take_integers_and_numpy_floats(self):
         cfg = ExperimentConfig(s=np.float32(0.25), T=2, dt=None, amplitude=np.int64(3), eps_list=(np.float64(0.1), 1e-2))
@@ -317,6 +345,12 @@ class TestDataSources:
         np.savez(tmp_path / "f.npz", **keys)
         with pytest.raises(ValueError, match=f": {key} must be an integer scalar"):
             load_field(tmp_path / "f.npz", g)
+
+
+# Largest relative gaps of test_beltrami_file_closed_forms measured over
+# the data seeds 0-9: 1.2e-14 in a column, 4.9e-14 in a report series
+# (err_sq, relative to its largest value; the others 2.1e-15).
+BELTRAMI_PIPELINE_TOL = 2e-13
 
 
 class TestRunConvergence:
@@ -572,6 +606,51 @@ class TestRunConvergence:
         want = taylor_green_cross_term(0.05, 0.5)
         assert abs(got - want) <= 1e-6 * abs(want)
 
+    def test_beltrami_file_closed_forms(self, tmp_path):
+        # A Beltrami field on the shell |k|^2 = 9 as a data file: v(t) =
+        # exp(-9 t) v0 and, from rest, u(t) = a(t) v0, because the wave
+        # data keep the shell at every eps here (cutoff eps^(-1/2) > 3).
+        # On one shell each H^sigma norm is K^sigma = 3^sigma times the L^2
+        # norm, so every report and every error column is a closed form in
+        # a, a' and exp(-9 t); eps = 0.1 takes the oscillating branch.
+        k2, K = 9, 3.0
+        v0 = beltrami_field(16, k2, 3, 0.05)
+        path = tmp_path / "beltrami.npz"
+        np.savez(path, dim=3, n=16, coeffs=v0.coeffs)
+        cfg = ExperimentConfig(
+            dim=3, n=16, eps_list=[0.1, 1e-2, 1e-3], T=0.1, dt=5e-3, sample_stride=1,
+            data_source="file", data_file=str(path),
+        )
+        size, peak = spectral.sobolev_norm(v0, 0.0) ** 2, spectral.linf_norm(v0)
+        for row in run_convergence(cfg).rows:
+            eps, weight = row.eps, row.eps**cfg.delta
+            t = np.array([r.t for r in row.reports])
+            a, at = np.array([[x.real for x in nlw.propagate_mode(eps, k2, ti, 1.0, 0.0)] for ti in t]).T
+            e = np.exp(-k2 * t)
+            shared = 0.5 * eps**2 * at**2 + eps * k2 * a**2
+            energy = size * (0.5 * (a + eps * at) ** 2 + shared)  # at sigma = 0
+            want = {
+                "e_base": K * energy,
+                "e_delta": K ** (1.0 + 2.0 * cfg.delta) * energy,
+                "linf": np.abs(a) * peak,
+                "err_sq": K * size * (a - e) ** 2,
+                "dafermos": K * size * (0.5 * (a - e + eps * at) ** 2 + shared),
+            }
+            for name, series in want.items():
+                got = np.array([getattr(r, name) for r in row.reports])
+                assert np.max(np.abs(got - series)) <= BELTRAMI_PIPELINE_TOL * np.max(series)
+            # the cross term pairs u_t = a' v0 with dt_v(v) = -9 v
+            columns = [
+                (row.sup_err_sq, np.max(want["err_sq"])),
+                (row.sup_dafermos, np.max(want["dafermos"])),
+                (row.sup_eps_delta_e, weight * np.max(want["e_delta"])),
+                (row.initial_eps_delta_e, weight * want["e_delta"][0]),
+                (row.cross_term, eps * np.trapezoid(-k2 * K * size * at * e, t)),
+            ]
+            for got, closed in columns:
+                assert abs(got - closed) <= BELTRAMI_PIPELINE_TOL * abs(closed)
+            assert row.blowup_t is None and row.first_threshold_violation_t is None
+
     def test_cross_term_zero_for_zero_data(self):
         res = run_convergence(golden_config(amplitude=0.0, T=0.05))
         assert [r.cross_term for r in res.rows] == [0.0] * len(res.rows)
@@ -666,10 +745,18 @@ class TestExistenceProbe:
             assert math.isnan(p.sup_err_sq) and math.isnan(p.sup_dafermos) and math.isnan(p.cross_term)
 
 
+def shrink_audit(monkeypatch, fields, trilinear_fields, trilinear_ns):
+    """Set the audit's sample sizes for one test: the default sizes take seconds."""
+    monkeypatch.setattr(experiments, "AUDIT_FIELDS", fields)
+    monkeypatch.setattr(experiments, "TRILINEAR_FIELDS", trilinear_fields)
+    monkeypatch.setattr(experiments, "TRILINEAR_NS", trilinear_ns)
+
+
 class TestInequalityAudit:
-    def test_small_audit_sections(self):
+    def test_small_audit_sections(self, monkeypatch):
+        shrink_audit(monkeypatch, fields=40, trilinear_fields=40, trilinear_ns=(8, 16))
         cfg = golden_config(n=16, eps_list=[0.1, 0.01])
-        audit = run_inequality_audit(cfg, n_fields=40, trilinear_fields=40, trilinear_ns=(8, 16))
+        audit = run_inequality_audit(cfg)
         assert audit.gn_ok and audit.interp_ok
         assert audit.bernstein_ok and audit.jackson_ok
         assert set(audit.trilinear_max) == {8, 16}
@@ -749,11 +836,10 @@ class TestCli:
 
     @pytest.mark.parametrize("bound, rc, verdict", [(None, 0, "PASS"), (0.0, 2, "FAIL")])
     def test_audit_exit_code(self, tmp_path, capsys, monkeypatch, bound, rc, verdict):
-        # The default sizes take seconds.  One trilinear grid, because the
-        # max ratio over few fields differs between grids by more than the
-        # 10% stability margin (20 fields: 8.5e-4 at n=8, 6.8e-4 at n=16).
-        small = lambda cfg: run_inequality_audit(cfg, n_fields=20, trilinear_fields=20, trilinear_ns=(16,))
-        monkeypatch.setattr(cli, "run_inequality_audit", small)
+        # One trilinear grid, because the max ratio over few fields differs
+        # between grids by more than the 10% stability margin (20 fields:
+        # 8.5e-4 at n=8, 6.8e-4 at n=16).
+        shrink_audit(monkeypatch, fields=20, trilinear_fields=20, trilinear_ns=(16,))
         if bound is not None:
             monkeypatch.setattr("hypns.diagnostics.TRILINEAR_RATIO_BOUND", bound)
         assert cli.main(["audit", "--config", str(self._write_cfg(tmp_path))]) == rc

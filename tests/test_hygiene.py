@@ -54,6 +54,12 @@ Each solver judges a sample once.  ``ns.march`` only steps and yields: it
 calls no ``isinstance`` and no failure check.  ``_check_finite`` is read
 only by ``ns_solve``; the wave's one test is its energy ceiling.
 
+Every option is one a run sets.  A config key must be set by a workload,
+an acceptance criterion or the README, and a parameter of a function or
+method in ``src/hypns/`` whose default is not ``None`` must be passed by
+some call in ``src/`` or ``bench/``.  A value that only tests change is a
+module constant, which those tests monkeypatch.
+
 ``ctypes`` may be imported only in ``ns.py``, whose ``_keep_heap`` is the
 one platform-specific call into the C library (the allocator policy).
 
@@ -452,6 +458,112 @@ def test_every_config_key_is_set_by_a_run():
     paths = (BENCH / "workloads.py", ROOT / "tests" / "test_acceptance.py", ROOT / "README.md")
     keys = config_keys_set(*(p.read_text(encoding="utf-8") for p in paths))
     assert sorted({f.name for f in fields(ExperimentConfig)} - keys) == []
+
+
+# The same holds for the parameters of the package's functions and
+# methods: a parameter whose default is not ``None`` must be passed by some
+# call in ``src/`` or ``bench/``, by keyword or by position.  A ``*args`` or
+# ``**kwargs`` at a call counts for every parameter it could fill.  A call
+# is matched by the callable's name (``f(...)`` or ``x.f(...)``), an
+# ``__init__`` by its class's name.  A default that only tests override is
+# a constant; ``None`` marks an argument a caller may leave out.
+
+
+def defaulted_parameters(tree, prefix):
+    """``(label, called name, position, parameter)`` of each parameter of a
+    function or method in ``tree`` whose default is not ``None``.  The
+    label is ``prefix.qualified name``; the position is the parameter's
+    index among the arguments a call passes (a method's ``self`` is not
+    one), or None for a keyword-only parameter."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, owner)
+                continue
+            args = child.args
+            static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+            bound = 1 if owner and not static else 0
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            params = [(i - bound, p.arg, d) for i, (p, d) in enumerate(zip(positional[first:], args.defaults), first)]
+            params += [(None, p.arg, d) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            called = owner if child.name == "__init__" else child.name
+            label = f"{prefix}.{owner + '.' if owner else ''}{child.name}"
+            for position, name, default in params:
+                if not (isinstance(default, ast.Constant) and default.value is None):
+                    found.append((label, called, position, name))
+            visit(child, None)
+
+    visit(tree, None)
+    return found
+
+
+def passes(call, position, name):
+    """Whether ``call`` passes the parameter ``name`` at ``position``."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return position is not None and (len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unset_parameters(sources, callers):
+    """``module.function: names`` of each function or method of ``sources``
+    (module name to source text) with defaulted parameters that no call in
+    ``callers`` (source texts) passes."""
+    calls = {}
+    for text in callers:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = {}
+    for module, text in sources.items():
+        for label, called, position, name in defaulted_parameters(ast.parse(text), module):
+            if not any(passes(call, position, name) for call in calls.get(called, ())):
+                unset.setdefault(label, []).append(name)
+    return [f"{label}: {', '.join(names)}" for label, names in unset.items()]
+
+
+PLANTED_DEFAULTS = """
+def solve(x, steps=10, tol=1e-6, observer=None, *, mode="fast"):
+    return x
+
+def tune(rate=0.5):
+    return rate
+
+class Stepper:
+    def __init__(self, dt=0.1):
+        self.dt = dt
+
+    def step(self, u, scale=1.0, clip=False):
+        return u
+
+    @staticmethod
+    def make(n=4):
+        return n
+"""
+
+PLANTED_CALLS = """
+solve(1, 20)
+tune(**options)
+Stepper().step(0, clip=True)
+Stepper.make(*sizes)
+"""
+
+
+def test_parameter_rule_flags_planted_defaults():
+    found = unset_parameters({"planted": PLANTED_DEFAULTS}, [PLANTED_CALLS])
+    assert found == ["planted.solve: tol, mode", "planted.Stepper.__init__: dt", "planted.Stepper.step: scale"]
+
+
+def test_every_parameter_default_is_set_by_a_run():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    callers = [p.read_text(encoding="utf-8") for p in (*(ROOT / "src").rglob("*.py"), *BENCH.glob("*.py"))]
+    assert unset_parameters(sources, callers) == []
 
 
 # A public name in ``src/hypns`` must serve a run: something in ``src/``

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hypns import initial_data
 from hypns.experiments import fit_rate
 from hypns.initial_data import (
     check_bernstein,
@@ -39,12 +40,10 @@ class TestRecipe:
             with pytest.raises(ValueError, match="s must lie in"):
                 synth_hs_field(g, 0, s, 1.0)
 
-    def test_amplitude_and_eta_ranges_enforced(self):
+    def test_amplitude_range_enforced(self):
         g = make_grid(2, 16)
         with pytest.raises(ValueError, match="amplitude"):
             synth_hs_field(g, 0, 0.5, -1.0)
-        with pytest.raises(ValueError, match="eta"):
-            synth_hs_field(g, 0, 0.5, 1.0, eta=0.0)
 
     def test_regularity_shift(self):
         # the composite norm is taken at s in 2D and at s + 1/2 in 3D
@@ -78,16 +77,18 @@ class TestSynth:
         size = np.hypot(l2_norm(f), sobolev_norm(f, 0.5))
         assert abs(size - 2.5) < 1e-10
 
-    def test_spectral_slope_dichotomy(self):
+    def test_spectral_slope_dichotomy(self, monkeypatch):
         # shell sums stay level at sigma = s + eta (log-divergent tail) and
-        # decay geometrically at sigma = s - eta (convergent tail)
+        # decay geometrically at sigma = s - eta (convergent tail), for a
+        # slope margin eta wide enough to tell the two apart on these grids
         s, eta = 0.5, 0.2
+        monkeypatch.setattr(initial_data, "SLOPE_MARGIN", eta)
         shells = {}
         for sigma in (s + eta, s - eta):
             sums = []
             for n in (64, 128, 256):
                 g = make_grid(2, n)
-                f = synth_hs_field(g, 5, s, 1.0, eta)
+                f = synth_hs_field(g, 5, s, 1.0)
                 mag2 = np.sum(np.abs(f.coeffs) ** 2, axis=0)
                 w = g.weight(sigma)  # |k|^(2 sigma) times the half-spectrum multiplicity
                 shell = (g.kmag > n / 4) & (g.kmag <= n / 2)
@@ -235,7 +236,7 @@ class TestTruncation:
 
 
 ACCEPTANCE_EPS = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
-ETA = 0.01
+ETA = initial_data.SLOPE_MARGIN  # eta, the seeded field's slope margin
 # Largest excess of the fitted exponent over s + eta at n = 512: 0.074 over
 # seeds 1-40 and s = 0.25, 0.5, 0.75; seed 1 gives 0.070, 0.038 and 0.031.
 GAP_EXPONENT_BAND = 0.08
@@ -244,7 +245,7 @@ GAP_EXPONENT_BAND = 0.08
 def data_gap_exponent(n: int, s: float) -> float:
     """Slope of log ||v0 - u0||^2 against log eps over the acceptance eps
     list, for the seed-1 2D field with exponent s."""
-    v0 = synth_hs_field(make_grid(2, n), 1, s, 1.0, ETA)
+    v0 = synth_hs_field(make_grid(2, n), 1, s, 1.0)
     gaps = ((eps, sobolev_norm(v0 - truncate_initial_data(v0, eps), 0.0) ** 2) for eps in ACCEPTANCE_EPS)
     return fit_rate(gaps).slope
 
