@@ -11,7 +11,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from hypns import make_grid, nlw
+from hypns import nlw
 from hypns.initial_data import SLOPE_MARGIN, random_divergence_free_field
 from hypns.nlw import WaveState
 from hypns.spectral import (
@@ -20,6 +20,7 @@ from hypns.spectral import (
     _box_forcing,
     _leray_full,
     box_gather,
+    make_grid,
     sobolev_norm,
     transform,
     weighted_sum,

@@ -33,7 +33,7 @@ from hypns.experiments import (
     run_inequality_audit,
 )
 from hypns.diagnostics import make_energy_report
-from hypns.initial_data import HypothesisReport
+from hypns.initial_data import SMALLNESS_BOUND, HypothesisReport
 from hypns.ns import default_dt, ns_solve
 from hypns.reporting import emit_report
 from hypns.spectral import inverse_transform, make_grid
@@ -676,6 +676,12 @@ class TestRunConvergence:
         assert fit.slope >= cfg.s / 2.0 - 0.15
 
 
+# Controls of the existence probe on 2D n = 64 data, seed 1, at the default
+# dt.  In 2D the admissibility ratios are a norm of u0 over a norm of v0, so
+# the amplitude does not change them: check_hypotheses passes both controls.
+EDGE_CONTROL = dict(dim=2, n=64, s=0.5, delta=0.5, eps_list=[0.1], seed=1, sample_stride=10)
+
+
 class TestExistenceProbe:
     def test_zero_data_trivial_pass(self):
         cfg = golden_config(amplitude=0.0, T=0.05)
@@ -696,6 +702,51 @@ class TestExistenceProbe:
         assert res.rows[0].hypothesis.smallness > 1.0 / 16.0
         forced = run_existence_probe(cfg, force=True)
         assert not forced.rows[0].skipped
+
+    def test_blowup_control_fails(self):
+        # Amplitude 256 hits the energy ceiling at t = 0.33896 (dt = 1.468e-4)
+        # and at 0.33829 with dt/2: the blow-up time moves by 6.7e-4, less
+        # than one sample spacing, so it is the dynamics', not the step's.
+        cfg = ExperimentConfig(**EDGE_CONTROL, T=0.4, amplitude=256.0)
+        res = run_existence_probe(cfg)
+        row = res.rows[0]
+        assert row.hypothesis.passed  # the 2D check cannot see this case
+        assert row.blowup and not res.sup_bound_ok
+        assert row.n_star is None and not row.composite_monotone
+        dt = default_dt(build_reference_field(cfg, make_grid(2, 64)))
+        half = run_existence_probe(replace(cfg, dt=dt / 2)).rows[0]
+        assert half.blowup and abs(half.blowup_t - row.blowup_t) < cfg.sample_stride * dt
+
+    def test_control_inside_the_edge_bounded(self):
+        cfg = ExperimentConfig(**EDGE_CONTROL, T=0.5, amplitude=64.0)
+        res = run_existence_probe(cfg)
+        row = res.rows[0]
+        assert row.hypothesis.passed and not row.blowup
+        assert res.sup_bound_ok and row.n_star == 0
+
+    def test_beltrami_far_outside_hypotheses_bounded(self, tmp_path):
+        # A Beltrami field's forcing vanishes, so its wave solution is
+        # a(t) u0 at any size.  At ||u0||_{H^1/2} = 100, 1600 times the 3D
+        # smallness bound, the data fail the hypotheses and the probe must
+        # still report them bounded: the hypotheses are sufficient, not
+        # necessary.  Each eps keeps the shell K = 3 (cutoff eps^(-1/2) > 3):
+        # a cutoff below K leaves only rounding residue, which the solver's
+        # divergence guard rejects.
+        size = 1600 * SMALLNESS_BOUND
+        v0 = beltrami_field(16, 9, 3, 1.0)
+        v0 = v0 * (size / spectral.sobolev_norm(v0, 0.5))
+        path = tmp_path / "beltrami.npz"
+        np.savez(path, dim=3, n=16, coeffs=v0.coeffs)
+        cfg = ExperimentConfig(
+            dim=3, n=16, eps_list=[0.1, 0.01], T=0.1, sample_stride=10, data_source="file", data_file=str(path),
+        )
+        forced = run_existence_probe(cfg, force=True)
+        assert forced.sup_bound_ok
+        for row in forced.rows:
+            assert not row.blowup and row.n_star == 0 and row.composite_monotone
+            assert row.hypothesis.smallness == pytest.approx(size, rel=1e-12)
+            assert not row.hypothesis.passed
+        assert all(row.skipped for row in run_existence_probe(cfg).rows)
 
     def test_deterministic_across_jobs(self):
         cfg = golden_config(eps_list=[0.1, 0.03, 0.01])

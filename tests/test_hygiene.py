@@ -3,8 +3,10 @@
 No linter is a dependency of the project, so this is its lint step: every
 name a module or a test file (``conftest.py`` included) imports must be
 used in that file, and every module-level private (``_name``) function or
-class must be referenced somewhere in ``src/`` or ``tests/``.
-``__init__.py`` is exempt: it re-exports.
+class must be referenced somewhere in ``src/`` or ``tests/``.  The rules
+cover every file of the package: ``__init__.py`` holds only its docstring,
+so a bare ``import hypns`` loads no submodule and no numpy, and each name
+has one import path, its submodule.
 
 No module may call a BLAS-backed product (``vdot``, ``dot``, ``inner``,
 ``matmul``, ``tensordot`` or the ``@`` operator) or reach LAPACK
@@ -72,7 +74,10 @@ class is imported on first use (``experiments.__getattr__``).
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -81,7 +86,7 @@ from hypns.experiments import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hypns"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def parse(path):
@@ -271,6 +276,16 @@ def test_pool_modules_not_imported_at_module_level():
         if any(name == m or name.startswith(m + ".") for m in POOL_MODULES)
     ]
     assert eager == []
+
+
+def test_package_import_loads_nothing():
+    # a fresh interpreter: this one has imported every submodule already
+    code = "import sys, hypns\nprint(*sorted(m for m in sys.modules if m.startswith(('hypns.', 'numpy'))))\n"
+    src = str(PACKAGE.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 BOX_INTERNALS = {"box_blocks", "box_rows", "_leray_inplace"}
@@ -567,11 +582,10 @@ def test_every_parameter_default_is_set_by_a_run():
 
 
 # A public name in ``src/hypns`` must serve a run: something in ``src/``
-# other than its own definition (the ``__init__.py`` re-export does not
-# count), the benchmark under ``bench/`` or the acceptance criteria
-# (``tests/test_acceptance.py``) must reference it.  Oracles and helpers
-# that only their own tests call belong in ``tests/``.  The names that
-# ``bench/`` wraps or times by string count as references.
+# other than its own definition, the benchmark under ``bench/`` or the
+# acceptance criteria (``tests/test_acceptance.py``) must reference it.
+# Oracles and helpers that only their own tests call belong in ``tests/``.
+# The names that ``bench/`` wraps or times by string count as references.
 #
 # The same holds for the public methods and properties of module-level
 # classes, with the reference an attribute ``x.name`` outside the member's
