@@ -32,19 +32,14 @@ from .spectral import inverse_transform, make_grid
 PASS, FAIL, ERROR = 0, 2, 1
 
 
-def _resolve_out(args, cfg) -> str:
-    if args.out:
-        return args.out
-    env = os.environ.get("HYPNS_OUT")
-    if env:
-        return env
-    return cfg.out_dir
+def _resolve_out(args) -> str:
+    return args.out or os.environ.get("HYPNS_OUT") or "out"
 
 
 def _cmd_converge(args) -> int:
     cfg = parse_config(args.config)
     result = run_convergence(cfg, jobs=args.jobs)
-    out = _resolve_out(args, cfg)
+    out = _resolve_out(args)
     for path in emit_report(result, out):
         print(f"wrote {path}")
 
@@ -81,7 +76,7 @@ def _cmd_exist(args) -> int:
             f"N*={row.n_star} monotone={row.composite_monotone} blowup={row.blowup}"
         )
         ok &= (not row.blowup) and row.composite_monotone and row.n_star is not None
-    print(f"wrote {emit_exist_report(result, _resolve_out(args, cfg))}")
+    print(f"wrote {emit_exist_report(result, _resolve_out(args))}")
     ok &= result.sup_bound_ok
     print(f"uniform bound sup_t eps^delta E <= 2 max initial: {result.sup_bound_ok}")
     print("exist:", "PASS" if ok else "FAIL")
@@ -157,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, fn in (("converge", _cmd_converge), ("exist", _cmd_exist)):
         sp = add(name, fn)
-        sp.add_argument("--out", default=None, help="output directory (overrides HYPNS_OUT and config)")
+        sp.add_argument("--out", default=None, help="output directory (default: $HYPNS_OUT, else out)")
         sp.add_argument("--jobs", type=_jobs, default=1, help="parallel workers across eps values")
     sub.choices["exist"].add_argument("--force", action="store_true", help="proceed past failed admissibility checks")
     add("audit", _cmd_audit)

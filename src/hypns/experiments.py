@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from numbers import Real
@@ -55,12 +56,10 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run's settings, checked in full when built: any violation
-    raises ``ConfigError`` listing them all.  A field annotated ``int``
-    takes an integral number only (a numpy integer, not a ``bool`` or a
-    float); one annotated ``float``, and each ``eps_list`` entry, a finite
-    real number (an integer or a float, not a ``bool``).  ``eps_list``, a
-    sequence, is stored as a tuple, so a config hashes and cannot change
-    after its check."""
+    raises ``ConfigError`` listing them all.  Each value must be of its
+    field's kind (``_kind_violation``), and a field whose value is not
+    skips its range checks.  ``eps_list``, a sequence, is stored as a
+    tuple, so a config hashes and cannot change after its check."""
 
     dim: int = 2
     n: int = 64
@@ -73,92 +72,88 @@ class ExperimentConfig:
     amplitude: float = 1.0
     data_source: str = "synthetic"
     data_file: str | None = None
-    out_dir: str = "out"
     sample_stride: int = 10
 
     def __post_init__(self):
-        # every float value, each eps_list entry included; a bool is a
-        # number to Python, but no size or time, and only dt may be None
-        floats = [(f.name, getattr(self, f.name)) for f in fields(self) if _kind(f) == "float"]
         try:
             object.__setattr__(self, "eps_list", tuple(self.eps_list))
         except TypeError:
-            bad = [f"eps_list: must be a sequence of numbers, got {type(self.eps_list).__name__}"]
-            unchecked = {"eps_list"}
-        else:
-            bad, unchecked = [], set()
-            floats += [("eps_list", e) for e in self.eps_list]
-        nonreal = [
-            (k, v) for k, v in floats if isinstance(v, bool) or not (isinstance(v, Real) or k == "dt" and v is None)
-        ]
-        nonfinite = [(k, why) for k, v in floats if isinstance(v, Real) and (why := _not_finite(v))]
-        bad += [f"{k}: must be a real number, got {v!r}" for k, v in nonreal]
-        bad += [f"{k}: must be finite, {why}" for k, why in nonfinite]
-        # a field whose value is of the wrong kind or not finite skips its range checks
-        unchecked |= {k for k, _ in nonreal + nonfinite}
-        ints = [(f.name, getattr(self, f.name)) for f in fields(self) if _kind(f) == "int"]
-        # a bool is an int to Python, but no count or seed
-        nonint = {k for k, v in ints if isinstance(v, bool) or not isinstance(v, (int, np.integer))}
-        bad += [f"{k}: must be an integer, got {v}" for k, v in ints if k in nonint]
-        if "dim" not in nonint and self.dim not in (2, 3):
+            pass  # no sequence: the kind rule names it
+        wrong = {f.name: why for f in fields(self) if (why := _kind_violation(f.type, getattr(self, f.name)))}
+        bad = [f"{k}: {why}" for k, why in wrong.items()]
+        if "dim" not in wrong and self.dim not in (2, 3):
             bad.append(f"dim: must be 2 or 3, got {self.dim}")
-        if "n" not in nonint and (self.n < 8 or self.n % 2 != 0):
+        if "n" not in wrong and (self.n < 8 or self.n % 2 != 0):
             bad.append(f"n: must be even and >= 8, got {self.n}")
-        if "s" not in unchecked and not 0.0 < self.s < 1.0:
+        if "s" not in wrong and not 0.0 < self.s < 1.0:
             bad.append(f"s: s in (0,1) is required for the convergence-rate claims, got {self.s}")
-        if "delta" not in unchecked and not 0.0 < self.delta < 1.0:
+        if "delta" not in wrong and not 0.0 < self.delta < 1.0:
             bad.append(f"delta: must lie in (0,1), got {self.delta}")
-        eps = () if "eps_list" in unchecked else self.eps_list
-        if self.eps_list == ():  # a value that is no sequence was kept as given, not made a tuple
+        eps = () if "eps_list" in wrong else self.eps_list
+        if self.eps_list == ():
             bad.append("eps_list: must be nonempty")
         elif any(e <= 0 for e in eps):
             bad.append("eps_list: all entries must be > 0")
         elif any(b >= a for a, b in zip(eps, eps[1:])):
             bad.append("eps_list: must be strictly descending")
-        if "T" not in unchecked and self.T < 0:
+        if "T" not in wrong and self.T < 0:
             bad.append(f"T: must be >= 0, got {self.T}")
-        if "dt" not in unchecked and self.dt is not None and self.dt <= 0:
+        if "dt" not in wrong and self.dt is not None and self.dt <= 0:
             bad.append(f"dt: must be > 0 when given, got {self.dt}")
-        if "seed" not in nonint and self.seed < 0:
+        if "seed" not in wrong and self.seed < 0:
             bad.append(f"seed: must be >= 0, got {self.seed}")
-        if "amplitude" not in unchecked and self.amplitude < 0:
+        if "amplitude" not in wrong and self.amplitude < 0:
             bad.append(f"amplitude: must be >= 0, got {self.amplitude}")
-        if self.data_source not in ("synthetic", "taylor_green", "file"):
+        if "data_source" not in wrong and self.data_source not in ("synthetic", "taylor_green", "file"):
             bad.append(f"data_source: unknown source {self.data_source!r}")
         if self.data_source == "taylor_green" and self.dim != 2:
             bad.append("data_source: taylor_green is 2D only")
-        if self.data_source == "file" and not self.data_file:
+        if self.data_source == "file" and "data_file" not in wrong and not self.data_file:
             bad.append("data_file: required when data_source = file")
-        if "sample_stride" not in nonint and self.sample_stride < 1:
+        if "sample_stride" not in wrong and self.sample_stride < 1:
             bad.append(f"sample_stride: must be >= 1, got {self.sample_stride}")
         if bad:
             raise ConfigError(bad)
 
 
-def _not_finite(x) -> str:
-    """Why the real number ``x`` is no finite float, or "" when it is one."""
+def _kind_violation(kind: str, value) -> str:
+    """Why ``value`` is no value of ``kind``, a config field's annotation,
+    or "" when it is one: the one kind rule, which the constructor applies
+    to each field and ``parse_config`` to each line's value.
+
+    An ``int`` takes an integer (a numpy one too), a ``float`` a finite
+    real number, a ``str`` a string or an ``os.PathLike`` and a ``tuple``
+    a tuple of such floats; a ``bool`` is no number, and a kind annotated
+    ``| None`` also takes None."""
+    if kind.endswith(" | None"):
+        return "" if value is None else _kind_violation(kind.removesuffix(" | None"), value)
+    if kind == "tuple":
+        if not isinstance(value, tuple):
+            return f"must be a sequence of numbers, got {type(value).__name__}"
+        return next(filter(None, (_kind_violation("float", v) for v in value)), "")
+    if kind == "str":
+        return "" if isinstance(value, (str, os.PathLike)) else f"must be a string or a path, got {value!r}"
+    if kind == "int":
+        whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        return "" if whole else f"must be an integer, got {value}"
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return f"must be a real number, got {value!r}"
     try:
-        return "" if math.isfinite(x) else f"got {x}"
+        return "" if math.isfinite(value) else f"must be finite, got {value}"
     except OverflowError:  # an integer too large to convert
-        return "got a number beyond the float range"
-
-
-def _kind(f) -> str:
-    """A config field's value type, ``int``, ``float``, ``str`` or ``tuple``:
-    its annotation as written, without ``| None``."""
-    return f.type.removesuffix(" | None")
+        return "must be finite, got a number beyond the float range"
 
 
 def parse_config(path) -> ExperimentConfig:
     """Read the line-oriented ``key = value`` format.
 
     The keys are the fields of ``ExperimentConfig`` and each value is read
-    as its field's annotated type; a field annotated ``| None`` also takes
-    ``none`` or an empty value.  A tuple is comma-separated, ``#`` starts a
-    comment.  Every violation is collected (with its line number) before
-    raising, not just the first.
+    as its field's annotated type and checked by the kind rule; a field
+    annotated ``| None`` also takes ``none`` or an empty value.  A tuple is
+    comma-separated, ``#`` starts a comment.  Every violation is collected
+    (with its line number) before raising, not just the first.
     """
-    schema = {f.name: f for f in fields(ExperimentConfig)}
+    schema = {f.name: f.type for f in fields(ExperimentConfig)}
     violations = []
     values = {}
     seen = {}
@@ -193,25 +188,19 @@ def parse_config(path) -> ExperimentConfig:
     return cfg
 
 
-def _convert(f, val: str):
-    kind = _kind(f)
-    if kind != f.type and val.lower() in ("none", ""):
+def _convert(kind: str, val: str):
+    """The value of the text ``val`` for a field of kind ``kind``; raises
+    ValueError when the text reads as no such value."""
+    if kind.endswith(" | None") and val.lower() in ("none", ""):
         return None
-    if kind == "tuple":
-        items = [v.strip() for v in val.split(",") if v.strip()]
-        return tuple(_finite_float(v) for v in items)
-    if kind == "int":
-        return int(val)
-    if kind == "float":
-        return _finite_float(val)
-    return val
-
-
-def _finite_float(val: str) -> float:
-    x = float(val)
-    if not math.isfinite(x):
-        raise ValueError(f"must be finite, got {val!r}")
-    return x
+    base = kind.removesuffix(" | None")
+    if base == "tuple":
+        value = tuple(float(v) for v in val.split(",") if v.strip())
+    else:
+        value = {"int": int, "float": float}.get(base, str)(val)
+    if why := _kind_violation(kind, value):
+        raise ValueError(why)
+    return value
 
 
 def normalized_dump(cfg: ExperimentConfig) -> str:

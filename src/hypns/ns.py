@@ -151,7 +151,10 @@ def march(make_stepper, coeffs, T: float, dt: float, stride: int):
         return
     step = make_stepper(dt_eff)
     for i in range(1, n_steps + 1):
-        coeffs = step(coeffs)
+        # a blow-up between two samples overflows inside the steps; the
+        # next sample's failure test reports it, not a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = step(coeffs)
         if i % max(stride, 1) == 0 or i == n_steps:
             yield (T if i == n_steps else i * dt_eff), coeffs
 

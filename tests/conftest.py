@@ -12,15 +12,17 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from hypns import nlw
-from hypns.initial_data import SLOPE_MARGIN, random_divergence_free_field
+from hypns.initial_data import SLOPE_MARGIN, random_divergence_free_field, truncate_initial_data
 from hypns.nlw import WaveState
 from hypns.spectral import (
     TWO_PI,
     SpectralField,
     _box_forcing,
     _leray_full,
+    base_sigma,
     box_gather,
     make_grid,
+    mode_mag2,
     sobolev_norm,
     transform,
     weighted_sum,
@@ -48,6 +50,26 @@ def oracle_mode(eps, k2, dt, u0, u1):
     u = a * mp.e ** (lp * dt) + b * mp.e ** (lm * dt)
     ut = a * lp * mp.e ** (lp * dt) + b * lm * mp.e ** (lm * dt)
     return complex(u), complex(ut)
+
+
+def shell_masses(f, sigma):
+    """The |k|^2 shells of f's grid, ascending, and f's mass on each: the
+    sum over the shell's modes of weight(sigma) |f(k)|^2."""
+    g = f.grid
+    k2, shell = np.unique(g.k2, return_inverse=True)
+    return k2, np.bincount(shell.ravel(), (g.weight(sigma) * mode_mag2(f.coeffs)).ravel())
+
+
+def linear_relaxation_error(v0, eps, times):
+    """The linear (Stokes) relaxation error of the data v0 at eps: the sup
+    over ``times`` of sum_k weight |P11(t) - exp(-|k|^2 t)|^2 |u0(k)|^2 at
+    sigma0, with u0 = ``truncate_initial_data(v0, eps)``.  Per mode it is
+    the wave from rest against the heat flow, both from u0, so it needs no
+    solve.  ``nlw._propagator_entries`` (checked against ``oracle_mode``)
+    gives P11 on the shells that u0 reaches."""
+    k2, mass = shell_masses(truncate_initial_data(v0, eps), base_sigma(v0.grid.dim))
+    k2, mass = k2[mass > 0], mass[mass > 0]
+    return max(float(np.sum(mass * (nlw._propagator_entries(eps, k2, t)[0] - np.exp(-k2 * t)) ** 2)) for t in times)
 
 
 def taylor_green_cross_term(eps, T):

@@ -33,13 +33,21 @@ from hypns.experiments import (
     run_inequality_audit,
 )
 from hypns.diagnostics import make_energy_report
-from hypns.initial_data import SMALLNESS_BOUND, HypothesisReport
+from hypns.initial_data import SMALLNESS_BOUND, HypothesisReport, truncate_initial_data
 from hypns.ns import default_dt, ns_solve
 from hypns.reporting import emit_report
-from hypns.spectral import inverse_transform, make_grid
-from hypns import cli, experiments, nlw, spectral
+from hypns.spectral import base_sigma, inverse_transform, make_grid
+from hypns import cli, experiments, nlw, ns, spectral
 
-from conftest import POISON, beltrami_field, nan_ut_on_step, poison_from_step, taylor_green_cross_term
+from conftest import (
+    POISON,
+    beltrami_field,
+    nan_ut_on_step,
+    oracle_mode,
+    poison_from_step,
+    shell_masses,
+    taylor_green_cross_term,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -196,6 +204,33 @@ class TestConfigParsing:
             "dim: must be an integer, got 3.0", "n: must be an integer, got 16.0", "seed: must be >= 0, got -1",
         ]
 
+    @pytest.mark.parametrize("key, value", [("data_file", 5), ("data_file", b"field.npz"), ("data_source", 5)])
+    def test_string_fields_reject_non_strings(self, key, value):
+        # an integer data_file is a file descriptor to open(): loading it
+        # would read and close a descriptor the caller owns
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**{"data_source": "file", "data_file": "field.npz", key: value})
+        assert exc.value.violations == [f"{key}: must be a string or a path, got {value!r}"]
+
+    def test_string_fields_take_paths(self, tmp_path):
+        cfg = ExperimentConfig(data_source="file", data_file=tmp_path / "field.npz")
+        assert cfg.data_file == tmp_path / "field.npz"
+
+    @pytest.mark.parametrize(
+        "key, text, value, got", [("T", "nan", math.nan, "nan"), ("dt", "-inf", -math.inf, "-inf"),
+                                  ("eps_list", "0.1, inf", (0.1, math.inf), "inf")],
+    )
+    def test_parser_and_constructor_share_the_kind_rule(self, tmp_path, key, text, value, got):
+        # a line's violation is the constructor's, after the line number
+        p = tmp_path / "c.cfg"
+        p.write_text(f"dim = 2\n{key} = {text}\n")
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(p)
+        with pytest.raises(ConfigError) as built:
+            ExperimentConfig(**{key: value})
+        assert built.value.violations == [f"{key}: must be finite, got {got}"]
+        assert parsed.value.violations == [f"line 2: {key}: must be finite, got {got}"]
+
     def test_config_is_frozen(self):
         cfg = golden_config()
         with pytest.raises(FrozenInstanceError):
@@ -218,7 +253,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "line", ["u1_scale = 0.5", "threshold_c = 2.0", "composite_n = 3", "energy_ceiling = 1e3",
-                 "slope_tol = 0.2", "r2_min = 0.5", "eta = 0.01"],
+                 "slope_tol = 0.2", "r2_min = 0.5", "eta = 0.01", "out_dir = out"],
     )
     def test_removed_keys_unknown(self, tmp_path, line):
         p = tmp_path / "c.cfg"
@@ -351,6 +386,10 @@ class TestDataSources:
 # the data seeds 0-9: 1.2e-14 in a column, 4.9e-14 in a report series
 # (err_sq, relative to its largest value; the others 2.1e-15).
 BELTRAMI_PIPELINE_TOL = 2e-13
+# Largest relative gap of test_linear_pipeline_closed_forms per sample:
+# 5.1e-12 in 2D (err_sq, where the relaxation error is small beside the
+# data gap) and 3.3e-13 in 3D; the cross term agrees to 3.2e-15.
+LINEAR_PIPELINE_TOL = 1e-11
 
 
 class TestRunConvergence:
@@ -651,6 +690,52 @@ class TestRunConvergence:
                 assert abs(got - closed) <= BELTRAMI_PIPELINE_TOL * abs(closed)
             assert row.blowup_t is None and row.first_threshold_violation_t is None
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ExperimentConfig(dim=2, n=32, eps_list=[0.1, 3e-2, 1e-2, 3e-3], T=0.2, dt=2e-3, sample_stride=10, seed=3),
+            ExperimentConfig(dim=3, n=16, eps_list=[0.1, 1e-2], T=0.2, dt=5e-3, sample_stride=4, seed=3),
+        ],
+        ids=["2d", "3d"],
+    )
+    def test_linear_pipeline_closed_forms(self, monkeypatch, cfg):
+        # With the forcing switched off both solvers run linear systems:
+        # from rest u = P11(t) u0 and u_t = P21(t) u0 (the 50-digit
+        # oracle_mode), and v = exp(-|k|^2 t) v0, per |k|^2 shell.  u0 is v0
+        # on the shells below the cutoff, so every report series and the
+        # cross term are sums over shells of the masses U of u0 and V of v0.
+        zero = lambda grid, b: np.zeros_like(b)
+        monkeypatch.setattr(ns, "_box_forcing", zero)
+        monkeypatch.setattr(nlw, "_box_forcing", zero)
+        v0 = build_reference_field(cfg, make_grid(cfg.dim, cfg.n))
+        s0 = base_sigma(cfg.dim)
+        k2, V = shell_masses(v0, s0)
+        for row in run_convergence(cfg).rows:
+            eps = row.eps
+            u0 = truncate_initial_data(v0, eps)
+            U, U_delta = shell_masses(u0, s0)[1], shell_masses(u0, s0 + cfg.delta)[1]
+            on = U > 0
+            t = np.array([r.t for r in row.reports])
+            p11, p21 = np.zeros((2, len(t), len(k2)))
+            for i, ti in enumerate(t):
+                p11[i, on], p21[i, on] = np.array([[z.real for z in oracle_mode(eps, k, ti, 1, 0)] for k in k2[on]]).T
+            e = np.exp(-np.outer(t, k2))
+            a = p11 + eps * p21
+            shared = 0.5 * eps**2 * p21**2 + eps * k2 * p11**2
+            gap = e**2 * (V - U)  # the shells of v above the cutoff, which u lacks
+            want = {
+                "err_sq": (p11 - e) ** 2 * U + gap,
+                "dafermos": (0.5 * (a - e) ** 2 + shared) * U + 0.5 * gap,
+                "e_base": (0.5 * a**2 + shared) * U,
+                "e_delta": (0.5 * a**2 + shared) * U_delta,
+            }
+            for name, terms in want.items():
+                got, closed = np.array([getattr(r, name) for r in row.reports]), terms.sum(axis=1)
+                assert np.max(np.abs(got - closed) / closed) <= LINEAR_PIPELINE_TOL, (eps, name)
+            # the cross term pairs u_t = P21 u0 with dt_v(v) = -|k|^2 v
+            cross = eps * np.trapezoid((-k2 * p21 * e * U).sum(axis=1), t)
+            assert abs(row.cross_term - cross) <= LINEAR_PIPELINE_TOL * abs(cross)
+
     def test_cross_term_zero_for_zero_data(self):
         res = run_convergence(golden_config(amplitude=0.0, T=0.05))
         assert [r.cross_term for r in res.rows] == [0.0] * len(res.rows)
@@ -723,6 +808,16 @@ class TestExistenceProbe:
         row = res.rows[0]
         assert row.hypothesis.passed and not row.blowup
         assert res.sup_bound_ok and row.n_star == 0
+
+    def test_blowup_between_samples_reported(self):
+        # At eps = 3e-3 and amplitude 181.02 the energy grows past float64
+        # between two samples: the steps overflow before the next sample's
+        # ceiling test, which reports the blow-up, not a numpy RuntimeWarning
+        cfg = ExperimentConfig(**dict(EDGE_CONTROL, eps_list=[3e-3]), T=0.5, amplitude=181.02)
+        res = run_existence_probe(cfg)
+        row = res.rows[0]
+        assert row.blowup and not res.sup_bound_ok
+        assert abs(row.blowup_t - 0.0934) < 1e-4
 
     def test_beltrami_far_outside_hypotheses_bounded(self, tmp_path):
         # A Beltrami field's forcing vanishes, so its wave solution is

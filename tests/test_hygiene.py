@@ -440,8 +440,9 @@ def test_bench_microbenchmark_targets_exist():
 # A config key must be one that a run sets: a workload (a keyword of a
 # ``dict(...)`` call or a subscript store in ``bench/workloads.py``), an
 # acceptance criterion (a keyword of an ``ExperimentConfig(...)`` call in
-# ``tests/test_acceptance.py``) or the README (a `` `key` `` or a
-# ``key = ...`` line).  A key that nothing sets is a setting nobody turns.
+# ``tests/test_acceptance.py``) or the README (a ``key = ...`` line of an
+# example config; a key that its prose only names is set by no run).  A
+# key that nothing sets is a setting nobody turns.
 
 
 def call_keywords(tree, name):
@@ -456,7 +457,8 @@ def call_keywords(tree, name):
 
 def config_keys_set(workloads, acceptance, readme):
     """Keys set by the sources of the workloads and the acceptance
-    criteria and by the README's text."""
+    criteria and by the README's ``key = value`` lines, its example
+    configs: a key that the README's prose only names sets nothing."""
     tree = ast.parse(workloads)
     stores = {
         getattr(node.slice, "value", None)
@@ -464,12 +466,12 @@ def config_keys_set(workloads, acceptance, readme):
         if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
     }
     found = call_keywords(tree, "dict") | stores | call_keywords(ast.parse(acceptance), "ExperimentConfig")
-    return found | set(re.findall(r"`(\w+)`", readme)) | set(re.findall(r"^\s*(\w+) = ", readme, re.MULTILINE))
+    return found | set(re.findall(r"^\s*(\w+) = ", readme, re.MULTILINE))
 
 
 def test_every_config_key_is_set_by_a_run():
     planted = config_keys_set("w = dict(dim=2)\nw['n'] = 8\n", "ExperimentConfig(s=0.5)\n", "`T` and\n    dt = 1\n")
-    assert planted == {"dim", "n", "s", "T", "dt"}  # the rule sees each form
+    assert planted == {"dim", "n", "s", "dt"}  # the rule sees each form, and no prose mention
     paths = (BENCH / "workloads.py", ROOT / "tests" / "test_acceptance.py", ROOT / "README.md")
     keys = config_keys_set(*(p.read_text(encoding="utf-8") for p in paths))
     assert sorted({f.name for f in fields(ExperimentConfig)} - keys) == []

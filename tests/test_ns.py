@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import simpson
 
 from hypns import ns
-from hypns.initial_data import random_divergence_free_field, taylor_green
+from hypns.initial_data import random_divergence_free_field, synth_hs_field, taylor_green
 from hypns.nlw import nlw_solve
 from hypns.ns import SolverFailure, _check_finite, default_dt, dt_v, ns_solve
 from hypns.spectral import (
@@ -91,6 +91,15 @@ class TestNsSolve:
         for s in samples:
             exact = v0 * np.exp(-k2 * s.t)
             assert l2_norm(s.v - exact) <= BELTRAMI_REL_TOL * l2_norm(exact)
+
+    def test_blowup_between_samples_is_a_solver_failure(self):
+        # dt = 0.05 is far above the CFL bound at amplitude 200: the steps
+        # overflow float64 between two samples, and the sample's finiteness
+        # test reports it, not a numpy RuntimeWarning (an error in tier-1)
+        v0 = synth_hs_field(make_grid(2, 32), 1, 0.5, 200.0)
+        with pytest.raises(SolverFailure, match="non-finite coefficients") as exc:
+            ns_solve(v0, 2.0, dt=0.05, stride=20)
+        assert exc.value.t == 1.0
 
     def test_energy_inequality(self):
         g = make_grid(2, 32)
